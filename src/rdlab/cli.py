@@ -51,8 +51,8 @@ from .config import (
     load_config,
 )
 from .covlab import (
-    boost_dirac_field,
     box_probability,
+    check_boost_reach,
     contracted_cube,
     covariance_experiment,
     rotate_field,
@@ -625,6 +625,11 @@ def cmd_covariance(cfg: dict[str, str], record: ReportRecord, rng: np.random.Gen
         raise ConfigError("box.fraction must lie strictly between 0 and 1")
 
     packet = gaussian_packet(grid, mass, p0, x0, sigma=sigma, spin=0.5)
+    for chi in rapidities:
+        try:
+            check_boost_reach(packet, chi, axis)
+        except ValueError as exc:
+            raise ConfigError(f"boost.rapidity = {chi:g}: {exc}") from None
     rho_rest = density(to_coordinate(packet))
 
     sweep = []

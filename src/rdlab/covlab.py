@@ -10,21 +10,28 @@ does not shrink under lattice refinement.
 Boosts remap momenta off the lattice nodes, so fields are resampled along the
 boost axis with the exact trigonometric interpolant of the periodic lattice;
 rotations are restricted to quarter turns, which are exact node permutations.
+
+Both off-lattice samplings share one kernel, _axis_dft: small phase-matrix
+products along one axis, one per transverse line. The tilted slice splits the
+rest field once into its +-E parts, whose evolution is a phase, so every plane
+comes from one such transform plus one transverse inverse FFT; only the
+nonlocal FW current still needs a 3D density rate per plane.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
 
 import numpy as np
+import scipy.fft as sfft
 
 from .clifford import ALPHA, pauli
 from .fields import (
-    CoordinateField,
     MomentumField,
+    _workers,
     concentration_box,
     density,
-    evolve,
     gaussian_packet,
+    hamiltonian_apply,
     to_coordinate,
     to_dirac_picture,
     to_fw_picture,
@@ -55,6 +62,36 @@ def _check_boostable(field: MomentumField, axis: int) -> None:
         raise ValueError("boosts are implemented for single-branch particle fields")
 
 
+def _lattice_powers(w: np.ndarray, n: int, axis: int) -> np.ndarray:
+    """w**k on a new axis `axis` for the lattice integers k in FFT order
+    (0, ..., n/2 - 1, -n/2, ..., -1): one exponential per phase, not n.
+    |w| = 1, so w**-k = conj(w**k); doubling keeps the rounding near |k| ulps,
+    the rounding of the phase itself."""
+    out = np.empty((*w.shape[:axis], n, *w.shape[axis:]), dtype=complex)
+    pw = np.moveaxis(out, axis, 0)
+    half = n // 2
+    pw[0] = 1.0
+    pw[1] = w
+    m = 2
+    while m <= half:  # pw[:m] holds w**0 ... w**(m - 1)
+        top = min(2 * m, half + 1)
+        np.multiply(pw[: top - m], pw[m // 2] * pw[m - m // 2], out=pw[m:top])
+        m = top
+    np.conjugate(pw[half - 1 : 0 : -1], out=pw[half + 1 :])
+    np.conjugate(pw[half], out=pw[half])
+    return out
+
+
+def _axis_dft(values: np.ndarray, kernel) -> np.ndarray:
+    """out[q, y, z] = sum_j kernel(y)[z, q, j] values[j, y, z], one small matrix
+    product per transverse line, one y at a time so that a single phase block
+    is alive. values has shape (nj, n, n, s), out (n, n, n, s)."""
+    out = np.empty((values.shape[1], *values.shape[1:]), dtype=complex)
+    for y in range(values.shape[1]):
+        out[:, y] = np.matmul(kernel(y), values[:, y].transpose(1, 0, 2)).transpose(1, 0, 2)
+    return out
+
+
 def _resample_along_axis(
     values: np.ndarray, grid: Grid, targets: np.ndarray, axis: int
 ) -> np.ndarray:
@@ -64,15 +101,25 @@ def _resample_along_axis(
     transverse components stay on the lattice, so the interpolation is a
     batch of 1D evaluations sharing the coordinate frequencies x1d.
     """
-    v = np.moveaxis(values, axis, 0)
-    t = np.moveaxis(targets, axis, 0)
-    coeff = np.fft.ifft(v, axis=0)
-    x = grid.x1d
-    out = np.empty_like(v)
-    for k in range(grid.n):
-        kernel = np.exp(-1j * t[:, :, k, None] * x)
-        out[:, :, k, :] = np.einsum("qyj,jya->qya", kernel, coeff[:, :, k, :])
+    coeff = sfft.ifft(np.moveaxis(values, axis, 0), axis=0, workers=_workers())
+    w = np.exp(-1j * grid.dx * np.moveaxis(targets, axis, 0))
+    out = _axis_dft(coeff, lambda y: _lattice_powers(w[:, y].T, grid.n, 2))
     return np.moveaxis(out, 0, axis)
+
+
+def check_boost_reach(field: MomentumField, rapidity: float, axis: int) -> None:
+    """Raise ValueError when the boosted momentum support would leave the lattice band."""
+    grid = field.grid
+    amp = np.abs(field.values).max(axis=-1)
+    support = amp > SUPPORT_CUT * amp.max()
+    q_ax = grid.p[..., axis]
+    e_q = grid.energies(field.mass)
+    reach = float(np.abs(np.cosh(rapidity) * q_ax + np.sinh(rapidity) * e_q)[support].max())
+    if reach > grid.pmax - grid.dp:
+        raise ValueError(
+            f"boosted momentum support reaches |p| ~ {reach:.2f}, beyond the "
+            f"lattice band pmax = {grid.pmax:g}; rebuild with pmax >~ {reach + 3 * grid.dp:.1f}"
+        )
 
 
 def _boost_geometry(field: MomentumField, rapidity: float, axis: int):
@@ -82,19 +129,10 @@ def _boost_geometry(field: MomentumField, rapidity: float, axis: int):
     p = (targets, q_transverse): targets = cosh(chi) q_ax - sinh(chi) E_q.
     Raises when the boosted support would leave the lattice band.
     """
+    check_boost_reach(field, rapidity, axis)
     grid, m = field.grid, field.mass
-    ch, sh = np.cosh(rapidity), np.sinh(rapidity)
     e_q = grid.energies(m)
-    q_ax = grid.p[..., axis]
-    amp = np.abs(field.values).max(axis=-1)
-    support = amp > SUPPORT_CUT * amp.max()
-    reach = float(np.abs(ch * q_ax + sh * e_q)[support].max())
-    if reach > grid.pmax - grid.dp:
-        raise ValueError(
-            f"boosted momentum support reaches |p| ~ {reach:.2f}, beyond the "
-            f"lattice band pmax = {grid.pmax:g}; rebuild with pmax >~ {reach + 3 * grid.dp:.1f}"
-        )
-    targets = ch * q_ax - sh * e_q
+    targets = np.cosh(rapidity) * grid.p[..., axis] - np.sinh(rapidity) * e_q
     p2 = targets**2
     for k in range(3):
         if k != axis:
@@ -212,58 +250,93 @@ def rotate_scalar_lattice(grid: Grid, values: np.ndarray, axis: int, quarter_tur
 # slice-consistency checks
 
 
-def _plane_values(field: MomentumField, x_target: float, axis: int) -> np.ndarray:
-    """Coordinate realization on the (possibly off-lattice) plane x_ax = x_target."""
-    grid = field.grid
-    half = np.sqrt(field.mass / grid.energies(field.mass))
-    v = np.moveaxis(half[..., None] * field.values, axis, 0)
-    trans = np.fft.ifftn(v, axes=(1, 2))
-    phase = np.exp(1j * grid.p1d * x_target) / grid.n
-    return np.einsum("p,pabs->abs", phase, trans) / grid.dx**3
-
-
-def _plane_sample(lattice_values: np.ndarray, grid: Grid, x_target: float, axis: int) -> np.ndarray:
-    """Trig-interpolated plane of a real lattice scalar field."""
-    v = np.moveaxis(lattice_values.astype(complex), axis, 0)
-    coeff = np.fft.fft(v, axis=0)
-    phase = np.exp(1j * grid.p1d * x_target) / grid.n
-    return np.einsum("p,pab->ab", phase, coeff).real
-
-
 def _slice_residual(rho_boosted: np.ndarray, predicted: np.ndarray) -> float:
     num = float(np.sqrt(np.sum((predicted - rho_boosted) ** 2)))
     den = float(np.sqrt(np.sum(rho_boosted**2)))
     return num / den
 
 
+def _branch_split(field: MomentumField, axis: int) -> np.ndarray:
+    """sqrt(m/E) a_+ over sqrt(m/E) a_-, a_+- = (phi +- H phi / E) / 2 (in the FW
+    picture the upper and the lower component pair), boost axis first, shape
+    (2n, n, n, 4). Evolution turns a_+- into exp(-+iEt) a_+-."""
+    e = np.moveaxis(field.grid.energies(field.mass), axis, 0)[..., None]
+    vals = np.moveaxis(field.values, axis, 0)
+    h = np.moveaxis(hamiltonian_apply(field), axis, 0) / e  # before the split: lower peak memory
+    split = np.empty((2, *vals.shape), dtype=complex)
+    np.add(vals, h, out=split[0])
+    np.subtract(vals, h, out=split[1])
+    split *= 0.5 * np.sqrt(field.mass / e)
+    return split.reshape(-1, *vals.shape[1:])
+
+
+def _fw_flux_planes(field: MomentumField, rapidity: float, axis: int) -> np.ndarray:
+    """Boost-axis FW current on every tilted plane, boost axis first. The current is
+    nonlocal: each plane needs the density rate 2 Re psi^dag psi_dot, psi_dot =
+    -i beta E psi, on the whole lattice at t = -sinh(chi) x'. Its spectrum times
+    i p_ax / p^2 is the current's, summed along the axis at cosh(chi) x' (the
+    Nyquist term of a real current vanishes) and inverted over the transverse axes."""
+    grid, n = field.grid, field.grid.n
+    ch, sh = np.cosh(rapidity), np.sinh(rapidity)
+    e = np.moveaxis(grid.energies(field.mass), axis, 0)
+    vals = np.moveaxis(field.values, axis, 0)
+    p = np.abs(grid.p1d)
+    p2 = p[:, None, None] ** 2 + p[None, :, None] ** 2 + p[None, None, : n // 2 + 1] ** 2
+    with np.errstate(divide="ignore", invalid="ignore"):
+        flux = np.where(p2 > 0.0, 2j * grid.p1d[:, None, None] / (p2 * grid.dx**6), 0.0)
+    step = np.exp(1j * sh * grid.dx * e)
+    phase = np.sqrt(field.mass / e).astype(complex)  # sqrt(m/E) exp(-iEt) of the upper pair
+    out = np.empty((n, n, n))
+    for i, xp in enumerate(grid.x1d):
+        if i == n // 2:
+            phase = phase.conj()  # x' = k dx jumps from k = n/2 - 1 to k = -n/2
+        rate = np.zeros((n, n, n), dtype=complex)
+        for s in range(4):
+            spec = vals[..., s] * (phase if s < 2 else phase.conj())
+            psi = np.conjugate(sfft.ifftn(spec, workers=_workers()))
+            spec *= e
+            psi *= sfft.ifftn(spec, workers=_workers(), overwrite_x=True)
+            rate += psi if s < 2 else -psi
+        weights = np.exp(1j * grid.p1d * ch * xp) / n
+        weights[n // 2] = 0.0
+        spectrum = sfft.rfftn(rate.imag, workers=_workers()) * flux
+        out[i] = sfft.irfftn(np.einsum("p,pab->ab", weights, spectrum), s=(n, n), workers=_workers())
+        phase *= step
+    return out
+
+
 def slice_prediction(field: MomentumField, rapidity: float, axis: int = 0) -> np.ndarray:
     """Density predicted on the boosted equal-time slice from rest-frame data.
 
-    For each plane x'_ax the rest state is evolved to t = -sinh(chi) x'_ax
-    and read at x_ax = cosh(chi) x'_ax, predicting
-    rho' = cosh(chi) rho + sinh(chi) j_ax. The current is the pointwise
-    alpha current in the Dirac picture and the continuity-solving current in
-    the FW picture. Returns the predicted density, shape (n, n, n).
+    The plane x'_ax is the rest state at t = -sinh(chi) x'_ax read at
+    x_ax = cosh(chi) x'_ax, predicting rho' = cosh(chi) rho + sinh(chi) j_ax.
+    Split into energy branches, the state on all planes is
+
+        sum_{p_ax} exp(i x' (cosh(chi) p_ax +- sinh(chi) E_p)) a_+-(p):
+
+    one axis DFT per transverse momentum, then one inverse FFT over the
+    transverse axes, with no evolve. The current is the pointwise alpha
+    current in the Dirac picture and the continuity-solving current in the FW
+    picture, which is nonlocal and costs one 3D density rate per plane.
+    Returns shape (n, n, n).
     """
     if field.branch != "particle":
         raise ValueError("slice predictions are implemented for particle fields")
-    from .fields import fw_current_density
-
+    grid = field.grid
     ch, sh = np.cosh(rapidity), np.sinh(rapidity)
-    alpha_ax = ALPHA[axis]
-    pred = np.empty(field.values.shape[:3])
-    for i, xp in enumerate(field.grid.x1d):
-        evolved = evolve(field, -sh * xp)
-        plane = _plane_values(evolved, ch * xp, axis)
-        rho = np.einsum("abs,abs->ab", plane.conj(), plane).real
-        if field.rep == "dirac":
-            j_ax = np.einsum("abs,abs->ab", plane.conj(), plane @ alpha_ax.T).real
-        else:
-            j_ax = _plane_sample(
-                fw_current_density(evolved)[..., axis], field.grid, ch * xp, axis
-            )
-        pred[i] = ch * rho + sh * j_ax
-    return np.moveaxis(pred, 0, axis)
+    e = np.moveaxis(grid.energies(field.mass), axis, 0)
+    p_ax = grid.p1d[:, None, None]
+    w = np.exp(1j * grid.dx * np.concatenate([ch * p_ax + sh * e, ch * p_ax - sh * e]))
+    planes = _axis_dft(_branch_split(field, axis), lambda y: _lattice_powers(w[:, y].T, grid.n, 1))
+    psi = sfft.ifftn(planes, axes=(1, 2), workers=_workers(), overwrite_x=True)
+    del planes  # lower peak memory
+    psi /= grid.n * grid.dx**3
+    rho = np.einsum("xyzs,xyzs->xyz", psi.conj(), psi).real
+    if field.rep == "dirac":
+        j_ax = np.einsum("xyzs,xyzs->xyz", psi.conj(), psi @ ALPHA[axis].T).real
+    else:
+        j_ax = _fw_flux_planes(field, rapidity, axis)
+    return np.moveaxis(ch * rho + sh * j_ax, 0, axis)
 
 
 def dirac_covariance_check(field: MomentumField, rapidity: float, axis: int = 0) -> float:
@@ -278,25 +351,6 @@ def dirac_covariance_check(field: MomentumField, rapidity: float, axis: int = 0)
     boosted = boost_dirac_field(field, rapidity, axis)
     rho_b = density(to_coordinate(boosted))
     return _slice_residual(rho_b, slice_prediction(field, rapidity, axis))
-
-
-def fw_consistency_violation(
-    field: MomentumField, rapidity: float, axis: int = 0
-) -> tuple[float, float]:
-    """(violation, dirac_reference) for the same slice comparison run on the
-    FW density, paired with the continuity-solving FW current.
-
-    The Dirac number is pure lattice error; the FW number survives
-    refinement because that density is not the time component of a local
-    four-current.
-    """
-    if field.rep != "dirac":
-        raise ValueError("fw_consistency_violation starts from a Dirac-picture field")
-    reference = dirac_covariance_check(field, rapidity, axis)
-    boosted = to_fw_picture(boost_dirac_field(field, rapidity, axis))
-    rho_b = density(to_coordinate(boosted))
-    pred = slice_prediction(to_fw_picture(field), rapidity, axis)
-    return _slice_residual(rho_b, pred), reference
 
 
 # ---------------------------------------------------------------------------
@@ -383,7 +437,8 @@ def covariance_experiment(
     density over that cube; box_rest is the rest-frame accounting of the
     same region: the flux-corrected tilted-slice prediction. A covariant
     density/current pair makes the two agree to lattice precision; the FW
-    pair (checked by fw_consistency_violation) does not.
+    pair (fw_violation, fw_box_*: the same comparison run on the FW density
+    with its continuity-solving current) does not.
     """
     if grid is None:
         grid = Grid(64, 6.0 * mass)

@@ -250,6 +250,15 @@ def test_covariance_rotation_only(tmp_path):
     assert sweep[0]["grid"] == {"n": 64, "pmax": 8.0, "mass": 1.0}
 
 
+def test_covariance_rejects_rapidity_beyond_the_band(tmp_path, capsys):
+    # the reach of every rapidity is checked before any slice work starts
+    code, report = run(tmp_path, "covariance", "boost.rapidity = 0.5, 2.5\n")
+    assert code == 2 and report is None
+    err = capsys.readouterr().err
+    assert "boost.rapidity = 2.5" in err and "pmax" in err
+    assert "Traceback" not in err
+
+
 def test_covariance_rejects_bad_axes_and_rapidities(tmp_path, capsys):
     assert run(tmp_path, "covariance", "boost.axis = 3\n")[0] == 2
     assert run(tmp_path, "covariance", "boost.rapidity = 0.5, 0.1\n")[0] == 2

@@ -6,6 +6,8 @@ from functools import lru_cache
 import numpy as np
 import pytest
 
+from rdlab import covlab
+from rdlab.clifford import ALPHA
 from rdlab.covlab import (
     boost_dirac_field,
     boost_fw_field,
@@ -21,6 +23,8 @@ from rdlab.covlab import (
 from rdlab.fields import (
     coordinate_centroid,
     density,
+    evolve,
+    fw_current_density,
     gaussian_packet,
     momentum_inner,
     to_coordinate,
@@ -90,6 +94,35 @@ def test_boost_preconditions():
         boost_fw_field(to_fw_picture(f), CHI, AXIS, route="nearest")
 
 
+def _einsum_resample(values, grid, targets, axis):
+    """Plane-by-plane einsum evaluation of the axis trig interpolant (oracle)."""
+    v = np.moveaxis(values, axis, 0)
+    t = np.moveaxis(targets, axis, 0)
+    coeff = np.fft.ifft(v, axis=0)
+    out = np.empty_like(v)
+    for k in range(grid.n):
+        kernel = np.exp(-1j * t[:, :, k, None] * grid.x1d)
+        out[:, :, k, :] = np.einsum("qyj,jya->qya", kernel, coeff[:, :, k, :])
+    return np.moveaxis(out, 0, axis)
+
+
+@pytest.mark.parametrize("axis", [0, 1, 2])
+def test_boost_resampler_matches_einsum_oracle(monkeypatch, axis):
+    f = covariance_packet(Grid(32, 6.0))
+    fw = to_fw_picture(f)
+    boosts = {
+        "dirac": lambda: boost_dirac_field(f, CHI, axis).values,
+        "wigner": lambda: boost_fw_field(fw, CHI, axis, route="wigner").values,
+        "conjugation": lambda: boost_fw_field(fw, CHI, axis, route="conjugation").values,
+    }
+    new = {name: boost() for name, boost in boosts.items()}
+    monkeypatch.setattr(covlab, "_resample_along_axis", _einsum_resample)
+    for name, boost in boosts.items():
+        old = boost()
+        dev = np.abs(new[name] - old).max() / np.abs(old).max()
+        assert dev <= 1e-13, name
+
+
 def test_fw_boost_routes_agree():
     fw = to_fw_picture(covariance_packet(Grid(64, 6.0)))
     direct = boost_fw_field(fw, CHI, AXIS, route="wigner")
@@ -134,6 +167,41 @@ def test_rotated_density_is_permuted_density(rep):
     rho_rot = density(to_coordinate(rotate_field(f, 2, 1)))
     expected = rotate_scalar_lattice(g, rho, 2, 1)
     assert np.abs(rho_rot - expected).max() <= 1e-6 * rho.max()
+
+
+def _per_plane_slice(field, rapidity, axis):
+    """Tilted-slice oracle, one plane at a time: evolve the rest state to
+    t = -sinh(chi) x', trig-interpolate the plane x = cosh(chi) x' and form
+    cosh(chi) rho + sinh(chi) j_ax."""
+    grid = field.grid
+    ch, sh = np.cosh(rapidity), np.sinh(rapidity)
+    half = np.sqrt(field.mass / grid.energies(field.mass))[..., None]
+    pred = np.empty(field.values.shape[:3])
+    for i, xp in enumerate(grid.x1d):
+        evolved = evolve(field, -sh * xp)
+        phase = np.exp(1j * grid.p1d * ch * xp) / grid.n
+        trans = np.fft.ifftn(np.moveaxis(half * evolved.values, axis, 0), axes=(1, 2))
+        plane = np.einsum("p,pabs->abs", phase, trans) / grid.dx**3
+        rho = np.einsum("abs,abs->ab", plane.conj(), plane).real
+        if field.rep == "dirac":
+            j_ax = np.einsum("abs,abs->ab", plane.conj(), plane @ ALPHA[axis].T).real
+        else:
+            j_lattice = np.moveaxis(fw_current_density(evolved)[..., axis], axis, 0)
+            j_ax = np.einsum("p,pab->ab", phase, np.fft.fft(j_lattice, axis=0)).real
+        pred[i] = ch * rho + sh * j_ax
+    return np.moveaxis(pred, 0, axis)
+
+
+@pytest.mark.parametrize("chi", [0.0, CHI])
+@pytest.mark.parametrize("axis", [0, 1, 2])
+@pytest.mark.parametrize("rep", ["dirac", "fw"])
+def test_slice_prediction_matches_per_plane_oracle(rep, axis, chi):
+    f = covariance_packet(Grid(20, 4.0))  # smallest lattice passing the packet hygiene
+    if rep == "fw":
+        f = to_fw_picture(f)
+    expected = _per_plane_slice(f, chi, axis)
+    got = slice_prediction(f, chi, axis)
+    assert np.abs(got - expected).max() <= 1e-12 * np.abs(expected).max()
 
 
 def test_dirac_covariance_residual_small_and_refining():
