@@ -114,6 +114,15 @@ def _grid(cfg: dict[str, str], record: ReportRecord, prefix: str, n_default: int
     return Grid(n, pmax)
 
 
+def _packet(keys: str, *args, **kwargs):
+    """gaussian_packet(*args, **kwargs); a packet that fails the lattice hygiene
+    checks is a config error naming the `keys` it was built from."""
+    try:
+        return gaussian_packet(*args, **kwargs)
+    except ValueError as exc:
+        raise ConfigError(f"{keys}: {exc}") from None
+
+
 def _guarded(record: ReportRecord, name: str, tolerance: float | None, fn, note: str = ""):
     """Run one check body; a ValueError becomes a named failure, not a crash."""
     try:
@@ -458,9 +467,13 @@ def cmd_zitterbewegung(cfg: dict[str, str], record: ReportRecord, rng: np.random
         if count < 16:
             raise ConfigError(f"{key} = {count}: need at least 16 samples to resolve a trembling frequency")
 
-    mixed = zitterbewegung_experiment(
-        mix=mix, duration=duration, samples=samples, grid=grid, mass=mass, p0=p0, sigma=sigma
-    )
+    # both packets pass the lattice hygiene checks before any sampling starts
+    packet = _packet("grid.n, grid.pmax, packet.sigma, packet.p0, packet.mix",
+                     grid, mass, p0, sigma=sigma, weights=mix)
+    pure_packet = _packet("pure.n, pure.pmax, pure.sigma, pure.p0",
+                          pure_grid, mass, pure_p0, sigma=pure_sigma)
+
+    mixed = zitterbewegung_experiment(packet, duration, samples)
     freq_err = abs(mixed.dominant_frequency / (2.0 * mixed.mean_energy) - 1.0)
     record.check(
         "mixed_frequency_vs_two_mean_energy",
@@ -469,10 +482,7 @@ def cmd_zitterbewegung(cfg: dict[str, str], record: ReportRecord, rng: np.random
         note="relative offset of the dominant trembling frequency from 2<E>",
     )
 
-    pure = zitterbewegung_experiment(
-        mix=(1.0, 0.0), duration=pure_duration, samples=pure_samples,
-        grid=pure_grid, mass=mass, p0=pure_p0, sigma=pure_sigma,
-    )
+    pure = zitterbewegung_experiment(pure_packet, pure_duration, pure_samples)
     record.check(
         "pure_coordinate_slope",
         float(np.abs(pure.coordinate_slopes - pure.velocity_expectation).max()),

@@ -53,10 +53,6 @@ def _convert(cfg: dict[str, str], key: str, conv, default):
         raise ConfigError(f"config key {key!r}: {exc}") from exc
 
 
-def get_str(cfg: dict[str, str], key: str, default: str | None = None) -> str:
-    return _convert(cfg, key, str, default)
-
-
 def get_int(cfg: dict[str, str], key: str, default: int | None = None) -> int:
     return _convert(cfg, key, int, default)
 

@@ -39,8 +39,8 @@ def _workers() -> int:
     return int(os.environ.get("RDLAB_THREADS") or os.cpu_count() or 1)
 
 
-def _fft3(a: np.ndarray) -> np.ndarray:
-    return sfft.fftn(a, axes=(0, 1, 2), workers=_workers())
+def _fft3(a: np.ndarray, overwrite_x: bool = False) -> np.ndarray:
+    return sfft.fftn(a, axes=(0, 1, 2), workers=_workers(), overwrite_x=overwrite_x)
 
 
 def _ifft3(a: np.ndarray) -> np.ndarray:
@@ -407,43 +407,14 @@ def antiparticle_gaussian_packet(
 
 
 # ---------------------------------------------------------------------------
-# evolution wrappers, branch projections, continuity and trembling motion
-
-
-def evolve_dirac(field: MomentumField, t: float) -> MomentumField:
-    """Advance a Dirac-picture field by duration t."""
-    if field.rep != "dirac":
-        raise ValueError("evolve_dirac expects a Dirac-picture field")
-    return evolve(field, t)
-
-
-def evolve_fw(field: MomentumField, t: float) -> MomentumField:
-    """Advance an FW-picture field by duration t (diagonal phases)."""
-    if field.rep != "fw":
-        raise ValueError("evolve_fw expects an FW-picture field")
-    return evolve(field, t)
-
-
-@dataclass(frozen=True)
-class DensityCurrent:
-    """Pointwise density/current pair on the coordinate lattice."""
-
-    density: np.ndarray  # (n, n, n) real
-    current: np.ndarray  # (n, n, n, 3) real
-    time: float
-
-
-def dirac_density_current(field: CoordinateField) -> DensityCurrent:
-    """Bundle rho = psi^dag psi with j^k = psi^dag alpha^k psi (Dirac picture)."""
-    return DensityCurrent(density(field), current_density(field), field.time)
+# branch projections, continuity and trembling motion
 
 
 def branch_projection(field: MomentumField, branch: str) -> MomentumField:
     """Node-wise orthogonal projection onto the +E or -E eigenspace of H(p).
 
-    In the FW picture the projector selects the upper or lower component
-    pair; in the Dirac picture it contracts against the two branch
-    eigenspinors (unit norm, orthogonal across the energy split).
+    The projector is (1 +- H/E) / 2 (H^2 = E^2 per node); in the FW picture it
+    selects the upper or the lower component pair.
     """
     if branch not in ("particle", "antiparticle"):
         raise ValueError(f"branch must be 'particle' or 'antiparticle', got {branch!r}")
@@ -456,12 +427,11 @@ def branch_projection(field: MomentumField, branch: str) -> MomentumField:
         else:
             vals[..., :2] = 0.0
     else:
-        vals = np.zeros_like(field.values)
-        for chi in (np.array([1.0, 0.0], dtype=complex), np.array([0.0, 1.0], dtype=complex)):
-            v_plus, v_minus = _branch_channels(field.grid, field.mass, chi)
-            v = v_plus if branch == "particle" else v_minus
-            coeff = np.einsum("xyza,xyza->xyz", v.conj(), field.values)
-            vals += coeff[..., None] * v
+        sign = 1.0 if branch == "particle" else -1.0
+        vals = hamiltonian_apply(field)
+        vals *= (sign / field.grid.energies(field.mass))[..., None]
+        vals += field.values
+        vals *= 0.5
     return replace(field, values=vals, branch=branch)
 
 
@@ -558,7 +528,9 @@ class ZitterbewegungResult:
 
     The coordinate track of a branch-mixed field oscillates around ballistic
     motion at the interference frequency 2<E>; the branch position drifts
-    with the classical velocity <p/E> for any mix.
+    with the classical velocity <p/E> for any mix. The packet is split into
+    its +E and -E parts once, at t = 0, and every sample is taken at its
+    absolute time, so no roundoff builds up along the tracks.
     """
 
     times: np.ndarray
@@ -572,40 +544,43 @@ class ZitterbewegungResult:
 
 
 def zitterbewegung_experiment(
-    mix=(1.0, 1.0),
-    duration: float = 40.0,
-    samples: int = 160,
-    grid: Grid | None = None,
-    mass: float = 1.0,
-    p0=(0.0, 0.0, 0.0),
-    sigma: float = 4.0,
-    spin=0.5,
+    packet: MomentumField, duration: float = 40.0, samples: int = 160
 ) -> ZitterbewegungResult:
-    """Track position expectations of a (possibly branch-mixed) packet."""
+    """Track position expectations of a (possibly branch-mixed) Dirac packet.
+
+    The packet f is split once, at t = 0, into a_+ = branch_projection(f,
+    "particle") and a_- = f - a_+. Free evolution is diagonal on the split, so
+    the sample at absolute time t_i is f(t_i) = e^{-iEt_i} a_+ + e^{+iEt_i} a_-
+    for the coordinate track and a_+(t_i) = e^{-iEt_i} a_+ for the branch
+    track: one diagonal phase and one operator apply per track and sample,
+    with no roundoff carried from sample to sample.
+    """
     if samples < 16:
         raise ValueError("need at least 16 samples to resolve a trembling frequency")
-    if grid is None:
-        grid = Grid(48, 6.0)
+    if packet.rep != "dirac":
+        raise ValueError("the trembling-motion tracks are taken in the Dirac picture")
     from .positionops import apply_dirac_coordinate, apply_xp, position_expectation
 
-    f = gaussian_packet(grid, mass, p0, (0.0, 0.0, 0.0), sigma=sigma, spin=spin, weights=mix)
-    dens = _measure(f) * np.einsum("xyza,xyza->xyz", f.values.conj(), f.values).real
+    grid, f = packet.grid, packet.values
+    dens = _measure(packet) * np.einsum("xyza,xyza->xyz", f.conj(), f).real
     total = np.sum(dens)
-    e = grid.energies(mass)
+    e = grid.energies(packet.mass)
     mean_energy = float(np.sum(dens * e) / total)
     v_exp = np.einsum("xyz,xyzk->k", dens / e, grid.p) / total
 
+    plus = branch_projection(packet, "particle")
     times = np.linspace(0.0, duration, samples)
-    step = times[1] - times[0]
     x_track = np.empty((samples, 3))
     b_track = np.empty((samples, 3))
-    cur = f
-    for i in range(samples):
-        x_track[i] = position_expectation(cur, apply_dirac_coordinate)
-        proj = branch_projection(cur, "particle")
-        b_track[i] = position_expectation(proj, apply_xp)
-        if i + 1 < samples:
-            cur = evolve(cur, step)
+    for i, t in enumerate(times):
+        phase = np.exp(-1j * e * t)[..., None]
+        # f(t) as e^{+iEt} f - 2i sin(Et) a_+: a_- = f - a_+ is never stored
+        sample = replace(packet, values=phase.conj() * f, time=packet.time + t)
+        sample.values -= (2j * np.sin(e * t))[..., None] * plus.values
+        x_track[i] = position_expectation(sample, apply_dirac_coordinate)
+        # rebinding drops f(t) before the next apply: one sample field alive at a time
+        sample = replace(plus, values=phase * plus.values, time=packet.time + t)
+        b_track[i] = position_expectation(sample, apply_xp)
 
     osc = x_track - times[:, None] * _linear_slopes(times, x_track)
     axis = int(np.argmax(np.var(osc, axis=0)))

@@ -58,5 +58,14 @@ class Grid:
         return np.stack([xx, yy, zz], axis=-1)
 
     def energies(self, mass: float) -> np.ndarray:
-        """On-shell energies per node, shape (n, n, n)."""
-        return np.sqrt(mass * mass + np.sum(self.p * self.p, axis=-1))
+        """On-shell energies per node, shape (n, n, n).
+
+        Cached per mass in the instance dict, as cached_property does; the
+        shared array is read-only so no caller can change it for the others.
+        """
+        cache = self.__dict__.setdefault("_energies", {})
+        if mass not in cache:
+            e = np.sqrt(mass * mass + np.sum(self.p * self.p, axis=-1))
+            e.flags.writeable = False
+            cache[mass] = e
+        return cache[mass]

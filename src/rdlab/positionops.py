@@ -21,7 +21,7 @@ import numpy as np
 from scipy.special import erfc
 
 from .clifford import ALPHA, BETA
-from .fields import CoordinateField, MomentumField, _fft3, _ifft3, momentum_norm
+from .fields import CoordinateField, MomentumField, _alpha_apply, _fft3, _ifft3, momentum_norm
 from .grids import Grid
 from .spinors import rest_spinor
 
@@ -34,12 +34,19 @@ WINDOW_STEEPNESS = 7.0
 PROBE_FRACTION = 0.30
 
 
-def spectral_momentum_derivative(field: MomentumField, axis: int) -> np.ndarray:
-    """i d(values)/dp_axis via the conjugate-coordinate multiplier."""
-    shape = [1, 1, 1, 1]
-    shape[axis] = field.grid.n
-    x = field.grid.x1d.reshape(shape)
-    return _fft3(x * _ifft3(field.values))
+def spectral_momentum_derivative(field: MomentumField) -> list[np.ndarray]:
+    """i d(values)/dp_k for k = 0, 1, 2 via the conjugate-coordinate multiplier:
+    one inverse FFT shared by the three axes, then one forward FFT per axis."""
+    psi = _ifft3(field.values)
+    out = []
+    for k in range(3):
+        shape = [1, 1, 1, 1]
+        shape[k] = field.grid.n
+        x = field.grid.x1d.reshape(shape)
+        # the last axis reuses psi's buffer; each forward FFT runs in place
+        xpsi = np.multiply(x, psi, out=psi if k == 2 else None)
+        out.append(_fft3(xpsi, overwrite_x=True))
+    return out
 
 
 def _axis_fields(field: MomentumField, per_axis_values) -> tuple[MomentumField, ...]:
@@ -50,54 +57,52 @@ def apply_dirac_coordinate(field: MomentumField) -> tuple[MomentumField, ...]:
     """Coordinate operator: +i d/dp per axis (-i for antiparticle labeling)."""
     if field.rep != "dirac":
         raise ValueError("the coordinate operator is defined on Dirac-picture fields")
-    sign = -1.0 if field.branch == "antiparticle" else 1.0
-    return _axis_fields(
-        field, [sign * spectral_momentum_derivative(field, k) for k in range(3)]
-    )
+    out = spectral_momentum_derivative(field)
+    if field.branch == "antiparticle":
+        for d in out:
+            np.negative(d, out=d)
+    return _axis_fields(field, out)
 
 
-def _boost_factor_scalars(grid: Grid, mass: float):
-    e = grid.energies(mass)
-    s2 = 1.0 / (2.0 * mass * (e + mass))
-    return e, s2
+def _boost_frame_position(field: MomentumField, sign: float) -> tuple[MomentumField, ...]:
+    """sign * (i d/dp_k + i A_k) with A_k = M(L_p) [d/dp_k M(L_p)^{-1}].
+
+    With u = alpha.p phi and s^2 = 1/(2m(E+m)), the identity
+    alpha.p alpha^k = 2 p_k - alpha^k alpha.p reduces the node-local term to
+    A_k phi = s^2 [p_k (u/E - phi) + alpha^k (u - (E+m) phi)]. The antiparticle
+    operator -i d/dp_k + i [d/dp_k M(L_p)] M(L_p)^{-1} is the same expression
+    with sign = -1, since M [d M^{-1}] = -[d M] M^{-1}. The terms are added into
+    the derivative arrays in place, which keeps the peak memory of an apply low.
+    """
+    g, m, vals = field.grid, field.mass, field.values
+    e = g.energies(m)
+    is2 = 1j / (2.0 * m * (e + m))
+    out = spectral_momentum_derivative(field)
+    u = _alpha_apply(g.p, vals)
+    r = u * (is2 / e)[..., None]
+    r -= is2[..., None] * vals
+    u -= (e + m)[..., None] * vals
+    u *= is2[..., None]
+    for k, d in enumerate(out):
+        d += u @ ALPHA[k].T
+        d += g.p[..., k, None] * r
+        if sign < 0:
+            np.negative(d, out=d)
+    return _axis_fields(field, out)
 
 
 def apply_xp(field: MomentumField) -> tuple[MomentumField, ...]:
     """Particle position operator i d/dp_k + i M(L_p) [d/dp_k M(L_p)^{-1}]."""
     if field.rep != "dirac" or field.branch != "particle":
         raise ValueError("defined on particle-branch Dirac-picture fields")
-    g, m, vals = field.grid, field.mass, field.values
-    e, s2 = _boost_factor_scalars(g, m)
-    out = []
-    for k in range(3):
-        pk = g.p[..., k]
-        # w = (p_k/E - alpha^k) phi ; A_k phi = s^2 [(E+m) w + alpha.p w] - p_k/(2E(E+m)) phi
-        w = (pk / e)[..., None] * vals - vals @ ALPHA[k].T
-        aw = sum(g.p[..., j, None] * (w @ ALPHA[j].T) for j in range(3))
-        a_term = s2[..., None] * ((e + m)[..., None] * w + aw) - (
-            pk / (2.0 * e * (e + m))
-        )[..., None] * vals
-        out.append(spectral_momentum_derivative(field, k) + 1j * a_term)
-    return _axis_fields(field, out)
+    return _boost_frame_position(field, 1.0)
 
 
 def apply_xap(field: MomentumField) -> tuple[MomentumField, ...]:
     """Antiparticle position operator -i d/dp_k + i [d/dp_k M(L_p)] M(L_p)^{-1}."""
     if field.rep != "dirac" or field.branch != "antiparticle":
         raise ValueError("defined on antiparticle-labeled Dirac-picture fields")
-    g, m, vals = field.grid, field.mass, field.values
-    e, s2 = _boost_factor_scalars(g, m)
-    # w' = [(E+m) - alpha.p] phi  (unscaled M^{-1} phi)
-    ap = sum(g.p[..., j, None] * (vals @ ALPHA[j].T) for j in range(3))
-    w = (e + m)[..., None] * vals - ap
-    out = []
-    for k in range(3):
-        pk = g.p[..., k]
-        b_term = s2[..., None] * ((pk / e)[..., None] * w + w @ ALPHA[k].T) - (
-            pk / (2.0 * e * (e + m))
-        )[..., None] * vals
-        out.append(-spectral_momentum_derivative(field, k) + 1j * b_term)
-    return _axis_fields(field, out)
+    return _boost_frame_position(field, -1.0)
 
 
 def apply_xfw(field: MomentumField) -> tuple[MomentumField, ...]:
@@ -107,12 +112,12 @@ def apply_xfw(field: MomentumField) -> tuple[MomentumField, ...]:
         raise ValueError("defined on FW-picture fields")
     if field.branch == "mixed":
         raise ValueError("per-branch operator; project the field first")
-    sign = -1.0 if field.branch == "antiparticle" else 1.0
     e2 = field.grid.energies(field.mass) ** 2
-    out = []
-    for k in range(3):
-        mult = (field.grid.p[..., k] / (2.0 * e2))[..., None] * field.values
-        out.append(sign * (spectral_momentum_derivative(field, k) - 1j * mult))
+    out = spectral_momentum_derivative(field)
+    for k, d in enumerate(out):
+        d -= (1j * field.grid.p[..., k] / (2.0 * e2))[..., None] * field.values
+        if field.branch == "antiparticle":
+            np.negative(d, out=d)
     return _axis_fields(field, out)
 
 

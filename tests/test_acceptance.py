@@ -200,13 +200,13 @@ def test_criterion_6_yukawa_tail_oracle_and_two_sided_consistency():
 
 def test_criterion_7_trembling_frequency_and_uniform_transport():
     mixed = zitterbewegung_experiment(
-        mix=(1.0, 1.0), duration=40.0, samples=128, grid=Grid(32, 4.5), p0=(0.3, 0.0, 0.0), sigma=4.0
+        gaussian_packet(Grid(32, 4.5), M, (0.3, 0.0, 0.0), sigma=4.0, weights=(1.0, 1.0)),
+        duration=40.0, samples=128,
     )
     assert abs(mixed.dominant_frequency / (2.0 * mixed.mean_energy) - 1.0) <= 0.05
 
     pure = zitterbewegung_experiment(
-        mix=(1.0, 0.0), duration=6.0, samples=32, grid=Grid(48, 6.0),
-        p0=(0.4, 0.0, 0.2), sigma=2.2,
+        gaussian_packet(Grid(48, 6.0), M, (0.4, 0.0, 0.2), sigma=2.2), duration=6.0, samples=32
     )
     assert np.abs(pure.coordinate_slopes - pure.velocity_expectation).max() <= 1e-3
     assert np.abs(pure.branch_slopes - pure.velocity_expectation).max() <= 1e-3

@@ -188,11 +188,11 @@ def test_zitterbewegung_rejects_few_samples(tmp_path, capsys):
     assert "16 samples" in capsys.readouterr().err
 
 
+ZITTER_QUICK = "times.T = 10\ntimes.samples = 16\npure.T = 4\npure.samples = 16\n"
+
+
 def test_zitterbewegung_tables_and_checks(tmp_path):
-    code, report = run(
-        tmp_path, "zitterbewegung",
-        "times.T = 10\ntimes.samples = 16\npure.T = 4\npure.samples = 16\n",
-    )
+    code, report = run(tmp_path, "zitterbewegung", ZITTER_QUICK)
     assert code == 0
     header = "t,xhat_x,xhat_y,xhat_z,xp_x,xp_y,xp_z,p_over_e_x,p_over_e_y,p_over_e_z"
     for table, rows in (("mixed", 16), ("pure", 16)):
@@ -207,6 +207,27 @@ def test_zitterbewegung_tables_and_checks(tmp_path):
         "pure_coordinate_slope",
         "pure_branch_slope",
     }
+
+
+def test_zitterbewegung_csvs_identical_across_thread_counts(tmp_path, monkeypatch):
+    # n = 64 on both grids is the smallest lattice whose packets pass hygiene
+    tables = {}
+    for threads in ("1", "2"):
+        monkeypatch.setenv("RDLAB_THREADS", threads)
+        out = tmp_path / threads
+        assert run(out, "zitterbewegung", ZITTER_QUICK)[0] == 0
+        tables[threads] = [(out / f"zitterbewegung.{t}.csv").read_bytes() for t in ("mixed", "pure")]
+    assert tables["1"] == tables["2"]
+
+
+@pytest.mark.parametrize("key", ["grid.n", "pure.n"])
+def test_zitterbewegung_rejects_packets_failing_hygiene(tmp_path, capsys, key):
+    # both packets are checked before any sampling: a config error, not a traceback
+    code, report = run(tmp_path, "zitterbewegung", f"{key} = 16\n")
+    assert code == 2 and report is None
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and key in err and "enlarge the box" in err
+    assert "Traceback" not in err
 
 
 # ---------------------------------------------------------------------------

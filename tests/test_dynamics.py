@@ -1,19 +1,18 @@
 """Evolution, branch projections, continuity audits and trembling motion."""
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from rdlab.fields import (
+    _branch_channels,
     branch_projection,
     concentration_box,
     continuity_residual,
-    current_density,
     density,
-    dirac_density_current,
     evolve,
-    evolve_dirac,
-    evolve_fw,
     gaussian_packet,
     momentum_inner,
     to_coordinate,
@@ -22,6 +21,7 @@ from rdlab.fields import (
     zitterbewegung_experiment,
 )
 from rdlab.grids import Grid
+from rdlab.positionops import apply_dirac_coordinate, apply_xp, position_expectation
 
 GRID = Grid(48, 6.0)
 M = 1.0
@@ -29,21 +29,6 @@ M = 1.0
 
 def _moving_packet(weights=(1.0, 0.0)):
     return gaussian_packet(GRID, M, (0.3, 0.0, 0.0), sigma=2.2, weights=weights)
-
-
-def test_evolution_wrappers_check_picture():
-    f = _moving_packet()
-    fw = to_fw_picture(f)
-    with pytest.raises(ValueError):
-        evolve_dirac(fw, 0.1)
-    with pytest.raises(ValueError):
-        evolve_fw(f, 0.1)
-    np.testing.assert_allclose(
-        evolve_dirac(f, 0.37).values, evolve(f, 0.37).values, rtol=0, atol=1e-15
-    )
-    np.testing.assert_allclose(
-        evolve_fw(fw, 0.37).values, evolve(fw, 0.37).values, rtol=0, atol=1e-15
-    )
 
 
 def test_norm_conserved_over_long_evolution():
@@ -101,14 +86,6 @@ def test_branch_projection_preconditions():
         branch_projection(ap, "antiparticle")
 
 
-def test_density_current_bundle():
-    g = to_coordinate(evolve(_moving_packet(), 0.5))
-    bundle = dirac_density_current(g)
-    np.testing.assert_allclose(bundle.density, density(g), rtol=0, atol=0)
-    np.testing.assert_allclose(bundle.current, current_density(g), rtol=0, atol=0)
-    assert bundle.time == g.time
-
-
 def test_concentration_box_tracks_packet():
     f = gaussian_packet(GRID, M, x0=(0.8, -0.5, 0.3), sigma=2.2)
     rho = density(to_coordinate(f))
@@ -153,9 +130,8 @@ def test_continuity_dt_warning_flags_coarse_steps():
 
 
 def test_zitterbewegung_mixed_packet_trembles_at_twice_mean_energy():
-    result = zitterbewegung_experiment(
-        mix=(1.0, 1.0), duration=40.0, samples=128, grid=Grid(32, 4.5), sigma=4.0
-    )
+    mixed = gaussian_packet(Grid(32, 4.5), M, sigma=4.0, weights=(1.0, 1.0))
+    result = zitterbewegung_experiment(mixed, duration=40.0, samples=128)
     assert abs(result.dominant_frequency / (2.0 * result.mean_energy) - 1.0) <= 0.05
     # the interference term leaves a visible oscillation on the coordinate track
     detrended = result.coordinate_track - result.times[:, None] * result.coordinate_slopes
@@ -163,9 +139,8 @@ def test_zitterbewegung_mixed_packet_trembles_at_twice_mean_energy():
 
 
 def test_zitterbewegung_pure_packet_moves_classically():
-    result = zitterbewegung_experiment(
-        mix=(1.0, 0.0), duration=6.0, samples=32, p0=(0.4, 0.0, 0.2), sigma=2.2
-    )
+    pure = gaussian_packet(GRID, M, (0.4, 0.0, 0.2), sigma=2.2)
+    result = zitterbewegung_experiment(pure, duration=6.0, samples=32)
     np.testing.assert_allclose(
         result.coordinate_slopes, result.velocity_expectation, rtol=0, atol=1e-3
     )
@@ -174,6 +149,40 @@ def test_zitterbewegung_pure_packet_moves_classically():
     )
 
 
+def _chained_tracks(packet, duration, samples):
+    """The sampling loop before the split at t = 0: chained evolve steps and a
+    projection per sample, contracted against both branch eigenspinors."""
+    times = np.linspace(0.0, duration, samples)
+    x_track = np.empty((samples, 3))
+    b_track = np.empty((samples, 3))
+    cur = packet
+    for i in range(samples):
+        x_track[i] = position_expectation(cur, apply_dirac_coordinate)
+        vals = np.zeros_like(cur.values)
+        for chi in (np.array([1.0, 0.0], dtype=complex), np.array([0.0, 1.0], dtype=complex)):
+            v_plus, _ = _branch_channels(cur.grid, cur.mass, chi)
+            vals += np.einsum("xyza,xyza->xyz", v_plus.conj(), cur.values)[..., None] * v_plus
+        b_track[i] = position_expectation(replace(cur, values=vals, branch="particle"), apply_xp)
+        if i + 1 < samples:
+            cur = evolve(cur, times[1] - times[0])
+    return x_track, b_track
+
+
+@pytest.mark.parametrize(
+    "p0, weights, duration",
+    [((0.3, 0.0, 0.0), (1.0, 1.0), 10.0), ((0.4, 0.0, 0.2), (1.0, 0.0), 4.0)],
+    ids=["mixed", "pure"],
+)
+def test_zitterbewegung_tracks_match_chained_loop(p0, weights, duration):
+    packet = gaussian_packet(Grid(32, 4.5), M, p0, sigma=4.0, weights=weights)
+    result = zitterbewegung_experiment(packet, duration=duration, samples=16)
+    x_track, b_track = _chained_tracks(packet, duration, 16)
+    for got, want in ((result.coordinate_track, x_track), (result.branch_position_track, b_track)):
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+
 def test_zitterbewegung_needs_enough_samples():
     with pytest.raises(ValueError):
-        zitterbewegung_experiment(samples=8)
+        zitterbewegung_experiment(_moving_packet(), samples=8)
+    with pytest.raises(ValueError, match="Dirac picture"):
+        zitterbewegung_experiment(to_fw_picture(_moving_packet()), samples=16)

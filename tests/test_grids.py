@@ -30,6 +30,18 @@ def test_energies():
     assert e.min() == 2.0
 
 
+def test_energies_cached_per_mass_and_read_only():
+    g = Grid(8, 4.0)
+    e = g.energies(2.0)
+    assert g.energies(2.0) is e
+    assert not e.flags.writeable
+    with pytest.raises(ValueError):
+        e[0, 0, 0] = 0.0
+    np.testing.assert_array_equal(e, np.sqrt(4.0 + np.sum(g.p**2, axis=-1)))
+    assert g.energies(1.0) is not e and g.energies(1.0)[0, 0, 0] == 1.0
+    assert g == Grid(8, 4.0)  # the cache is not part of the lattice's identity
+
+
 def test_validation():
     with pytest.raises(ValueError):
         Grid(7, 8.0)

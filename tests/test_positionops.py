@@ -5,8 +5,12 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
+from rdlab.clifford import ALPHA
 from rdlab.fields import (
     CoordinateField,
+    MomentumField,
+    _fft3,
+    _ifft3,
     antiparticle_gaussian_packet,
     coordinate_centroid,
     gaussian_packet,
@@ -91,6 +95,77 @@ def test_operator_preconditions():
         po.apply_xp(mixed)
     with pytest.raises(ValueError):
         po.mean_position_equivalence(mixed)
+
+
+def _axis_derivative(field, k):
+    shape = [1, 1, 1, 1]
+    shape[k] = field.grid.n
+    return _fft3(field.grid.x1d.reshape(shape) * _ifft3(field.values))
+
+
+def _oracle_dirac_coordinate(field):
+    sign = -1.0 if field.branch == "antiparticle" else 1.0
+    return [sign * _axis_derivative(field, k) for k in range(3)]
+
+
+def _oracle_xp(field):
+    g, m, vals = field.grid, field.mass, field.values
+    e = g.energies(m)
+    s2 = 1.0 / (2.0 * m * (e + m))
+    out = []
+    for k in range(3):
+        pk = g.p[..., k]
+        w = (pk / e)[..., None] * vals - vals @ ALPHA[k].T
+        aw = sum(g.p[..., j, None] * (w @ ALPHA[j].T) for j in range(3))
+        a_term = s2[..., None] * ((e + m)[..., None] * w + aw) - (pk / (2.0 * e * (e + m)))[..., None] * vals
+        out.append(_axis_derivative(field, k) + 1j * a_term)
+    return out
+
+
+def _oracle_xap(field):
+    g, m, vals = field.grid, field.mass, field.values
+    e = g.energies(m)
+    s2 = 1.0 / (2.0 * m * (e + m))
+    w = (e + m)[..., None] * vals - sum(g.p[..., j, None] * (vals @ ALPHA[j].T) for j in range(3))
+    out = []
+    for k in range(3):
+        pk = g.p[..., k]
+        b_term = s2[..., None] * ((pk / e)[..., None] * w + w @ ALPHA[k].T) - (
+            pk / (2.0 * e * (e + m))
+        )[..., None] * vals
+        out.append(-_axis_derivative(field, k) + 1j * b_term)
+    return out
+
+
+def _oracle_xfw(field):
+    sign = -1.0 if field.branch == "antiparticle" else 1.0
+    e2 = field.grid.energies(field.mass) ** 2
+    return [
+        sign * (_axis_derivative(field, k) - 1j * (field.grid.p[..., k] / (2.0 * e2))[..., None] * field.values)
+        for k in range(3)
+    ]
+
+
+@pytest.mark.parametrize(
+    "op, oracle, rep, branch",
+    [
+        (po.apply_dirac_coordinate, _oracle_dirac_coordinate, "dirac", "particle"),
+        (po.apply_dirac_coordinate, _oracle_dirac_coordinate, "dirac", "antiparticle"),
+        (po.apply_xp, _oracle_xp, "dirac", "particle"),
+        (po.apply_xap, _oracle_xap, "dirac", "antiparticle"),
+        (po.apply_xfw, _oracle_xfw, "fw", "particle"),
+        (po.apply_xfw, _oracle_xfw, "fw", "antiparticle"),
+    ],
+)
+def test_operators_match_per_axis_derivative_oracle(op, oracle, rep, branch):
+    # generic amplitudes on every node and component exercise the whole 4x4 algebra
+    g = Grid(16, 4.0)
+    rng = np.random.default_rng(5)
+    vals = rng.normal(size=(16, 16, 16, 4)) + 1j * rng.normal(size=(16, 16, 16, 4))
+    f = MomentumField(g, vals, 1.3, rep, branch)
+    for got, want in zip(op(f), oracle(f), strict=True):
+        assert np.abs(got.values - want).max() <= 1e-13 * np.abs(want).max()
+    np.testing.assert_array_equal(f.values, vals)  # the operand is left unchanged
 
 
 def _packet_pair(grid, sigma):
