@@ -545,7 +545,10 @@ def cmd_continuity(cfg: dict[str, str], record: ReportRecord, rng: np.random.Gen
     if levels < 2:
         raise ConfigError("continuity.levels must be at least 2 to form ratios")
 
-    mixed = gaussian_packet(grid, mass, p0, sigma=sigma, weights=mix)
+    # both packets pass the lattice hygiene checks before any work starts
+    keys = "grid.n, grid.pmax, packet.sigma, packet.p0"
+    mixed = _packet(f"{keys}, packet.mix", grid, mass, p0, sigma=sigma, weights=mix)
+    pure_fw = to_fw_picture(_packet(keys, grid, mass, p0, sigma=sigma))
     residuals = []
     base_report = None
     for level in range(levels):
@@ -577,7 +580,6 @@ def cmd_continuity(cfg: dict[str, str], record: ReportRecord, rng: np.random.Gen
     record.check("norm_drift", abs(norm_t - norm0), tol_norm,
                  note=f"coordinate-space probability drift over T = {horizon:g}")
 
-    pure_fw = to_fw_picture(gaussian_packet(grid, mass, p0, sigma=sigma))
     fw_rep = continuity_residual(pure_fw, fw_dt)
     record.check("fw_defining_residual", fw_rep.residual_l2, tol_fw,
                  note="FW density against the divergence of its own current")
@@ -634,7 +636,8 @@ def cmd_covariance(cfg: dict[str, str], record: ReportRecord, rng: np.random.Gen
     if not 0.0 < fraction < 1.0:
         raise ConfigError("box.fraction must lie strictly between 0 and 1")
 
-    packet = gaussian_packet(grid, mass, p0, x0, sigma=sigma, spin=0.5)
+    packet = _packet("grid.n, grid.pmax, packet.sigma, packet.p0, packet.x0",
+                     grid, mass, p0, x0, sigma=sigma, spin=0.5)
     for chi in rapidities:
         try:
             check_boost_reach(packet, chi, axis)

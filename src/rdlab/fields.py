@@ -43,8 +43,8 @@ def _fft3(a: np.ndarray, overwrite_x: bool = False) -> np.ndarray:
     return sfft.fftn(a, axes=(0, 1, 2), workers=_workers(), overwrite_x=overwrite_x)
 
 
-def _ifft3(a: np.ndarray) -> np.ndarray:
-    return sfft.ifftn(a, axes=(0, 1, 2), workers=_workers())
+def _ifft3(a: np.ndarray, overwrite_x: bool = False) -> np.ndarray:
+    return sfft.ifftn(a, axes=(0, 1, 2), workers=_workers(), overwrite_x=overwrite_x)
 
 
 @dataclass
@@ -530,7 +530,8 @@ class ZitterbewegungResult:
     motion at the interference frequency 2<E>; the branch position drifts
     with the classical velocity <p/E> for any mix. The packet is split into
     its +E and -E parts once, at t = 0, and every sample is taken at its
-    absolute time, so no roundoff builds up along the tracks.
+    absolute time, so no roundoff builds up along the tracks: one expectation
+    (two inverse FFTs) per track and sample.
     """
 
     times: np.ndarray
@@ -552,14 +553,15 @@ def zitterbewegung_experiment(
     "particle") and a_- = f - a_+. Free evolution is diagonal on the split, so
     the sample at absolute time t_i is f(t_i) = e^{-iEt_i} a_+ + e^{+iEt_i} a_-
     for the coordinate track and a_+(t_i) = e^{-iEt_i} a_+ for the branch
-    track: one diagonal phase and one operator apply per track and sample,
-    with no roundoff carried from sample to sample.
+    track: one diagonal phase and one expectation (two inverse FFTs, see
+    positionops.position_expectation) per track and sample, with no roundoff
+    carried from sample to sample.
     """
     if samples < 16:
         raise ValueError("need at least 16 samples to resolve a trembling frequency")
     if packet.rep != "dirac":
         raise ValueError("the trembling-motion tracks are taken in the Dirac picture")
-    from .positionops import apply_dirac_coordinate, apply_xp, position_expectation
+    from .positionops import position_expectation
 
     grid, f = packet.grid, packet.values
     dens = _measure(packet) * np.einsum("xyza,xyza->xyz", f.conj(), f).real
@@ -577,10 +579,10 @@ def zitterbewegung_experiment(
         # f(t) as e^{+iEt} f - 2i sin(Et) a_+: a_- = f - a_+ is never stored
         sample = replace(packet, values=phase.conj() * f, time=packet.time + t)
         sample.values -= (2j * np.sin(e * t))[..., None] * plus.values
-        x_track[i] = position_expectation(sample, apply_dirac_coordinate)
-        # rebinding drops f(t) before the next apply: one sample field alive at a time
+        x_track[i] = position_expectation(sample, "coordinate")
+        # rebinding drops f(t) before the next expectation: one sample field alive at a time
         sample = replace(plus, values=phase * plus.values, time=packet.time + t)
-        b_track[i] = position_expectation(sample, apply_xp)
+        b_track[i] = position_expectation(sample, "branch")
 
     osc = x_track - times[:, None] * _linear_slopes(times, x_track)
     axis = int(np.argmax(np.var(osc, axis=0)))

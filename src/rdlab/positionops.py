@@ -12,6 +12,12 @@ Operator dictionary (geometric position operators, one per branch/picture):
                             antiparticle labeling in the Dirac picture.
   - apply_xfw:              i d/dp_k - i p_k / (2 E^2) in the FW picture
                             (mirrored signs for antiparticle labeling).
+
+Expectations (position_expectation) build no operator fields: the spectral
+part is one Parseval pairing, sum_p w f^dag F[x_k F^{-1} f] = N sum_x x_k
+gamma^dag psi with psi = ifftn(f), gamma = ifftn(w f); by alpha^k alpha^j =
+delta_kj + i eps_kjl Sigma^l the real part of the boost-frame term is the
+spin-orbit shift -(p x S)_k / (2m(E+m)), and that of the FW term is zero.
 """
 from __future__ import annotations
 
@@ -21,7 +27,7 @@ import numpy as np
 from scipy.special import erfc
 
 from .clifford import ALPHA, BETA
-from .fields import CoordinateField, MomentumField, _alpha_apply, _fft3, _ifft3, momentum_norm
+from .fields import CoordinateField, MomentumField, _alpha_apply, _fft3, _ifft3, _measure, momentum_norm
 from .grids import Grid
 from .spinors import rest_spinor
 
@@ -121,14 +127,48 @@ def apply_xfw(field: MomentumField) -> tuple[MomentumField, ...]:
     return _axis_fields(field, out)
 
 
-def position_expectation(field: MomentumField, operator) -> np.ndarray:
-    """Re <f, X f> / <f, f> per axis for one of the apply_* operators."""
-    from .fields import momentum_inner
+def position_expectation(field: MomentumField, role: str) -> np.ndarray:
+    """Re <f, X f> / <f, f> per axis, without applying X.
 
-    nn = momentum_inner(field, field).real
-    return np.array(
-        [momentum_inner(field, xf).real / nn for xf in operator(field)]
-    )
+    `role` picks X: "coordinate" is apply_dirac_coordinate, "branch" the
+    field's own branch operator OPERATORS[(rep, branch)]; each keeps the
+    preconditions of its apply function. Two exact lattice identities:
+      - spectral part (Parseval): with psi = ifftn(f) and gamma = ifftn(w f),
+        sum_p w f^dag F[x_k F^{-1} f] = N sum_x x_k gamma^dag psi and
+        <f, f> = N sum_x gamma^dag psi, so the one density
+        d(x) = Re gamma^dag psi gives the norm and the three moments;
+      - node-local part: alpha^k alpha^j = delta_kj + i eps_kjl Sigma^l gives
+        Re f^dag (i A_k) f = -(p x S)_k / (2m(E+m)), S_l = f^dag Sigma^l f, for
+        apply_xp/apply_xap; the FW term -i p_k/(2 E^2) has no real part.
+    Antiparticle labelings flip the overall sign, as the operators do.
+    """
+    if role == "coordinate":
+        if field.rep != "dirac":
+            raise ValueError("the coordinate operator is defined on Dirac-picture fields")
+    elif role == "branch":
+        if (field.rep, field.branch) not in OPERATORS:
+            raise ValueError("per-branch operator; project the field first")
+    else:
+        raise ValueError(f"role must be 'coordinate' or 'branch', got {role!r}")
+    g, vals = field.grid, field.values
+    w = _measure(field)
+    psi = _ifft3(vals)
+    gamma = _ifft3(w[..., None] * vals, overwrite_x=True)
+    # d = Re sum_a conj(gamma_a) psi_a over (re, im) pairs: no conjugate copy
+    d = np.einsum("...c,...c->...", gamma.view(float), psi.view(float))
+    # sum_x x_k d(x), each from the axis-k marginal of d
+    out = np.array([np.sum(g.x1d * d.sum(axis=axes)) for axes in ((1, 2), (0, 2), (0, 1))])
+    if role == "branch" and field.rep == "dirac":
+        # -(p x S)_k under the measure, scaled by 1/N like the moments
+        z = vals[..., 0].conj() * vals[..., 1] + vals[..., 2].conj() * vals[..., 3]
+        sq = np.abs(vals) ** 2
+        s = (2.0 * z.real, 2.0 * z.imag, sq[..., 0] - sq[..., 1] + sq[..., 2] - sq[..., 3])
+        q = w / (2.0 * field.mass * (g.energies(field.mass) + field.mass) * g.n**3)
+        for k in range(3):
+            i, j = (k + 1) % 3, (k + 2) % 3
+            out[k] -= np.sum(q * (g.p[..., i] * s[j] - g.p[..., j] * s[i]))
+    sign = -1.0 if field.branch == "antiparticle" else 1.0
+    return sign * out / np.sum(d)
 
 
 # ---------------------------------------------------------------------------

@@ -248,6 +248,15 @@ def test_continuity_defaults_pass(tmp_path):
     assert by_name["norm_drift"]["value"] <= 1e-12
 
 
+def test_continuity_rejects_packets_failing_hygiene(tmp_path, capsys):
+    # both packets are checked before any work: a config error, not a traceback
+    code, report = run(tmp_path, "continuity", "grid.n = 16\n")
+    assert code == 2 and report is None
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "grid.n, grid.pmax, packet.sigma, packet.p0" in err
+    assert "Traceback" not in err
+
+
 def test_continuity_coarse_dt_warns(tmp_path):
     code, report = run(tmp_path, "continuity", "times.dt = 0.5\ncontinuity.levels = 2\n")
     assert any("time step too coarse" in w for w in report["warnings"])
@@ -278,6 +287,14 @@ def test_covariance_rejects_rapidity_beyond_the_band(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "boost.rapidity = 2.5" in err and "pmax" in err
     assert "Traceback" not in err
+
+
+def test_covariance_rejects_packet_failing_hygiene(tmp_path, capsys):
+    code, report = run(tmp_path, "covariance", "grid.n = 32\n")
+    assert code == 2 and report is None
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "grid.n, grid.pmax, packet.sigma, packet.p0, packet.x0" in err
+    assert "enlarge the box" in err and "Traceback" not in err
 
 
 def test_covariance_rejects_bad_axes_and_rapidities(tmp_path, capsys):

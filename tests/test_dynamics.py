@@ -21,7 +21,7 @@ from rdlab.fields import (
     zitterbewegung_experiment,
 )
 from rdlab.grids import Grid
-from rdlab.positionops import apply_dirac_coordinate, apply_xp, position_expectation
+from rdlab.positionops import apply_dirac_coordinate, apply_xp
 
 GRID = Grid(48, 6.0)
 M = 1.0
@@ -149,6 +149,13 @@ def test_zitterbewegung_pure_packet_moves_classically():
     )
 
 
+def _applied_expectation(field, op):
+    """Re <f, X f> / <f, f> from the operator fields, independent of
+    position_expectation."""
+    nn = momentum_inner(field, field).real
+    return np.array([momentum_inner(field, xf).real / nn for xf in op(field)])
+
+
 def _chained_tracks(packet, duration, samples):
     """The sampling loop before the split at t = 0: chained evolve steps and a
     projection per sample, contracted against both branch eigenspinors."""
@@ -157,12 +164,12 @@ def _chained_tracks(packet, duration, samples):
     b_track = np.empty((samples, 3))
     cur = packet
     for i in range(samples):
-        x_track[i] = position_expectation(cur, apply_dirac_coordinate)
+        x_track[i] = _applied_expectation(cur, apply_dirac_coordinate)
         vals = np.zeros_like(cur.values)
         for chi in (np.array([1.0, 0.0], dtype=complex), np.array([0.0, 1.0], dtype=complex)):
             v_plus, _ = _branch_channels(cur.grid, cur.mass, chi)
             vals += np.einsum("xyza,xyza->xyz", v_plus.conj(), cur.values)[..., None] * v_plus
-        b_track[i] = position_expectation(replace(cur, values=vals, branch="particle"), apply_xp)
+        b_track[i] = _applied_expectation(replace(cur, values=vals, branch="particle"), apply_xp)
         if i + 1 < samples:
             cur = evolve(cur, times[1] - times[0])
     return x_track, b_track

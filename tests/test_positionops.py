@@ -168,6 +168,67 @@ def test_operators_match_per_axis_derivative_oracle(op, oracle, rep, branch):
     np.testing.assert_array_equal(f.values, vals)  # the operand is left unchanged
 
 
+def _applied_expectation(field, op):
+    nn = momentum_inner(field, field).real
+    return np.array([momentum_inner(field, xf).real / nn for xf in op(field)])
+
+
+@pytest.mark.parametrize(
+    "op, role, rep, branch",
+    [
+        (po.apply_dirac_coordinate, "coordinate", "dirac", "particle"),
+        (po.apply_dirac_coordinate, "coordinate", "dirac", "mixed"),
+        (po.apply_dirac_coordinate, "coordinate", "dirac", "antiparticle"),
+        (po.apply_xp, "branch", "dirac", "particle"),
+        (po.apply_xap, "branch", "dirac", "antiparticle"),
+        (po.apply_xfw, "branch", "fw", "particle"),
+        (po.apply_xfw, "branch", "fw", "antiparticle"),
+    ],
+)
+def test_position_expectation_matches_applied_operator(op, role, rep, branch):
+    # Re <f, X f> / <f, f> from the operator fields, on generic amplitudes
+    g = Grid(16, 4.0)
+    rng = np.random.default_rng(11)
+    vals = rng.normal(size=(16, 16, 16, 4)) + 1j * rng.normal(size=(16, 16, 16, 4))
+    f = MomentumField(g, vals, 1.3, rep, branch)
+    want = _applied_expectation(f, op)
+    got = po.position_expectation(f, role)
+    assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+    np.testing.assert_array_equal(f.values, vals)
+
+
+@pytest.mark.parametrize("branch", ["particle", "antiparticle"])
+def test_position_expectation_spin_orbit_term(branch):
+    # the boost-frame term alone: X_P (or X_AP) minus the coordinate operator
+    g = Grid(16, 4.0)
+    rng = np.random.default_rng(12)
+    vals = rng.normal(size=(16, 16, 16, 4)) + 1j * rng.normal(size=(16, 16, 16, 4))
+    f = MomentumField(g, vals, 1.3, "dirac", branch)
+    op = po.apply_xp if branch == "particle" else po.apply_xap
+    want = _applied_expectation(f, op) - _applied_expectation(f, po.apply_dirac_coordinate)
+    got = po.position_expectation(f, "branch") - po.position_expectation(f, "coordinate")
+    assert np.abs(want).max() > 1e-4
+    assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+
+@pytest.mark.parametrize(
+    "role, rep, branch",
+    [
+        ("coordinate", "fw", "particle"),
+        ("coordinate", "fw", "antiparticle"),
+        ("coordinate", "fw", "mixed"),
+        ("branch", "dirac", "mixed"),
+        ("branch", "fw", "mixed"),
+        ("position", "dirac", "particle"),
+        (po.apply_xp, "dirac", "particle"),
+    ],
+)
+def test_position_expectation_undefined_pairs_raise(role, rep, branch):
+    f = MomentumField(Grid(8, 4.0), np.ones((8, 8, 8, 4)), M, rep, branch)
+    with pytest.raises(ValueError):
+        po.position_expectation(f, role)
+
+
 def _packet_pair(grid, sigma):
     f = gaussian_packet(grid, M, (0.4, 0.0, -0.3), (0.5, -1.0, 0.0), sigma=sigma, spin=0.5)
     g2 = gaussian_packet(grid, M, (-0.2, 0.5, 0.1), (0.0, 0.8, -0.5), sigma=sigma, spin=-0.5)
@@ -208,7 +269,7 @@ def test_coordinate_expectation_matches_centroid():
     # spin along p0: no transverse spin-orbit displacement of the centroid
     f = gaussian_packet(g, M, (0.0, 0.0, 0.3), (0.5, -0.4, 0.8), sigma=2.0)
     cen = coordinate_centroid(to_coordinate(f))
-    xexp = po.position_expectation(f, po.apply_dirac_coordinate)
+    xexp = po.position_expectation(f, "coordinate")
     np.testing.assert_allclose(xexp, cen, atol=1e-8)
     np.testing.assert_allclose(xexp, [0.5, -0.4, 0.8], atol=1e-6)
 
@@ -218,7 +279,7 @@ def test_polarized_packet_centroid_shows_spin_orbit_shift():
     # packet relative to its envelope center along s x p
     g = Grid(48, 6.0)
     f = gaussian_packet(g, M, (0.3, 0.0, 0.0), (0.0, 0.0, 0.0), sigma=2.0, spin=0.5)
-    xexp = po.position_expectation(f, po.apply_dirac_coordinate)
+    xexp = po.position_expectation(f, "coordinate")
     assert abs(xexp[1]) > 1e-2   # shift along z-hat x p0
     assert abs(xexp[0]) < 1e-6 and abs(xexp[2]) < 1e-6
 
