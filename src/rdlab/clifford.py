@@ -3,6 +3,10 @@
 Pauli matrices, the alpha/beta pair, gamma matrices, gamma5 and the spin
 matrices Sigma, all with entries exact in {0, +-1, +-i} so algebraic
 identities hold to machine exactness (== comparisons, not approximate).
+
+The block kernel at the end applies the algebra per lattice node on strided
+views of the 2-spinor halves u = v[..., :2], l = v[..., 2:] of a spinor field:
+alpha.p (u, l) = (sigma.p l, sigma.p u) and beta (u, l) = (u, -l).
 """
 from __future__ import annotations
 
@@ -58,3 +62,44 @@ def anticommutation_defect(gamma: np.ndarray = GAMMA, eta: np.ndarray = ETA) -> 
             d = anticommutator(gamma[mu], gamma[nu]) - 2.0 * eta[mu, nu] * eye
             out[mu, nu] = np.max(np.abs(d))
     return out
+
+
+# ---------------------------------------------------------------------------
+# block kernel
+
+
+def sigma_dot(p, c, out=None) -> np.ndarray:
+    """sigma.p c = (p_z c0 + (p_x - i p_y) c1, (p_x + i p_y) c0 - p_z c1).
+
+    p (..., 3) and c (..., 2) broadcast: a constant spinor meets a momentum
+    lattice, a unit axis a spinor field. `out` must not share memory with c.
+    """
+    p, c = np.asarray(p, dtype=float), np.asarray(c)
+    if out is None:
+        out = np.empty(np.broadcast_shapes(p.shape[:-1], c.shape[:-1]) + (2,), dtype=complex)
+    q = p[..., 0] - 1j * p[..., 1]
+    np.multiply(q, c[..., 1], out=out[..., 0])
+    out[..., 0] += p[..., 2] * c[..., 0]
+    np.multiply(np.conjugate(q), c[..., 0], out=out[..., 1])
+    out[..., 1] -= p[..., 2] * c[..., 1]
+    return out
+
+
+def alpha_dot(p, v) -> np.ndarray:
+    """alpha.p v = (sigma.p l, sigma.p u) for 4-spinors v (..., 4)."""
+    v = np.asarray(v)
+    out = np.empty(np.broadcast_shapes(np.shape(p)[:-1], v.shape[:-1]) + (4,), dtype=complex)
+    sigma_dot(p, v[..., 2:], out=out[..., :2])
+    sigma_dot(p, v[..., :2], out=out[..., 2:])
+    return out
+
+
+def pair(a, b) -> np.ndarray:
+    """Re a^dag b over the last (contiguous) axis via float views: no conjugate copy."""
+    return np.einsum("...c,...c->...", np.asarray(a, dtype=complex).view(float),
+                     np.asarray(b, dtype=complex).view(float))
+
+
+def sigma_pair(a, b) -> np.ndarray:
+    """Re a^dag sigma^k b = pair(a, sigma^k b) for 2-spinors, k = 1, 2, 3; shape (..., 3)."""
+    return np.stack([pair(a, sigma_dot(axis, b)) for axis in np.eye(3)], axis=-1)

@@ -24,7 +24,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 import scipy.fft as sfft
 
-from .clifford import ALPHA, pauli
+from .clifford import pair, sigma_dot
 from .fields import (
     MomentumField,
     _workers,
@@ -43,8 +43,6 @@ from .spinors import spinor_boost, spinor_rotation
 # Sits above the trig-interpolation noise floor of an already-boosted field
 # (~1e-6 of peak) so chained boosts see the genuine support, not the noise.
 SUPPORT_CUT = 3e-6
-
-_PAULI = np.stack([pauli(1), pauli(2), pauli(3)])
 
 # +90 degree rotations about the coordinate axes (exact integer node maps)
 _QUARTER = {
@@ -123,7 +121,7 @@ def check_boost_reach(field: MomentumField, rapidity: float, axis: int) -> None:
 
 
 def _boost_geometry(field: MomentumField, rapidity: float, axis: int):
-    """Source momenta / energies for an active boost along an axis.
+    """Source momenta p (n, n, n, 3), E_q and E_p for an active boost along an axis.
 
     The boosted amplitude at node q is read off the rest field at
     p = (targets, q_transverse): targets = cosh(chi) q_ax - sinh(chi) E_q.
@@ -132,13 +130,9 @@ def _boost_geometry(field: MomentumField, rapidity: float, axis: int):
     check_boost_reach(field, rapidity, axis)
     grid, m = field.grid, field.mass
     e_q = grid.energies(m)
-    targets = np.cosh(rapidity) * grid.p[..., axis] - np.sinh(rapidity) * e_q
-    p2 = targets**2
-    for k in range(3):
-        if k != axis:
-            p2 = p2 + grid.p[..., k] ** 2
-    e_p = np.sqrt(m * m + p2)
-    return targets, e_q, e_p
+    p = grid.p.copy()
+    p[..., axis] = np.cosh(rapidity) * grid.p[..., axis] - np.sinh(rapidity) * e_q
+    return p, e_q, np.sqrt(m * m + np.sum(p * p, axis=-1))
 
 
 def boost_dirac_field(field: MomentumField, rapidity: float, axis: int = 0) -> MomentumField:
@@ -154,11 +148,11 @@ def boost_dirac_field(field: MomentumField, rapidity: float, axis: int = 0) -> M
     if rapidity == 0.0:
         return field
     grid = field.grid
-    targets, e_q, e_p = _boost_geometry(field, rapidity, axis)
-    vals = _resample_along_axis(field.values, grid, targets, axis)
+    p, e_q, e_p = _boost_geometry(field, rapidity, axis)
+    vals = _resample_along_axis(field.values, grid, p[..., axis], axis)
     vals = vals @ spinor_boost(rapidity * _AXES[axis]).T
     vals *= np.sqrt(e_p / e_q)[..., None]
-    vals[(targets < -grid.pmax) | (targets >= grid.pmax)] = 0.0
+    vals[(p[..., axis] < -grid.pmax) | (p[..., axis] >= grid.pmax)] = 0.0
     return replace(field, values=vals)
 
 
@@ -181,27 +175,23 @@ def boost_fw_field(
     if rapidity == 0.0:
         return field
     grid, m = field.grid, field.mass
-    targets, e_q, e_p = _boost_geometry(field, rapidity, axis)
-    vals = _resample_along_axis(field.values, grid, targets, axis)
+    p, e_q, e_p = _boost_geometry(field, rapidity, axis)
+    vals = _resample_along_axis(field.values, grid, p[..., axis], axis)
 
+    # The Wigner rotation of the upper pair, [c a_q a_p + s a_p sigma.q sigma_ax +
+    # s a_q sigma_ax sigma.p + c sigma.q sigma.p] / norm with q the node, p the source
+    # momentum, a = E + m and (c, s) = (cosh, sinh)(chi/2), is the SU(2) element
+    # (w + i sigma.v) / norm, by sigma.a sigma.b = a.b + i sigma.(a x b).
     c, s = np.cosh(rapidity / 2.0), np.sinh(rapidity / 2.0)
-    sig_ax = _PAULI[axis]
-    a_q = (e_q + m)[..., None, None]
-    a_p = (e_p + m)[..., None, None]
-    norm = np.sqrt(4.0 * e_q * (e_q + m) * e_p * (e_p + m))[..., None, None]
-    p_vec = grid.p.copy()
-    p_vec[..., axis] = targets
-    sq = np.einsum("xyzk,kab->xyzab", grid.p, _PAULI)
-    sp = np.einsum("xyzk,kab->xyzab", p_vec, _PAULI)
-    wig = (c * a_q * a_p) * np.eye(2, dtype=complex)
-    wig += s * a_p * (sq @ sig_ax)
-    wig += s * a_q * (sig_ax @ sp)
-    wig += c * (sq @ sp)
-    wig /= norm
+    q, a_q, a_p = grid.p, e_q + m, e_p + m
+    w = c * (a_q * a_p + np.sum(q * p, axis=-1)) + s * (a_p * q[..., axis] + a_q * p[..., axis])
+    v = s * np.cross(a_p[..., None] * q - a_q[..., None] * p, _AXES[axis]) + c * np.cross(q, p)
     out = np.zeros_like(vals)
-    out[..., :2] = np.einsum("xyzab,xyzb->xyza", wig, vals[..., :2])
-    out *= np.sqrt(e_p / e_q)[..., None]
-    out[(targets < -grid.pmax) | (targets >= grid.pmax)] = 0.0
+    upper = sigma_dot(v, vals[..., :2], out=out[..., :2])
+    upper *= 1j
+    upper += w[..., None] * vals[..., :2]
+    upper *= (np.sqrt(e_p / e_q) / np.sqrt(4.0 * e_q * a_q * e_p * a_p))[..., None]
+    out[(p[..., axis] < -grid.pmax) | (p[..., axis] >= grid.pmax)] = 0.0
     return replace(field, values=out)
 
 
@@ -331,9 +321,10 @@ def slice_prediction(field: MomentumField, rapidity: float, axis: int = 0) -> np
     psi = sfft.ifftn(planes, axes=(1, 2), workers=_workers(), overwrite_x=True)
     del planes  # lower peak memory
     psi /= grid.n * grid.dx**3
-    rho = np.einsum("xyzs,xyzs->xyz", psi.conj(), psi).real
+    rho = pair(psi, psi)
     if field.rep == "dirac":
-        j_ax = np.einsum("xyzs,xyzs->xyz", psi.conj(), psi @ ALPHA[axis].T).real
+        # psi^dag alpha^ax psi = 2 Re u^dag sigma^ax l
+        j_ax = 2.0 * pair(psi[..., :2], sigma_dot(_AXES[axis], psi[..., 2:]))
     else:
         j_ax = _fw_flux_planes(field, rapidity, axis)
     return np.moveaxis(ch * rho + sh * j_ax, 0, axis)

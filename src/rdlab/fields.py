@@ -22,9 +22,9 @@ from dataclasses import dataclass, replace
 import numpy as np
 import scipy.fft as sfft
 
-from .clifford import ALPHA, BETA
+from .clifford import alpha_dot, pair, sigma_dot, sigma_pair
 from .grids import Grid
-from .spinors import pauli_spinor, rest_spinor
+from .spinors import pauli_spinor
 
 REPS = ("dirac", "fw")
 BRANCHES = ("particle", "antiparticle", "mixed")
@@ -110,12 +110,8 @@ def momentum_norm(a: MomentumField) -> float:
     return float(np.sqrt(momentum_inner(a, a).real))
 
 
-def coordinate_inner(a: CoordinateField, b: CoordinateField) -> complex:
-    return complex(np.einsum("xyza,xyza->", a.values.conj(), b.values) * a.grid.dx**3)
-
-
 def coordinate_norm(a: CoordinateField) -> float:
-    return float(np.sqrt(coordinate_inner(a, a).real))
+    return float(np.sqrt(total_probability(a)))
 
 
 def to_coordinate(field: MomentumField) -> CoordinateField:
@@ -134,20 +130,16 @@ def to_momentum(field: CoordinateField) -> MomentumField:
     return MomentumField(field.grid, phi, field.mass, field.rep, field.branch, field.time)
 
 
-def _alpha_apply(p: np.ndarray, vals: np.ndarray) -> np.ndarray:
-    """(alpha . p) vals, p shape (..., 3), vals shape (..., 4)."""
-    out = p[..., 0, None] * (vals @ ALPHA[0].T)
-    out += p[..., 1, None] * (vals @ ALPHA[1].T)
-    out += p[..., 2, None] * (vals @ ALPHA[2].T)
-    return out
-
-
 def hamiltonian_apply(field: MomentumField) -> np.ndarray:
     """H phi per node: (alpha.p + beta m) phi in the Dirac picture, beta E_p phi in FW."""
     if field.branch == "antiparticle":
         raise ValueError("antiparticle-labeled fields are momentum-space-only")
     if field.rep == "dirac":
-        return _alpha_apply(field.grid.p, field.values) + field.mass * (field.values @ BETA.T)
+        # (sigma.p l + m u, sigma.p u - m l)
+        out = alpha_dot(field.grid.p, field.values)
+        out[..., :2] += field.mass * field.values[..., :2]
+        out[..., 2:] -= field.mass * field.values[..., 2:]
+        return out
     e = field.grid.energies(field.mass)[..., None]
     out = field.values * e
     out[..., 2:] *= -1.0
@@ -159,14 +151,8 @@ def evolve(field: MomentumField, t: float) -> MomentumField:
     if field.branch == "antiparticle":
         raise ValueError("antiparticle-labeled fields are momentum-space-only")
     e = field.grid.energies(field.mass)
-    if field.rep == "dirac":
-        h = hamiltonian_apply(field)
-        vals = np.cos(e * t)[..., None] * field.values - 1j * (np.sin(e * t) / e)[..., None] * h
-    else:
-        phase = np.exp(-1j * e * t)[..., None]
-        vals = field.values.copy()
-        vals[..., :2] *= phase
-        vals[..., 2:] *= phase.conj()
+    h = hamiltonian_apply(field)
+    vals = np.cos(e * t)[..., None] * field.values - 1j * (np.sin(e * t) / e)[..., None] * h
     return replace(field, values=vals, time=field.time + t)
 
 
@@ -179,11 +165,13 @@ def _fw_rotate(field: MomentumField, direction: int) -> np.ndarray:
     if field.branch == "antiparticle":
         direction = -direction
     e = field.grid.energies(field.mass)
-    ba = field.values @ (BETA @ ALPHA[0]).T * field.grid.p[..., 0, None]
-    ba += field.values @ (BETA @ ALPHA[1]).T * field.grid.p[..., 1, None]
-    ba += field.values @ (BETA @ ALPHA[2]).T * field.grid.p[..., 2, None]
-    norm = np.sqrt(2.0 * e * (e + field.mass))[..., None]
-    return ((e + field.mass)[..., None] * field.values + direction * ba) / norm
+    # direction * beta alpha.p v = direction * (sigma.p l, -sigma.p u), then + (E + m) v
+    out = alpha_dot(field.grid.p, field.values)
+    for half, sign in ((slice(0, 2), direction), (slice(2, 4), -direction)):
+        out[..., half] *= sign
+        out[..., half] += (e + field.mass)[..., None] * field.values[..., half]
+    out /= np.sqrt(2.0 * e * (e + field.mass))[..., None]
+    return out
 
 
 def to_fw_picture(field: MomentumField) -> MomentumField:
@@ -202,7 +190,7 @@ def to_dirac_picture(field: MomentumField) -> MomentumField:
 
 def density(field: CoordinateField) -> np.ndarray:
     """Probability density psi^dag psi (real, shape (n, n, n))."""
-    return np.einsum("xyza,xyza->xyz", field.values.conj(), field.values).real
+    return pair(field.values, field.values)
 
 
 def current_density(field: CoordinateField) -> np.ndarray:
@@ -214,18 +202,15 @@ def current_density(field: CoordinateField) -> np.ndarray:
     """
     if field.rep != "dirac":
         raise ValueError("pointwise alpha-current is defined in the Dirac picture only")
-    j = [
-        np.einsum("xyza,ab,xyzb->xyz", field.values.conj(), ALPHA[k], field.values).real
-        for k in range(3)
-    ]
-    return np.stack(j, axis=-1)
+    # psi^dag alpha^k psi = 2 Re u^dag sigma^k l
+    return 2.0 * sigma_pair(field.values[..., :2], field.values[..., 2:])
 
 
 def density_rate(field: MomentumField) -> np.ndarray:
     """Exact d(rho)/dt on the coordinate lattice: 2 Re[psi^dag psi_dot]."""
     psi = to_coordinate(field)
     dot = to_coordinate(replace(field, values=-1j * hamiltonian_apply(field)))
-    return 2.0 * np.einsum("xyza,xyza->xyz", psi.values.conj(), dot.values).real
+    return 2.0 * pair(psi.values, dot.values)
 
 
 def divergence(field_grid: Grid, vec: np.ndarray) -> np.ndarray:
@@ -251,7 +236,7 @@ def fw_current_density(field: MomentumField) -> np.ndarray:
 
 def momentum_expectation(field: MomentumField) -> np.ndarray:
     """<p> under the invariant-measure density (3-vector)."""
-    dens = _measure(field) * np.einsum("xyza,xyza->xyz", field.values.conj(), field.values).real
+    dens = _measure(field) * pair(field.values, field.values)
     total = np.sum(dens)
     return np.einsum("xyz,xyzk->k", dens, field.grid.p) / total
 
@@ -296,29 +281,40 @@ def _spin_vector(spin) -> np.ndarray:
     return chi / np.linalg.norm(chi)
 
 
-def _branch_channels(grid: Grid, mass: float, chi: np.ndarray):
-    """Unit-norm +E and -E eigenvector fields of alpha.p + beta m at each node.
-
-    v_plus(p) = sqrt(m/E) M(L_p) (chi, 0),  v_minus(p) = sqrt(m/E) M(L_{-p}) (0, chi);
-    both reduce to [(E+m) r +- alpha.p r] / sqrt(2E(E+m)) with constant spinors r.
+def _packet(grid, mass, p0, x0, sigma, spin, rep, branch, upper, lower) -> MomentumField:
+    """Unit-norm packet: amp g(p) e^{-+i p.x0} times the per-node spinor
+    (a (E+m) chi + b sigma.p chi, c (E+m) chi + d sigma.p chi) / sqrt(2m(E+m)),
+    with (a, b) = upper, (c, d) = lower and the + sign for the antiparticle
+    labeling. Raises if it fails the lattice boundary-decay preconditions.
     """
+    if rep not in REPS:
+        raise ValueError(f"rep must be one of {REPS}, got {rep!r}")
+    p0 = np.asarray(p0, dtype=float)
+    x0 = np.asarray(x0, dtype=float)
+    chi = _spin_vector(spin)
     e = grid.energies(mass)
-    up = np.concatenate([chi, [0, 0]])
-    dn = np.concatenate([[0, 0], chi])
-    norm = np.sqrt(2.0 * e * (e + mass))[..., None]
-    v_plus = ((e + mass)[..., None] * up + _alpha_apply(grid.p, np.broadcast_to(up, (*e.shape, 4)))) / norm
-    v_minus = ((e + mass)[..., None] * dn - _alpha_apply(grid.p, np.broadcast_to(dn, (*e.shape, 4)))) / norm
-    return v_plus, v_minus
-
-
-def _validated(field: MomentumField, check_coordinate: bool = True) -> MomentumField:
+    d = grid.p - p0
+    g = np.exp(-0.5 * sigma**2 * np.einsum("xyzk,xyzk->xyz", d, d))
+    amp = 1.0 / np.sqrt(np.sum(g * g) * grid.dp**3 / (2.0 * np.pi) ** 3)
+    sign = 1.0 if branch == "antiparticle" else -1.0
+    envelope = amp * g * np.exp(sign * 1j * (grid.p @ x0)) / np.sqrt(2.0 * mass * (e + mass))
+    sp = sigma_dot(grid.p, chi)
+    sp *= envelope[..., None]
+    envelope *= e + mass
+    vals = np.empty((*e.shape, 4), dtype=complex)
+    for half, (a, b) in ((slice(0, 2), upper), (slice(2, 4), lower)):
+        np.multiply(envelope[..., None], a * chi, out=vals[..., half])
+        vals[..., half] += b * sp
+    field = MomentumField(grid, vals, mass, "dirac", branch)
+    if rep == "fw":
+        field = to_fw_picture(field)
     edge = momentum_boundary_fraction(field)
     if edge > MOMENTUM_EDGE_TOL:
         raise ValueError(
             f"momentum boundary amplitude {edge:.2e} of peak exceeds {MOMENTUM_EDGE_TOL:.0e}; "
             "enlarge pmax or narrow the packet in momentum"
         )
-    if check_coordinate:
+    if branch != "antiparticle":  # antiparticle labels have no coordinate realization
         leak = coordinate_boundary_fraction(to_coordinate(field))
         if leak > COORDINATE_EDGE_TOL:
             raise ValueError(
@@ -343,33 +339,18 @@ def gaussian_packet(
     The scalar envelope carries a sqrt(E/m) factor, so the measure-weighted
     momentum density is a symmetric Gaussian (hence <p> = p0 exactly) and the
     coordinate realization is the measure-weighted superposition of plane-wave
-    eigenspinors. `weights` are the (+E, -E) channel amplitudes at each node;
-    a nonzero -E weight gives a "mixed" field. `sigma` is the coordinate-space
-    width. Raises if the packet fails the lattice boundary-decay preconditions.
+    eigenspinors. `weights` are the (+E, -E) channel amplitudes at each node,
+    on v_+ = ((E+m) chi, sigma.p chi) / N and v_- = (-sigma.p chi, (E+m) chi) / N
+    with N = sqrt(2E(E+m)); a nonzero -E weight gives a "mixed" field. `sigma`
+    is the coordinate-space width. Raises if the packet fails the lattice
+    boundary-decay preconditions.
     """
-    p0 = np.asarray(p0, dtype=float)
-    x0 = np.asarray(x0, dtype=float)
-    chi = _spin_vector(spin)
     w = np.asarray(weights, dtype=complex)
     if w.shape != (2,) or not np.linalg.norm(w) > 0:
         raise ValueError("weights must be a nonzero pair of channel amplitudes")
     w = w / np.linalg.norm(w)
-
-    e = grid.energies(mass)
-    d = grid.p - p0
-    g = np.exp(-0.5 * sigma**2 * np.einsum("xyzk,xyzk->xyz", d, d))
-    amp = 1.0 / np.sqrt(np.sum(g * g) * grid.dp**3 / (2.0 * np.pi) ** 3)
-    envelope = amp * np.sqrt(e / mass) * g * np.exp(-1j * (grid.p @ x0))
-
-    v_plus, v_minus = _branch_channels(grid, mass, chi)
-    vals = envelope[..., None] * (w[0] * v_plus + w[1] * v_minus)
     branch = "particle" if w[1] == 0 else "mixed"
-    field = MomentumField(grid, vals, mass, "dirac", branch)
-    if rep == "fw":
-        field = to_fw_picture(field)
-    elif rep != "dirac":
-        raise ValueError(f"rep must be one of {REPS}, got {rep!r}")
-    return _validated(field)
+    return _packet(grid, mass, p0, x0, sigma, spin, rep, branch, (w[0], -w[1]), (w[1], w[0]))
 
 
 def antiparticle_gaussian_packet(
@@ -383,27 +364,11 @@ def antiparticle_gaussian_packet(
 ) -> MomentumField:
     """Unit-norm antiparticle-labeled packet (momentum-space-only object).
 
-    Uses the antiparticle phase convention e^{+i p.x0} and the -E branch
-    eigenspinor at +p, matching the mirrored position operators.
+    Uses the antiparticle phase convention e^{+i p.x0} and the per-node spinor
+    (sigma.p chi, (E+m) chi) / sqrt(2E(E+m)), the +E eigenvector of
+    alpha.p - beta m, matching the mirrored position operators.
     """
-    p0 = np.asarray(p0, dtype=float)
-    x0 = np.asarray(x0, dtype=float)
-    chi = _spin_vector(spin)
-    e = grid.energies(mass)
-    d = grid.p - p0
-    g = np.exp(-0.5 * sigma**2 * np.einsum("xyzk,xyzk->xyz", d, d))
-    amp = 1.0 / np.sqrt(np.sum(g * g) * grid.dp**3 / (2.0 * np.pi) ** 3)
-    envelope = amp * np.sqrt(e / mass) * g * np.exp(1j * (grid.p @ x0))
-
-    dn = np.concatenate([[0, 0], chi])
-    norm = np.sqrt(2.0 * e * (e + mass))[..., None]
-    v_ap = ((e + mass)[..., None] * dn + _alpha_apply(grid.p, np.broadcast_to(dn, (*e.shape, 4)))) / norm
-    field = MomentumField(grid, envelope[..., None] * v_ap, mass, "dirac", "antiparticle")
-    if rep == "fw":
-        field = to_fw_picture(field)
-    elif rep != "dirac":
-        raise ValueError(f"rep must be one of {REPS}, got {rep!r}")
-    return _validated(field, check_coordinate=False)
+    return _packet(grid, mass, p0, x0, sigma, spin, rep, "antiparticle", (0.0, 1.0), (1.0, 0.0))
 
 
 # ---------------------------------------------------------------------------
@@ -564,7 +529,7 @@ def zitterbewegung_experiment(
     from .positionops import position_expectation
 
     grid, f = packet.grid, packet.values
-    dens = _measure(packet) * np.einsum("xyza,xyza->xyz", f.conj(), f).real
+    dens = _measure(packet) * pair(f, f)
     total = np.sum(dens)
     e = grid.energies(packet.mass)
     mean_energy = float(np.sum(dens * e) / total)

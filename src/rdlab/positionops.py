@@ -26,8 +26,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 from scipy.special import erfc
 
-from .clifford import ALPHA, BETA
-from .fields import CoordinateField, MomentumField, _alpha_apply, _fft3, _ifft3, _measure, momentum_norm
+from .clifford import alpha_dot, pair
+from .fields import CoordinateField, MomentumField, _fft3, _ifft3, _measure, momentum_norm
 from .grids import Grid
 from .spinors import rest_spinor
 
@@ -84,13 +84,13 @@ def _boost_frame_position(field: MomentumField, sign: float) -> tuple[MomentumFi
     e = g.energies(m)
     is2 = 1j / (2.0 * m * (e + m))
     out = spectral_momentum_derivative(field)
-    u = _alpha_apply(g.p, vals)
+    u = alpha_dot(g.p, vals)
     r = u * (is2 / e)[..., None]
     r -= is2[..., None] * vals
     u -= (e + m)[..., None] * vals
     u *= is2[..., None]
     for k, d in enumerate(out):
-        d += u @ ALPHA[k].T
+        d += alpha_dot(np.eye(3)[k], u)
         d += g.p[..., k, None] * r
         if sign < 0:
             np.negative(d, out=d)
@@ -154,8 +154,7 @@ def position_expectation(field: MomentumField, role: str) -> np.ndarray:
     w = _measure(field)
     psi = _ifft3(vals)
     gamma = _ifft3(w[..., None] * vals, overwrite_x=True)
-    # d = Re sum_a conj(gamma_a) psi_a over (re, im) pairs: no conjugate copy
-    d = np.einsum("...c,...c->...", gamma.view(float), psi.view(float))
+    d = pair(gamma, psi)
     # sum_x x_k d(x), each from the axis-k marginal of d
     out = np.array([np.sum(g.x1d * d.sum(axis=axes)) for axes in ((1, 2), (0, 2), (0, 1))])
     if role == "branch" and field.rep == "dirac":
@@ -190,8 +189,8 @@ def localized_state(
     phase = np.exp(sign * 1j * (grid.p @ x0))
     r = rest_spinor(branch, spin)
     if rep == "dirac":
-        ar = np.einsum("xyzk,kab,b->xyza", grid.p, ALPHA, r)
-        spinor = ((e + mass)[..., None] * r + ar) / np.sqrt(2.0 * mass * (e + mass))[..., None]
+        spinor = (e + mass)[..., None] * r + alpha_dot(grid.p, r)
+        spinor /= np.sqrt(2.0 * mass * (e + mass))[..., None]
     elif rep == "fw":
         spinor = np.sqrt(e / mass)[..., None] * r
     else:
@@ -292,7 +291,7 @@ def velocity_commutator_check(grid: Grid | None = None, mass: float = 1.0) -> fl
     worst = 0.0
     for k, (xf, xhf) in enumerate(zip(apply_xfw(f), apply_xfw(hf))):
         comm = 1j * (hamiltonian_apply(xf) - xhf.values)
-        expect = (grid.p[..., k] / e)[..., None] * (f.values @ BETA.T)
+        expect = (grid.p[..., k] / e**2)[..., None] * hf.values  # beta f = H_FW f / E
         worst = max(worst, np.linalg.norm((comm - expect)[mask]) / ref)
     return float(worst)
 
@@ -338,7 +337,6 @@ def locality_integral(
     p1 = dp * (np.arange(n) - n // 2)
     sign = -1.0 if branch == "particle" else 1.0
     r = rest_spinor(branch, lam)
-    ar = np.array([al @ r for al in ALPHA])  # alpha^k r, constant spinors
     total = 0.0 + 0.0j
     py, pz = np.meshgrid(p1, p1, indexing="ij")
     for px in p1:  # slab over the first axis keeps memory modest
@@ -346,13 +344,12 @@ def locality_integral(
         e = np.sqrt(mass * mass + p2)
         if rep == "dirac":
             # psi = [(E+m) r + alpha.p r] / sqrt(2m(E+m)); psi^dag psi computed honestly
-            psi = (e + mass)[..., None] * r + (
-                px * ar[0] + py[..., None] * ar[1] + pz[..., None] * ar[2]
-            )
-            dens = np.einsum("yza,yza->yz", psi.conj(), psi).real / (2.0 * mass * (e + mass))
+            p = np.stack([np.full_like(py, px), py, pz], axis=-1)
+            psi = (e + mass)[..., None] * r + alpha_dot(p, r)
+            dens = pair(psi, psi) / (2.0 * mass * (e + mass))
         else:
             u = np.sqrt(e / mass)[..., None] * r
-            dens = np.einsum("yza,yza->yz", u.conj(), u).real
+            dens = pair(u, u)
         weight = mass / ((2.0 * np.pi) ** 3 * e)
         phase = np.exp(sign * 1j * (px * a[0] + py * a[1] + pz * a[2]) - eps * p2)
         total += np.sum(weight * dens * phase)

@@ -209,17 +209,6 @@ def test_zitterbewegung_tables_and_checks(tmp_path):
     }
 
 
-def test_zitterbewegung_csvs_identical_across_thread_counts(tmp_path, monkeypatch):
-    # n = 64 on both grids is the smallest lattice whose packets pass hygiene
-    tables = {}
-    for threads in ("1", "2"):
-        monkeypatch.setenv("RDLAB_THREADS", threads)
-        out = tmp_path / threads
-        assert run(out, "zitterbewegung", ZITTER_QUICK)[0] == 0
-        tables[threads] = [(out / f"zitterbewegung.{t}.csv").read_bytes() for t in ("mixed", "pure")]
-    assert tables["1"] == tables["2"]
-
-
 @pytest.mark.parametrize("key", ["grid.n", "pure.n"])
 def test_zitterbewegung_rejects_packets_failing_hygiene(tmp_path, capsys, key):
     # both packets are checked before any sampling: a config error, not a traceback
@@ -321,3 +310,25 @@ def test_out_directory_is_created(tmp_path):
     assert code == 0
     assert (out / "algebra-check.report.json").exists()
     assert not list(out.glob("*.tmp"))
+
+
+# n = 64 is the smallest lattice whose packets pass hygiene for all three
+THREAD_RUNS = {
+    "zitterbewegung": (ZITTER_QUICK, ("mixed.csv", "pure.csv")),
+    "continuity": (None, ("refinement.csv",)),
+    "covariance": ("boost.rapidity = 0, 0.5\n", ("sweep.json",)),
+}
+
+
+@pytest.mark.parametrize("command", list(THREAD_RUNS))
+def test_tables_identical_across_thread_counts(tmp_path, monkeypatch, command):
+    config, tables = THREAD_RUNS[command]
+    outputs = {}
+    for threads in ("1", "2"):
+        monkeypatch.setenv("RDLAB_THREADS", threads)
+        out = tmp_path / threads
+        code, report = run(out, command, config)
+        assert code == 0
+        report.pop("runtime_seconds")
+        outputs[threads] = (report, [(out / f"{command}.{t}").read_bytes() for t in tables])
+    assert outputs["1"] == outputs["2"]

@@ -13,10 +13,14 @@ from rdlab.clifford import (
     GAMMA,
     GAMMA5,
     SIGMA,
+    alpha_dot,
     anticommutation_defect,
     anticommutator,
     commutator,
+    pair,
     pauli,
+    sigma_dot,
+    sigma_pair,
 )
 
 EYE4 = np.eye(4)
@@ -112,3 +116,53 @@ def test_defect_flags_corruption():
     defect = anticommutation_defect(bad, ETA)
     assert defect.max() > 0.4
     assert defect[2, 2] > 0.4
+
+
+# ---------------------------------------------------------------------------
+# block kernel against the 4x4 matrices
+
+RNG = np.random.default_rng(7)
+SHAPE = (5, 6, 7)
+P = RNG.normal(size=(*SHAPE, 3))
+V = RNG.normal(size=(*SHAPE, 4)) + 1j * RNG.normal(size=(*SHAPE, 4))
+W = RNG.normal(size=(*SHAPE, 4)) + 1j * RNG.normal(size=(*SHAPE, 4))
+R = np.array([0.3 - 0.2j, 1.1j, -0.7, 0.4 + 0.9j])  # a constant spinor
+
+
+def assert_rel(got, want, tol=1e-15):
+    assert got.shape == want.shape
+    assert np.abs(got - want).max() <= tol * np.abs(want).max()
+
+
+def _alpha_oracle(p, v):
+    return sum(p[..., k, None] * (v @ ALPHA[k].T) for k in range(3))
+
+
+def test_alpha_dot_matches_matrices():
+    assert_rel(alpha_dot(P, V), _alpha_oracle(P, V))
+    # a constant spinor broadcast over the momenta, a unit axis over the field
+    assert_rel(alpha_dot(P, R), _alpha_oracle(P, np.broadcast_to(R, V.shape)))
+    for k in range(3):
+        assert_rel(alpha_dot(np.eye(3)[k], V), V @ ALPHA[k].T)
+
+
+def test_sigma_dot_matches_matrices():
+    # alpha.p (0, c) = (sigma.p c, 0)
+    lower = V.copy()
+    lower[..., :2] = 0.0
+    assert_rel(sigma_dot(P, V[..., 2:]), _alpha_oracle(P, lower)[..., :2])
+    assert_rel(sigma_dot(P, R[2:]), _alpha_oracle(P, np.broadcast_to(R, V.shape))[..., :2])
+    out = np.empty((*SHAPE, 2), dtype=complex)
+    assert sigma_dot(np.eye(3)[1], V[..., :2], out=out) is out
+    assert_rel(out, V[..., :2] @ SIGMA[1][:2, :2].T)
+
+
+def test_pair_and_sigma_pair_match_conjugate_einsums():
+    assert_rel(pair(V, W), np.einsum("...a,...a->...", V.conj(), W).real)
+    assert_rel(pair(V[..., 2:], R[2:]), np.einsum("...a,a->...", V[..., 2:].conj(), R[2:]).real)
+    got = sigma_pair(V[..., :2], W[..., :2])
+    want = np.einsum("...a,kab,...b->...k", V[..., :2].conj(), SIGMA[:, :2, :2], W[..., :2]).real
+    assert_rel(got, want)
+    # the Dirac current psi^dag alpha^k psi = 2 Re u^dag sigma^k l
+    current = np.einsum("...a,kab,...b->...k", V.conj(), ALPHA, V).real
+    assert_rel(2.0 * sigma_pair(V[..., :2], V[..., 2:]), current)

@@ -6,8 +6,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from rdlab.clifford import ALPHA
 from rdlab.fields import (
-    _branch_channels,
     branch_projection,
     concentration_box,
     continuity_residual,
@@ -156,6 +156,15 @@ def _applied_expectation(field, op):
     return np.array([momentum_inner(field, xf).real / nn for xf in op(field)])
 
 
+def _plus_channel(grid, mass, chi):
+    """Unit +E eigenvector field [(E+m) r + alpha.p r] / sqrt(2E(E+m)), r = (chi, 0),
+    from the 4x4 matrices, independent of the block kernel."""
+    e = grid.energies(mass)
+    r = np.concatenate([chi, [0, 0]])
+    ar = np.einsum("xyzk,kab,b->xyza", grid.p, ALPHA, r)
+    return ((e + mass)[..., None] * r + ar) / np.sqrt(2.0 * e * (e + mass))[..., None]
+
+
 def _chained_tracks(packet, duration, samples):
     """The sampling loop before the split at t = 0: chained evolve steps and a
     projection per sample, contracted against both branch eigenspinors."""
@@ -167,7 +176,7 @@ def _chained_tracks(packet, duration, samples):
         x_track[i] = _applied_expectation(cur, apply_dirac_coordinate)
         vals = np.zeros_like(cur.values)
         for chi in (np.array([1.0, 0.0], dtype=complex), np.array([0.0, 1.0], dtype=complex)):
-            v_plus, _ = _branch_channels(cur.grid, cur.mass, chi)
+            v_plus = _plus_channel(cur.grid, cur.mass, chi)
             vals += np.einsum("xyza,xyza->xyz", v_plus.conj(), cur.values)[..., None] * v_plus
         b_track[i] = _applied_expectation(replace(cur, values=vals, branch="particle"), apply_xp)
         if i + 1 < samples:

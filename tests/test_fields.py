@@ -1,6 +1,8 @@
 """Field construction, transforms, evolution, densities and currents."""
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -31,7 +33,7 @@ from rdlab.fields import (
     total_probability,
 )
 from rdlab.grids import Grid
-from rdlab.spinors import hamiltonian
+from rdlab.spinors import fw_matrix, hamiltonian
 
 M = 1.0
 GRID = Grid(32, 8.0)  # half-box 2 pi, fits sigma = 2 packets
@@ -220,3 +222,40 @@ def test_field_validation():
         MomentumField(GRID, np.zeros((32, 32, 32, 4)), 0.0)
     with pytest.raises(ValueError):
         CoordinateField(GRID, np.zeros((8, 8, 8, 4)), M)
+
+
+def test_per_node_products_match_spinor_matrices():
+    grid = Grid(8, 3.0)
+    rng = np.random.default_rng(3)
+    vals = rng.normal(size=(8, 8, 8, 4)) + 1j * rng.normal(size=(8, 8, 8, 4))
+    nodes = [tuple(rng.integers(0, 8, size=3)) for _ in range(12)]
+    dirac = MomentumField(grid, vals, M)
+    h = hamiltonian_apply(dirac)
+    for branch in ("particle", "antiparticle"):
+        fw = to_fw_picture(MomentumField(grid, vals, M, "dirac", branch)).values
+        back = to_dirac_picture(MomentumField(grid, vals, M, "fw", branch)).values
+        for node in nodes:
+            u = fw_matrix(grid.p[node], M)
+            if branch == "antiparticle":  # rotated with U(p)^dag in place of U(p)
+                u = u.conj().T
+            for got, want in (
+                (h[node], hamiltonian(grid.p[node], M) @ vals[node]),
+                (fw[node], u @ vals[node]),
+                (back[node], u.conj().T @ vals[node]),
+            ):
+                assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
+
+
+def test_node_products_peak_memory():
+    # per-node products work on views of the spinor halves: no full-field
+    # temporaries beyond the result
+    f = gaussian_packet(Grid(32, 4.5), M, (0.3, 0.0, 0.0), sigma=4.0)
+    cf = to_coordinate(f)
+    for apply, bound in ((lambda: hamiltonian_apply(f), 2.0), (lambda: density(cf), 1.5)):
+        tracemalloc.start()
+        try:
+            result = apply()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= bound * result.nbytes
