@@ -12,10 +12,11 @@ boost axis with the exact trigonometric interpolant of the periodic lattice;
 rotations are restricted to quarter turns, which are exact node permutations.
 
 Both off-lattice samplings share one kernel, _axis_dft: small phase-matrix
-products along one axis, one per transverse line. The tilted slice splits the
-rest field once into its +-E parts, whose evolution is a phase, so every plane
-comes from one such transform plus one transverse inverse FFT; only the
-nonlocal FW current still needs a 3D density rate per plane.
+products along one axis, one per transverse line. The tilted slice transforms
+only the +E part of the rest (particle) field, whose evolution is a phase, and
+raises if the -E part is not negligible; every plane comes from that one
+transform plus one transverse inverse FFT, and only the nonlocal FW current
+still needs a 3D density rate (one batched inverse FFT of psi, psi_dot) per plane.
 """
 from __future__ import annotations
 
@@ -28,10 +29,10 @@ from .clifford import pair, sigma_dot
 from .fields import (
     MomentumField,
     _workers,
+    branch_projection,
     concentration_box,
     density,
     gaussian_packet,
-    hamiltonian_apply,
     to_coordinate,
     to_dirac_picture,
     to_fw_picture,
@@ -246,51 +247,47 @@ def _slice_residual(rho_boosted: np.ndarray, predicted: np.ndarray) -> float:
     return num / den
 
 
-def _branch_split(field: MomentumField, axis: int) -> np.ndarray:
-    """sqrt(m/E) a_+ over sqrt(m/E) a_-, a_+- = (phi +- H phi / E) / 2 (in the FW
-    picture the upper and the lower component pair), boost axis first, shape
-    (2n, n, n, 4). Evolution turns a_+- into exp(-+iEt) a_+-."""
-    e = np.moveaxis(field.grid.energies(field.mass), axis, 0)[..., None]
-    vals = np.moveaxis(field.values, axis, 0)
-    h = np.moveaxis(hamiltonian_apply(field), axis, 0) / e  # before the split: lower peak memory
-    split = np.empty((2, *vals.shape), dtype=complex)
-    np.add(vals, h, out=split[0])
-    np.subtract(vals, h, out=split[1])
-    split *= 0.5 * np.sqrt(field.mass / e)
-    return split.reshape(-1, *vals.shape[1:])
+def _particle_amplitude(field: MomentumField, axis: int) -> np.ndarray:
+    """sqrt(m/E) a_+ with the boost axis first, a_+ = (phi + H phi / E) / 2 the
+    +E part that evolves as exp(-iEt) a_+: shape (n, n, n, 4), or in the FW
+    picture the upper component pair, (n, n, n, 2). Raises ValueError when
+    |a_-| > 1e-12 |a_+|: a mislabelled field fails, it is never truncated."""
+    plus = branch_projection(field, "particle").values
+    minus = field.values - plus
+    if np.sum(pair(minus, minus)) > 1e-24 * np.sum(pair(plus, plus)):
+        raise ValueError("the -E branch of a particle-labelled field is populated")
+    del minus  # lower peak memory
+    plus = plus[..., :2] if field.rep == "fw" else plus  # the FW lower pair is a_-
+    return np.moveaxis(plus * np.sqrt(field.mass / field.grid.energies(field.mass))[..., None], axis, 0)
 
 
-def _fw_flux_planes(field: MomentumField, rapidity: float, axis: int) -> np.ndarray:
-    """Boost-axis FW current on every tilted plane, boost axis first. The current is
+def _fw_flux_planes(field: MomentumField, plus: np.ndarray, rapidity: float, axis: int) -> np.ndarray:
+    """Boost-axis FW current on every tilted plane, boost axis first, from the
+    populated branch plus = sqrt(m/E) a_+ of _particle_amplitude. The current is
     nonlocal: each plane needs the density rate 2 Re psi^dag psi_dot, psi_dot =
-    -i beta E psi, on the whole lattice at t = -sinh(chi) x'. Its spectrum times
-    i p_ax / p^2 is the current's, summed along the axis at cosh(chi) x' (the
-    Nyquist term of a real current vanishes) and inverted over the transverse axes."""
+    -iE psi, on the whole lattice at t = -sinh(chi) x', from one batched inverse
+    FFT of (psi, psi_dot). Its spectrum times i p_ax / p^2 is the current's,
+    summed along the axis at cosh(chi) x' and inverted over the transverse axes."""
     grid, n = field.grid, field.grid.n
     ch, sh = np.cosh(rapidity), np.sinh(rapidity)
     e = np.moveaxis(grid.energies(field.mass), axis, 0)
-    vals = np.moveaxis(field.values, axis, 0)
-    p = np.abs(grid.p1d)
-    p2 = p[:, None, None] ** 2 + p[None, :, None] ** 2 + p[None, None, : n // 2 + 1] ** 2
-    with np.errstate(divide="ignore", invalid="ignore"):
-        flux = np.where(p2 > 0.0, 2j * grid.p1d[:, None, None] / (p2 * grid.dx**6), 0.0)
-    step = np.exp(1j * sh * grid.dx * e)
-    phase = np.sqrt(field.mass / e).astype(complex)  # sqrt(m/E) exp(-iEt) of the upper pair
+    p2 = np.sum(grid.p[..., : n // 2 + 1, :] ** 2, axis=-1)
+    flux = 2j * grid.p1d[:, None, None] / (np.where(p2 > 0.0, p2, np.inf) * grid.dx**6)
+    flux[n // 2] = 0.0  # the Nyquist term of a real current vanishes
+    weights = np.exp(1j * np.outer(grid.x1d, grid.p1d * ch)) / n
+    amp, step, rate_factor = np.moveaxis(plus, -1, 0).copy(), np.exp(1j * sh * grid.dx * e), -1j * e
+    phase = np.ones_like(step)  # exp(-iEt)
+    buf = np.empty((4, n, n, n), dtype=complex)
     out = np.empty((n, n, n))
-    for i, xp in enumerate(grid.x1d):
+    for i in range(n):
         if i == n // 2:
-            phase = phase.conj()  # x' = k dx jumps from k = n/2 - 1 to k = -n/2
-        rate = np.zeros((n, n, n), dtype=complex)
-        for s in range(4):
-            spec = vals[..., s] * (phase if s < 2 else phase.conj())
-            psi = np.conjugate(sfft.ifftn(spec, workers=_workers()))
-            spec *= e
-            psi *= sfft.ifftn(spec, workers=_workers(), overwrite_x=True)
-            rate += psi if s < 2 else -psi
-        weights = np.exp(1j * grid.p1d * ch * xp) / n
-        weights[n // 2] = 0.0
-        spectrum = sfft.rfftn(rate.imag, workers=_workers()) * flux
-        out[i] = sfft.irfftn(np.einsum("p,pab->ab", weights, spectrum), s=(n, n), workers=_workers())
+            np.conjugate(phase, out=phase)  # x' = k dx jumps from k = n/2 - 1 to k = -n/2
+        np.multiply(amp, phase, out=buf[:2])
+        np.multiply(buf[:2], rate_factor, out=buf[2:])
+        v = sfft.ifftn(buf, axes=(1, 2, 3), workers=_workers(), overwrite_x=True).view(float)
+        v = v.reshape(2, 2, n, n, n, 2)  # (psi, psi_dot), components, nodes, (re, im)
+        spectrum = sfft.rfftn(np.einsum("cxyzk,cxyzk->xyz", v[0], v[1]), workers=_workers()) * flux
+        out[i] = sfft.irfftn(np.einsum("p,pab->ab", weights[i], spectrum), s=(n, n), workers=_workers())
         phase *= step
     return out
 
@@ -300,33 +297,32 @@ def slice_prediction(field: MomentumField, rapidity: float, axis: int = 0) -> np
 
     The plane x'_ax is the rest state at t = -sinh(chi) x'_ax read at
     x_ax = cosh(chi) x'_ax, predicting rho' = cosh(chi) rho + sinh(chi) j_ax.
-    Split into energy branches, the state on all planes is
+    A particle field is its +E part a_+ alone (ValueError if the -E part
+    exceeds 1e-12 of it), so the state on all planes is
 
-        sum_{p_ax} exp(i x' (cosh(chi) p_ax +- sinh(chi) E_p)) a_+-(p):
+        sum_{p_ax} exp(i x' (cosh(chi) p_ax + sinh(chi) E_p)) a_+(p):
 
     one axis DFT per transverse momentum, then one inverse FFT over the
-    transverse axes, with no evolve. The current is the pointwise alpha
-    current in the Dirac picture and the continuity-solving current in the FW
-    picture, which is nonlocal and costs one 3D density rate per plane.
-    Returns shape (n, n, n).
+    transverse axes. The current is the pointwise alpha current in the Dirac
+    picture and the nonlocal continuity-solving current in the FW picture
+    (one 3D density rate per plane). Returns shape (n, n, n).
     """
     if field.branch != "particle":
         raise ValueError("slice predictions are implemented for particle fields")
     grid = field.grid
     ch, sh = np.cosh(rapidity), np.sinh(rapidity)
     e = np.moveaxis(grid.energies(field.mass), axis, 0)
-    p_ax = grid.p1d[:, None, None]
-    w = np.exp(1j * grid.dx * np.concatenate([ch * p_ax + sh * e, ch * p_ax - sh * e]))
-    planes = _axis_dft(_branch_split(field, axis), lambda y: _lattice_powers(w[:, y].T, grid.n, 1))
-    psi = sfft.ifftn(planes, axes=(1, 2), workers=_workers(), overwrite_x=True)
-    del planes  # lower peak memory
+    plus = _particle_amplitude(field, axis)
+    psi = _axis_dft(plus, lambda y: _lattice_powers(
+        np.exp(1j * grid.dx * (ch * grid.p1d[:, None] + sh * e[:, y])).T, grid.n, 1))
+    psi = sfft.ifftn(psi, axes=(1, 2), workers=_workers(), overwrite_x=True)
     psi /= grid.n * grid.dx**3
     rho = pair(psi, psi)
-    if field.rep == "dirac":
-        # psi^dag alpha^ax psi = 2 Re u^dag sigma^ax l
+    if field.rep == "dirac":  # psi^dag alpha^ax psi = 2 Re u^dag sigma^ax l
         j_ax = 2.0 * pair(psi[..., :2], sigma_dot(_AXES[axis], psi[..., 2:]))
     else:
-        j_ax = _fw_flux_planes(field, rapidity, axis)
+        del psi  # lower peak memory
+        j_ax = _fw_flux_planes(field, plus, rapidity, axis)
     return np.moveaxis(ch * rho + sh * j_ax, 0, axis)
 
 

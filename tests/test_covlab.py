@@ -1,6 +1,8 @@
 """Boost/rotation transformations and frame-consistency experiments."""
 from __future__ import annotations
 
+import dataclasses
+import tracemalloc
 from functools import lru_cache
 
 import numpy as np
@@ -202,6 +204,32 @@ def test_slice_prediction_matches_per_plane_oracle(rep, axis, chi):
     expected = _per_plane_slice(f, chi, axis)
     got = slice_prediction(f, chi, axis)
     assert np.abs(got - expected).max() <= 1e-12 * np.abs(expected).max()
+
+
+@pytest.mark.parametrize("rep", ["dirac", "fw"])
+def test_slice_prediction_rejects_populated_negative_branch(rep):
+    # only the +E branch is transformed, so a field labelled particle that
+    # carries -E content must fail instead of losing it
+    mixed = gaussian_packet(Grid(20, 4.0), M, p0=(0.5, 0.0, 0.0), sigma=2.5, weights=(1.0, 0.3))
+    if rep == "fw":
+        mixed = to_fw_picture(mixed)
+    with pytest.raises(ValueError, match="-E branch"):
+        slice_prediction(dataclasses.replace(mixed, branch="particle"), CHI, AXIS)
+
+
+@pytest.mark.parametrize("rep", ["dirac", "fw"])
+def test_slice_prediction_peak_memory(rep):
+    # one energy branch is transformed, and the FW planes reuse one FFT buffer
+    f = covariance_packet(Grid(32, 4.5))
+    if rep == "fw":
+        f = to_fw_picture(f)
+    tracemalloc.start()
+    try:
+        slice_prediction(f, CHI, AXIS)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4.0 * f.values.nbytes
 
 
 def test_dirac_covariance_residual_small_and_refining():

@@ -56,6 +56,16 @@ def test_packet_norm_and_parseval():
     assert abs(total_probability(cf) - 1.0) < 1e-12
 
 
+def test_momentum_inner_matches_conjugate_einsum():
+    a = packet(weights=(1.0, 0.3))
+    b = evolve(a, 0.7)
+    w = M / ((2.0 * np.pi) ** 3 * GRID.energies(M))
+    for x, y in ((a, b), (b, a), (a, a)):
+        want = np.sum(w * np.einsum("xyza,xyza->xyz", x.values.conj(), y.values)) * GRID.dp**3
+        assert abs(momentum_inner(x, y) - want) <= 1e-15 * abs(want)
+    assert abs(momentum_norm(b) - np.sqrt(momentum_inner(b, b).real)) <= 1e-15
+
+
 def test_round_trip():
     f = packet()
     back = to_momentum(to_coordinate(f))
