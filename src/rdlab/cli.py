@@ -8,9 +8,13 @@ configs and emit machine-readable artifacts:
 Each run writes `<out>/<command>.report.json` (config echo, one entry per
 asserted check with its measured value, scalar results, warnings, runtime)
 plus the command's CSV/JSON tables. The exit code is 0 exactly when every
-asserted check passed; config errors exit 2. Runs are deterministic for a
-fixed config and seed. `RDLAB_THREADS` caps numerical thread pools; when it
-is absent the linear-algebra backends keep their defaults (all cores).
+asserted check passed. Every precondition derivable from the config (key
+values, lattice and packet hygiene, boost and quadrature reach) is checked
+before any work and exits 2 with one stderr line naming its keys, writing no
+report; any other library `ValueError` becomes a failed check named
+`completed`, and the report is still written (exit 1). Runs are deterministic
+for a fixed config and seed. `RDLAB_THREADS` caps numerical thread pools;
+when it is absent the linear-algebra backends keep their defaults (all cores).
 """
 from __future__ import annotations
 
@@ -43,11 +47,11 @@ from .config import (
     check_band_hygiene,
     check_declared_tolerances,
     check_lattice_n,
-    check_tolerance,
     get_bool,
     get_float,
     get_floats,
     get_int,
+    get_positive,
     load_config,
 )
 from .covlab import (
@@ -78,6 +82,7 @@ from .positionops import (
     apply_xp,
     localized_eigen_residuals,
     locality_integral,
+    locality_lattice,
     mean_position_equivalence,
     tail_consistency_residual,
 )
@@ -87,6 +92,7 @@ from .spinors import (
     dirac_spinor,
     fw_matrix,
     hamiltonian,
+    rest_spinor,
     spinor_boost,
     spinor_rotation,
     wigner_spinor_matrix,
@@ -101,37 +107,36 @@ def _vec3(cfg: dict[str, str], key: str, default: tuple[float, float, float]) ->
 
 
 def _tol(cfg: dict[str, str], key: str, default: float) -> float:
-    return check_tolerance(get_float(cfg, f"tolerances.{key}", default), f"tolerances.{key}")
+    return get_positive(cfg, f"tolerances.{key}", default)
 
 
 def _grid(cfg: dict[str, str], record: ReportRecord, prefix: str, n_default: int, pmax_default: float) -> Grid:
     n = get_int(cfg, f"{prefix}.n", n_default)
-    pmax = get_float(cfg, f"{prefix}.pmax", pmax_default)
+    pmax = get_positive(cfg, f"{prefix}.pmax", pmax_default)
     check_lattice_n(n, f"{prefix}.n")
-    if not pmax > 0.0:
-        raise ConfigError(f"{prefix}.pmax = {pmax:g}: band limit must be positive")
     record.results.setdefault("grids", {})[prefix] = {"n": n, "pmax": pmax}
     return Grid(n, pmax)
 
 
-def _packet(keys: str, *args, **kwargs):
-    """gaussian_packet(*args, **kwargs); a packet that fails the lattice hygiene
-    checks is a config error naming the `keys` it was built from."""
+def _packet_section(cfg: dict[str, str], record: ReportRecord, grid_prefix: str, prefix: str,
+                    n: int, pmax: float, sigma: float, p0: tuple[float, float, float]):
+    """Lattice and shape of one packet: `<grid_prefix>.n`, `<grid_prefix>.pmax`,
+    `<prefix>.sigma` (band hygiene checked) and `<prefix>.p0`, defaulting to
+    the given values. Returns (grid, sigma, p0, the keys read)."""
+    grid = _grid(cfg, record, grid_prefix, n, pmax)
+    sigma = get_float(cfg, f"{prefix}.sigma", sigma)
+    check_band_hygiene(grid.pmax, sigma, f"{grid_prefix}.pmax", f"{prefix}.sigma")
+    p0 = _vec3(cfg, f"{prefix}.p0", p0)
+    return grid, sigma, p0, f"{grid_prefix}.n, {grid_prefix}.pmax, {prefix}.sigma, {prefix}.p0"
+
+
+def _precondition(keys: str, fn, *args, **kwargs):
+    """fn(*args, **kwargs); a ValueError from it is a config error naming the
+    `keys` the failed precondition derives from."""
     try:
-        return gaussian_packet(*args, **kwargs)
+        return fn(*args, **kwargs)
     except ValueError as exc:
         raise ConfigError(f"{keys}: {exc}") from None
-
-
-def _guarded(record: ReportRecord, name: str, tolerance: float | None, fn, note: str = ""):
-    """Run one check body; a ValueError becomes a named failure, not a crash."""
-    try:
-        value = float(fn())
-    except ValueError as exc:
-        record.check(name, None, tolerance, passed=False, note=str(exc))
-        return None
-    record.check(name, value, tolerance, note=note)
-    return value
 
 
 def _random_momentum(rng: np.random.Generator, pmax: float) -> np.ndarray:
@@ -146,15 +151,18 @@ def _random_momentum(rng: np.random.Generator, pmax: float) -> np.ndarray:
 
 def cmd_algebra_check(cfg: dict[str, str], record: ReportRecord, rng: np.random.Generator, out_dir: str) -> None:
     """Matrix algebra (exact) plus randomized spinor / transformation suites."""
-    mass = get_float(cfg, "mass", 1.0)
+    mass = get_positive(cfg, "mass", 1.0)
     samples = get_int(cfg, "spinors.samples", 1000)
-    pmax = get_float(cfg, "spinors.pmax", 10.0 * mass)
+    pmax = get_positive(cfg, "spinors.pmax", 10.0 * mass)
     boost_samples = get_int(cfg, "boosts.samples", 50)
-    chi_max = get_float(cfg, "boosts.rapidity_max", 3.0)
+    chi_max = get_positive(cfg, "boosts.rapidity_max", 3.0)
     tol_spinor = _tol(cfg, "spinor", 1e-12)
     tol_lorentz = _tol(cfg, "lorentz", 1e-12)
     tol_wigner = _tol(cfg, "wigner", 1e-10)
     corrupt = get_bool(cfg, "algebra.negative_control", False)
+    for key, count in (("spinors.samples", samples), ("boosts.samples", boost_samples)):
+        if count < 1:
+            raise ConfigError(f"{key} = {count}: the randomized suites need at least one sample")
 
     gamma = GAMMA
     if corrupt:
@@ -270,7 +278,7 @@ def cmd_algebra_check(cfg: dict[str, str], record: ReportRecord, rng: np.random.
 
 def cmd_locality(cfg: dict[str, str], record: ReportRecord, rng: np.random.Generator, out_dir: str) -> None:
     """Regulated localized-state overlap integrals vs displacement and regulator."""
-    mass = get_float(cfg, "mass", 1.0)
+    mass = get_positive(cfg, "mass", 1.0)
     spin = get_float(cfg, "locality.spin", 0.5)
     displacements = get_floats(cfg, "locality.displacements", (0.0, 1.0, 2.0, 3.0, 5.0))
     epsilons = get_floats(cfg, "regulators.epsilon", (0.1, 0.03, 0.01))
@@ -285,6 +293,10 @@ def cmd_locality(cfg: dict[str, str], record: ReportRecord, rng: np.random.Gener
         raise ConfigError("regulators.epsilon: all regulator values must be positive")
     if sorted(displacements) != list(displacements) or len(set(displacements)) != len(displacements):
         raise ConfigError("locality.displacements must be strictly increasing")
+    # the quadrature lattice grows as eps shrinks and |a| grows: one worst case
+    _precondition("regulators.epsilon, locality.displacements", locality_lattice,
+                  min(epsilons) / mass**2, max(abs(d) for d in displacements) / mass)
+    _precondition("locality.spin", rest_spinor, "particle", spin)
     if len(epsilons) == 1:
         record.warnings.append(
             "single regulator value: convergence in the regulator is unassessable"
@@ -363,18 +375,21 @@ def cmd_locality(cfg: dict[str, str], record: ReportRecord, rng: np.random.Gener
 
 def cmd_position(cfg: dict[str, str], record: ReportRecord, rng: np.random.Generator, out_dir: str) -> None:
     """Localized eigenstates, Hermiticity, picture equivalence, coordinate tail."""
-    mass = get_float(cfg, "mass", 1.0)
-    grid = _grid(cfg, record, "grid", 128, 8.0 * mass)
-    sigma = get_float(cfg, "packet.sigma", 2.5 / mass)
-    check_band_hygiene(grid.pmax, sigma, "grid.pmax", "packet.sigma")
+    mass = get_positive(cfg, "mass", 1.0)
+    grid, sigma, p0, keys = _packet_section(
+        cfg, record, "grid", "packet", 128, 8.0 * mass, 2.5 / mass, (0.5, -1.0, 0.0))
     x0 = _vec3(cfg, "packet.x0", (0.4, 0.0, -0.3))
-    p0 = _vec3(cfg, "packet.p0", (0.5, -1.0, 0.0))
     eigen_grid = _grid(cfg, record, "eigen", min(grid.n, 64), 6.0 * mass)
     offset = get_float(cfg, "eigen.offset", 1.0 / mass)
     tol_eigen = _tol(cfg, "eigen", 1e-6)
     tol_herm = _tol(cfg, "hermiticity", 1e-10)
     tol_equiv = _tol(cfg, "equivalence", 1e-6)
     tol_tail = _tol(cfg, "tail", 1e-8)
+
+    # both packets pass the lattice hygiene checks before any work starts
+    keys += ", packet.x0"
+    f = _precondition(keys, gaussian_packet, grid, mass, p0, x0, sigma=sigma, spin=0.5)
+    g2 = _precondition(keys, gaussian_packet, grid, mass, -0.6 * p0, -x0, sigma=sigma, spin=-0.5)
 
     def eigen_worst(rep: str, branch: str, points) -> float:
         worst = 0.0
@@ -390,14 +405,11 @@ def cmd_position(cfg: dict[str, str], record: ReportRecord, rng: np.random.Gener
         for k in (-1, 0, 1)
     ]
     mirror_points = [(0.0, 0.0, 0.0), (offset, 0.0, 0.0), (offset, -offset, offset)]
-    _guarded(record, "eigen_residual_xp", tol_eigen,
-             lambda: eigen_worst("dirac", "particle", lattice),
-             note="worst interior residual over the 3x3x3 offset lattice")
-    _guarded(record, "eigen_residual_xap", tol_eigen,
-             lambda: eigen_worst("dirac", "antiparticle", mirror_points),
-             note="antiparticle mirror states")
-    _guarded(record, "eigen_residual_xfw", tol_eigen,
-             lambda: eigen_worst("fw", "particle", mirror_points))
+    record.check("eigen_residual_xp", eigen_worst("dirac", "particle", lattice), tol_eigen,
+                 note="worst interior residual over the 3x3x3 offset lattice")
+    record.check("eigen_residual_xap", eigen_worst("dirac", "antiparticle", mirror_points), tol_eigen,
+                 note="antiparticle mirror states")
+    record.check("eigen_residual_xfw", eigen_worst("fw", "particle", mirror_points), tol_eigen)
 
     def adjoint_defect(op, f, g2) -> float:
         return max(
@@ -405,33 +417,26 @@ def cmd_position(cfg: dict[str, str], record: ReportRecord, rng: np.random.Gener
             for xf, xg in zip(op(f), op(g2))
         )
 
-    try:
-        f = gaussian_packet(grid, mass, p0, x0, sigma=sigma, spin=0.5)
-        g2 = gaussian_packet(grid, mass, -0.6 * p0, -x0, sigma=sigma, spin=-0.5)
-    except ValueError as exc:
-        for name, tol in (("hermiticity", tol_herm), ("equivalence", tol_equiv), ("tail_consistency", tol_tail)):
-            record.check(name, None, tol, passed=False, note=str(exc))
-    else:
-        fw = to_fw_picture(f)
+    fw = to_fw_picture(f)
 
-        def hermiticity() -> float:
-            worst = adjoint_defect(apply_xp, f, g2)
-            worst = max(worst, adjoint_defect(apply_xfw, fw, to_fw_picture(g2)))
-            fa = antiparticle_gaussian_packet(grid, mass, p0, x0, sigma=sigma, spin=0.5)
-            ga = antiparticle_gaussian_packet(grid, mass, -0.6 * p0, -x0, sigma=sigma, spin=-0.5)
-            return float(max(worst, adjoint_defect(apply_xap, fa, ga)))
+    def hermiticity() -> float:
+        # fa and ga share the |envelope| of f and g2, so they pass the same
+        # hygiene; built here, they are freed before the later checks
+        worst = adjoint_defect(apply_xp, f, g2)
+        worst = max(worst, adjoint_defect(apply_xfw, fw, to_fw_picture(g2)))
+        fa = antiparticle_gaussian_packet(grid, mass, p0, x0, sigma=sigma, spin=0.5)
+        ga = antiparticle_gaussian_packet(grid, mass, -0.6 * p0, -x0, sigma=sigma, spin=-0.5)
+        return max(worst, adjoint_defect(apply_xap, fa, ga))
 
-        _guarded(record, "hermiticity", tol_herm, hermiticity,
+    record.check("hermiticity", hermiticity(), tol_herm,
                  note="worst adjoint defect of X_P, X_FW, X_AP on packet pairs")
-        _guarded(record, "equivalence", tol_equiv,
-                 lambda: float(mean_position_equivalence(f).max()),
+    record.check("equivalence", mean_position_equivalence(f).max(), tol_equiv,
                  note="U^dag X_FW U vs X_P on a particle packet")
-        _guarded(record, "tail_consistency", tol_tail,
-                 lambda: tail_consistency_residual(fw),
+    record.check("tail_consistency", tail_consistency_residual(fw), tol_tail,
                  note="coordinate form of X_FW: multiplication plus Yukawa-gradient tail")
 
     if not record.passed:
-        if min(grid.n, eigen_grid.n) <= 16:
+        if eigen_grid.n <= 16:
             record.flags["spectral_floor"] = True
         record.flags["refinement_hint"] = (
             "residuals above tolerance: double grid.n / eigen.n to lower the "
@@ -445,21 +450,17 @@ def cmd_position(cfg: dict[str, str], record: ReportRecord, rng: np.random.Gener
 
 def cmd_zitterbewegung(cfg: dict[str, str], record: ReportRecord, rng: np.random.Generator, out_dir: str) -> None:
     """Branch-mixed trembling motion plus pure-branch uniform transport."""
-    mass = get_float(cfg, "mass", 1.0)
-    grid = _grid(cfg, record, "grid", 64, 4.0 * mass)
-    sigma = get_float(cfg, "packet.sigma", 5.0 / mass)
-    check_band_hygiene(grid.pmax, sigma, "grid.pmax", "packet.sigma")
-    p0 = _vec3(cfg, "packet.p0", (0.3 * mass, 0.0, 0.0))
+    mass = get_positive(cfg, "mass", 1.0)
+    grid, sigma, p0, keys = _packet_section(
+        cfg, record, "grid", "packet", 64, 4.0 * mass, 5.0 / mass, (0.3 * mass, 0.0, 0.0))
     mix = get_floats(cfg, "packet.mix", (1.0, 1.0))
     if len(mix) != 2:
         raise ConfigError("packet.mix must have exactly 2 channel weights")
-    duration = get_float(cfg, "times.T", 20.0 / mass)
+    duration = get_positive(cfg, "times.T", 20.0 / mass)
     samples = get_int(cfg, "times.samples", 48)
-    pure_grid = _grid(cfg, record, "pure", 64, 8.0 * mass)
-    pure_sigma = get_float(cfg, "pure.sigma", 2.5 / mass)
-    check_band_hygiene(pure_grid.pmax, pure_sigma, "pure.pmax", "pure.sigma")
-    pure_p0 = _vec3(cfg, "pure.p0", (0.4 * mass, 0.0, 0.2 * mass))
-    pure_duration = get_float(cfg, "pure.T", 6.0 / mass)
+    pure_grid, pure_sigma, pure_p0, pure_keys = _packet_section(
+        cfg, record, "pure", "pure", 64, 8.0 * mass, 2.5 / mass, (0.4 * mass, 0.0, 0.2 * mass))
+    pure_duration = get_positive(cfg, "pure.T", 6.0 / mass)
     pure_samples = get_int(cfg, "pure.samples", 24)
     tol_freq = _tol(cfg, "frequency", 0.05)
     tol_slope = _tol(cfg, "slope", 1e-3)
@@ -468,10 +469,8 @@ def cmd_zitterbewegung(cfg: dict[str, str], record: ReportRecord, rng: np.random
             raise ConfigError(f"{key} = {count}: need at least 16 samples to resolve a trembling frequency")
 
     # both packets pass the lattice hygiene checks before any sampling starts
-    packet = _packet("grid.n, grid.pmax, packet.sigma, packet.p0, packet.mix",
-                     grid, mass, p0, sigma=sigma, weights=mix)
-    pure_packet = _packet("pure.n, pure.pmax, pure.sigma, pure.p0",
-                          pure_grid, mass, pure_p0, sigma=pure_sigma)
+    packet = _precondition(f"{keys}, packet.mix", gaussian_packet, grid, mass, p0, sigma=sigma, weights=mix)
+    pure_packet = _precondition(pure_keys, gaussian_packet, pure_grid, mass, pure_p0, sigma=pure_sigma)
 
     mixed = zitterbewegung_experiment(packet, duration, samples)
     freq_err = abs(mixed.dominant_frequency / (2.0 * mixed.mean_energy) - 1.0)
@@ -527,28 +526,25 @@ def cmd_zitterbewegung(cfg: dict[str, str], record: ReportRecord, rng: np.random
 
 def cmd_continuity(cfg: dict[str, str], record: ReportRecord, rng: np.random.Generator, out_dir: str) -> None:
     """Discrete continuity residuals, norm conservation, and nonlocality proxies."""
-    mass = get_float(cfg, "mass", 1.0)
-    grid = _grid(cfg, record, "grid", 64, 8.0 * mass)
-    sigma = get_float(cfg, "packet.sigma", 2.5 / mass)
-    check_band_hygiene(grid.pmax, sigma, "grid.pmax", "packet.sigma")
-    p0 = _vec3(cfg, "packet.p0", (0.3 * mass, 0.0, 0.0))
+    mass = get_positive(cfg, "mass", 1.0)
+    grid, sigma, p0, keys = _packet_section(
+        cfg, record, "grid", "packet", 64, 8.0 * mass, 2.5 / mass, (0.3 * mass, 0.0, 0.0))
     mix = get_floats(cfg, "packet.mix", (1.0, 1.0))
-    dt = get_float(cfg, "times.dt", 2e-3 / mass)
+    dt = get_positive(cfg, "times.dt", 2e-3 / mass)
     levels = get_int(cfg, "continuity.levels", 3)
-    fw_dt = get_float(cfg, "continuity.fw_dt", 1e-5 / mass)
+    fw_dt = get_positive(cfg, "continuity.fw_dt", 1e-5 / mass)
     horizon = get_float(cfg, "times.T", 100.0 / mass)
     window = get_floats(cfg, "continuity.ratio_window", (3.5, 4.5))
     tol_norm = _tol(cfg, "norm_drift", 1e-12)
     tol_fw = _tol(cfg, "fw_defining", 1e-10)
-    if dt <= 0.0 or fw_dt <= 0.0:
-        raise ConfigError("times.dt and continuity.fw_dt must be positive")
     if levels < 2:
         raise ConfigError("continuity.levels must be at least 2 to form ratios")
+    if len(window) != 2 or not window[0] < window[1]:
+        raise ConfigError("continuity.ratio_window must be two increasing numbers: low, high")
 
     # both packets pass the lattice hygiene checks before any work starts
-    keys = "grid.n, grid.pmax, packet.sigma, packet.p0"
-    mixed = _packet(f"{keys}, packet.mix", grid, mass, p0, sigma=sigma, weights=mix)
-    pure_fw = to_fw_picture(_packet(keys, grid, mass, p0, sigma=sigma))
+    mixed = _precondition(f"{keys}, packet.mix", gaussian_packet, grid, mass, p0, sigma=sigma, weights=mix)
+    pure_fw = to_fw_picture(_precondition(keys, gaussian_packet, grid, mass, p0, sigma=sigma))
     residuals = []
     base_report = None
     for level in range(levels):
@@ -613,12 +609,10 @@ def cmd_continuity(cfg: dict[str, str], record: ReportRecord, rng: np.random.Gen
 
 def cmd_covariance(cfg: dict[str, str], record: ReportRecord, rng: np.random.Generator, out_dir: str) -> None:
     """Boosted-slice consistency sweep, rotations, and box-probability transport."""
-    mass = get_float(cfg, "mass", 1.0)
-    grid = _grid(cfg, record, "grid", 64, 8.0 * mass)
-    sigma = get_float(cfg, "packet.sigma", 2.5 / mass)
-    check_band_hygiene(grid.pmax, sigma, "grid.pmax", "packet.sigma")
+    mass = get_positive(cfg, "mass", 1.0)
+    grid, sigma, p0, keys = _packet_section(
+        cfg, record, "grid", "packet", 64, 8.0 * mass, 2.5 / mass, (0.5 * mass, 0.0, 0.0))
     x0 = _vec3(cfg, "packet.x0", (0.0, 0.0, 0.0))
-    p0 = _vec3(cfg, "packet.p0", (0.5 * mass, 0.0, 0.0))
     axis = get_int(cfg, "boost.axis", 1)
     rapidities = get_floats(cfg, "boost.rapidity", (0.0, 0.1, 0.25, 0.5))
     rot_axis = get_int(cfg, "rotation.axis", 2)
@@ -636,13 +630,9 @@ def cmd_covariance(cfg: dict[str, str], record: ReportRecord, rng: np.random.Gen
     if not 0.0 < fraction < 1.0:
         raise ConfigError("box.fraction must lie strictly between 0 and 1")
 
-    packet = _packet("grid.n, grid.pmax, packet.sigma, packet.p0, packet.x0",
-                     grid, mass, p0, x0, sigma=sigma, spin=0.5)
+    packet = _precondition(f"{keys}, packet.x0", gaussian_packet, grid, mass, p0, x0, sigma=sigma, spin=0.5)
     for chi in rapidities:
-        try:
-            check_boost_reach(packet, chi, axis)
-        except ValueError as exc:
-            raise ConfigError(f"boost.rapidity = {chi:g}: {exc}") from None
+        _precondition(f"boost.rapidity = {chi:g}", check_boost_reach, packet, chi, axis)
     rho_rest = density(to_coordinate(packet))
 
     sweep = []
@@ -788,6 +778,8 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"rdlab: {exc}", file=sys.stderr)
         return 2
+    except ValueError as exc:  # any other library error is a failed check, reported
+        record.check("completed", None, None, passed=False, note=f"{type(exc).__name__}: {exc}")
     record.runtime_seconds = time.perf_counter() - start
 
     path = write_report(args.out, record)

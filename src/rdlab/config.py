@@ -61,6 +61,13 @@ def get_float(cfg: dict[str, str], key: str, default: float | None = None) -> fl
     return _convert(cfg, key, float, default)
 
 
+def get_positive(cfg: dict[str, str], key: str, default: float | None = None) -> float:
+    value = get_float(cfg, key, default)
+    if not value > 0.0:
+        raise ConfigError(f"{key} = {value:g}: must be positive")
+    return value
+
+
 def get_bool(cfg: dict[str, str], key: str, default: bool | None = None) -> bool:
     def conv(value: str) -> bool:
         low = value.lower()
@@ -102,14 +109,8 @@ def check_band_hygiene(pmax: float, sigma: float, pmax_key: str, sigma_key: str)
         )
 
 
-def check_tolerance(value: float, key: str) -> float:
-    if not value > 0.0:
-        raise ConfigError(f"{key} = {value:g}: tolerances must be positive")
-    return value
-
-
 def check_declared_tolerances(cfg: dict[str, str]) -> None:
     """Every tolerances.* key present in the config must parse to a positive float."""
     for key in cfg:
         if key.startswith("tolerances."):
-            check_tolerance(get_float(cfg, key), key)
+            get_positive(cfg, key)

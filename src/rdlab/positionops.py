@@ -309,9 +309,10 @@ class LocalityReport:
     ratio: float
 
 
-def _locality_lattice(eps: float, a_len: float) -> tuple[int, float]:
+def locality_lattice(eps: float, a_len: float) -> tuple[int, float]:
     """Lattice (n, dp) for the regulated integral: covers the e^{-eps p^2}
-    support and keeps periodic images of the displacement negligible."""
+    support and keeps periodic images of the displacement negligible. Raises
+    ValueError past 256 nodes per axis."""
     pmax = np.sqrt(37.0 / eps)
     x_images = a_len + np.sqrt(164.0 * eps) + 1.0
     dp = min(2.0 * np.pi / x_images, 1.0)
@@ -333,7 +334,7 @@ def locality_integral(
     if rep not in ("dirac", "fw"):
         raise ValueError(f"rep must be 'dirac' or 'fw', got {rep!r}")
     a = np.asarray(a, dtype=float)
-    n, dp = _locality_lattice(eps, float(np.linalg.norm(a)))
+    n, dp = locality_lattice(eps, float(np.linalg.norm(a)))
     p1 = dp * (np.arange(n) - n // 2)
     sign = -1.0 if branch == "particle" else 1.0
     r = rest_spinor(branch, lam)

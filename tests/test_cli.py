@@ -167,15 +167,15 @@ def test_locality_rejects_bad_sweeps(tmp_path, capsys):
 
 
 def test_position_coarse_grid_flags_spectral_floor(tmp_path):
-    code, report = run(tmp_path, "position", "grid.n = 16\n")
+    # a 16-node eigen lattice sits on the spectral floor; the packet suites
+    # still run on the 64-node packet lattice
+    code, report = run(tmp_path, "position", "grid.n = 64\neigen.n = 16\n")
     assert code == 1
     assert report["flags"]["spectral_floor"] is True
     assert "refinement_hint" in report["flags"]
     by_name = {c["name"]: c for c in report["checks"]}
     assert by_name["eigen_residual_xp"]["value"] > 1e-6
-    # packet suites cannot run on this box; the failure carries the reason
-    assert by_name["hermiticity"]["value"] is None
-    assert "enlarge the box" in by_name["hermiticity"]["note"]
+    assert by_name["hermiticity"]["value"] is not None
 
 
 # ---------------------------------------------------------------------------
@@ -291,6 +291,64 @@ def test_covariance_rejects_bad_axes_and_rapidities(tmp_path, capsys):
     assert run(tmp_path, "covariance", "boost.rapidity = 0.5, 0.1\n")[0] == 2
     assert run(tmp_path, "covariance", "box.fraction = 1.5\n")[0] == 2
     capsys.readouterr()
+
+
+# ---------------------------------------------------------------------------
+# one wiring path: config errors before any work, library errors as a check
+
+
+CONFIG_ERRORS = [
+    *[(command, "mass = 0\n", "mass = 0: must be positive") for command in (
+        "algebra-check", "locality", "position", "zitterbewegung", "continuity", "covariance")],
+    ("algebra-check", "mass = -1\n", "mass = -1: must be positive"),
+    ("algebra-check", "spinors.pmax = -5\n", "spinors.pmax = -5: must be positive"),
+    ("algebra-check", "boosts.samples = 0\n", "boosts.samples = 0"),
+    ("locality", "regulators.epsilon = 0.001\nlocality.displacements = 0, 5\n",
+     "regulators.epsilon, locality.displacements"),
+    ("locality", "locality.spin = 0.3\n", "locality.spin: spin projection"),
+    ("continuity", "continuity.ratio_window = 4.0\n", "continuity.ratio_window"),
+    ("zitterbewegung", "times.T = 0\n", "times.T = 0: must be positive"),
+    ("zitterbewegung", "times.T = -10\n", "times.T = -10: must be positive"),
+    ("zitterbewegung", "pure.T = 0\n", "pure.T = 0: must be positive"),
+    ("position", "grid.n = 16\n", "grid.n, grid.pmax, packet.sigma, packet.p0, packet.x0"),
+]
+
+
+@pytest.mark.parametrize("command, config, message", CONFIG_ERRORS)
+def test_config_errors_exit_before_any_work(tmp_path, capsys, command, config, message):
+    code, report = run(tmp_path, command, config)
+    assert code == 2 and report is None
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and message in err
+    assert "Traceback" not in err
+
+
+# one library call each command makes, on a config small enough to reach it quickly
+LIBRARY_ERRORS = {
+    "algebra-check": ("fw_matrix", "spinors.samples = 4\nboosts.samples = 2\n"),
+    "locality": ("locality_integral", LOCALITY_QUICK),
+    "position": ("localized_eigen_residuals", "grid.n = 64\n"),
+    "zitterbewegung": ("zitterbewegung_experiment", ZITTER_QUICK),
+    "continuity": ("continuity_residual", "continuity.levels = 2\n"),
+    "covariance": ("covariance_experiment", "boost.rapidity = 0.5\n"),
+}
+
+
+@pytest.mark.parametrize("command", list(LIBRARY_ERRORS))
+def test_library_error_is_a_failed_check(tmp_path, monkeypatch, command):
+    name, config = LIBRARY_ERRORS[command]
+
+    def boom(*args, **kwargs):
+        raise ValueError("boom")
+
+    monkeypatch.setattr(f"rdlab.cli.{name}", boom)
+    code, report = run(tmp_path, command, config)
+    assert code == 1
+    assert report["passed"] is False
+    completed = report["checks"][-1]
+    assert completed["name"] == "completed" and completed["passed"] is False
+    assert completed["value"] is None and completed["tolerance"] is None
+    assert completed["note"] == "ValueError: boom"
 
 
 # ---------------------------------------------------------------------------
