@@ -54,14 +54,7 @@ from .config import (
     get_positive,
     load_config,
 )
-from .covlab import (
-    box_probability,
-    check_boost_reach,
-    contracted_cube,
-    covariance_experiment,
-    rotate_field,
-    rotate_scalar_lattice,
-)
+from .covlab import check_boost_reach, covariance_sweep, rotate_field, rotate_scalar_lattice
 from .fields import (
     continuity_residual,
     density,
@@ -289,6 +282,8 @@ def cmd_locality(cfg: dict[str, str], record: ReportRecord, rng: np.random.Gener
     # ordering is only meaningful above the quadrature floor
     floor = get_float(cfg, "locality.noise_floor", 1e-12)
 
+    if not 0.0 <= floor < 1.0:  # overlap ratios are at most 1
+        raise ConfigError(f"locality.noise_floor = {floor:g}: must lie in [0, 1)")
     if any(e <= 0.0 for e in epsilons):
         raise ConfigError("regulators.epsilon: all regulator values must be positive")
     if sorted(displacements) != list(displacements) or len(set(displacements)) != len(displacements):
@@ -554,7 +549,7 @@ def cmd_continuity(cfg: dict[str, str], record: ReportRecord, rng: np.random.Gen
             base_report = rep
         if rep.dt_warning:
             record.warnings.append(
-                f"level {level}: time step too coarse for the density rate scale"
+                f"level {level}: time step {rep.dt_warning} for the density rate scale"
             )
     for level in range(levels - 1):
         ratio = residuals[level] / residuals[level + 1]
@@ -633,36 +628,19 @@ def cmd_covariance(cfg: dict[str, str], record: ReportRecord, rng: np.random.Gen
     packet = _precondition(f"{keys}, packet.x0", gaussian_packet, grid, mass, p0, x0, sigma=sigma, spin=0.5)
     for chi in rapidities:
         _precondition(f"boost.rapidity = {chi:g}", check_boost_reach, packet, chi, axis)
-    rho_rest = density(to_coordinate(packet))
 
-    sweep = []
-    final = None
-    for chi in rapidities:
-        if chi == 0.0:
-            # the zero-rapidity boost is the identity on the nose: record the
-            # exact short-circuit rather than re-deriving zero numerically
-            center, halfwidths = contracted_cube(grid, rho_rest, 0.0, axis, fraction)
-            box0 = box_probability(grid, rho_rest, center, halfwidths)
-            entry = {
-                "rapidity": 0.0,
-                "dirac_residual": 0.0,
-                "fw_violation": 0.0,
-                "box_rest": box0,
-                "box_boosted": box0,
-                "grid": {"n": grid.n, "pmax": grid.pmax, "mass": mass},
-            }
-            record.check("chi_zero_identity", 0.0, tol_zero, note="exact-identity short-circuit")
+    sweep = covariance_sweep(packet, rapidities, axis, fraction)
+    for report in sweep:
+        if report.rapidity == 0.0:
+            # the zero-rapidity boost and slice are identities: the residual is exactly 0
+            record.check("chi_zero_identity", report.dirac_residual, tol_zero,
+                         note="exact-identity short-circuit")
         else:
-            report = covariance_experiment(
-                rapidity=chi, axis=axis, box_fraction=fraction, field=packet
-            )
-            entry = report.as_dict()
-            record.check(f"dirac_residual[chi={chi:g}]", report.dirac_residual, tol_dirac)
-            final = report
-        sweep.append(entry)
-    write_json(os.path.join(out_dir, f"{record.command}.sweep.json"), sweep)
+            record.check(f"dirac_residual[chi={report.rapidity:g}]", report.dirac_residual, tol_dirac)
+    write_json(os.path.join(out_dir, f"{record.command}.sweep.json"), [report.as_dict() for report in sweep])
+    final = sweep[-1] if sweep[-1].rapidity > 0.0 else None
 
-    violations = [entry["fw_violation"] for entry in sweep]
+    violations = [report.fw_violation for report in sweep]
     if len(violations) > 1:
         increase = float(min(np.diff(violations)))
         record.check(
@@ -695,8 +673,8 @@ def cmd_covariance(cfg: dict[str, str], record: ReportRecord, rng: np.random.Gen
             note="FW box probability must miss the invariance budget the Dirac pair meets",
         )
 
-    rotated = rotate_field(packet, rot_axis, quarter_turns)
-    rho_rot = density(to_coordinate(rotated))
+    rho_rest = density(to_coordinate(packet))
+    rho_rot = density(to_coordinate(rotate_field(packet, rot_axis, quarter_turns)))
     perm = rotate_scalar_lattice(grid, rho_rest, rot_axis, quarter_turns)
     scale = float(np.linalg.norm(rho_rest))
     record.check(
@@ -719,7 +697,7 @@ def cmd_covariance(cfg: dict[str, str], record: ReportRecord, rng: np.random.Gen
         {
             "rapidities": list(rapidities),
             "fw_violations": violations,
-            "dirac_residuals": [entry["dirac_residual"] for entry in sweep],
+            "dirac_residuals": [report.dirac_residual for report in sweep],
             "boost_axis": axis,
             "rotation": {"axis": rot_axis, "quarter_turns": quarter_turns},
         }

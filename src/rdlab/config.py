@@ -6,6 +6,7 @@ echo the parsed config bit-exactly; typed getters convert on access.
 """
 from __future__ import annotations
 
+import math
 import re
 
 _KEY_RE = re.compile(r"^[A-Za-z0-9_]+(\.[A-Za-z0-9_]+)*$")
@@ -57,8 +58,15 @@ def get_int(cfg: dict[str, str], key: str, default: int | None = None) -> int:
     return _convert(cfg, key, int, default)
 
 
+def _finite(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"expected a finite number, got {text!r}")
+    return value
+
+
 def get_float(cfg: dict[str, str], key: str, default: float | None = None) -> float:
-    return _convert(cfg, key, float, default)
+    return _convert(cfg, key, _finite, default)
 
 
 def get_positive(cfg: dict[str, str], key: str, default: float | None = None) -> float:
@@ -85,7 +93,7 @@ def get_floats(cfg: dict[str, str], key: str, default: tuple[float, ...] | None 
         parts = [tok.strip() for tok in value.split(",")]
         if any(not tok for tok in parts):
             raise ValueError(f"expected comma-separated numbers, got {value!r}")
-        return tuple(float(tok) for tok in parts)
+        return tuple(_finite(tok) for tok in parts)
 
     return _convert(cfg, key, conv, default)
 

@@ -17,6 +17,10 @@ only the +E part of the rest (particle) field, whose evolution is a phase, and
 raises if the -E part is not negligible; every plane comes from that one
 transform plus one transverse inverse FFT, and only the nonlocal FW current
 still needs a 3D density rate (one batched inverse FFT of psi, psi_dot) per plane.
+
+covariance_sweep runs the whole boost sweep of one packet and returns one
+BoostExperimentReport per rapidity; BoostExperimentReport.as_dict is the
+serialized record.
 """
 from __future__ import annotations
 
@@ -34,7 +38,6 @@ from .fields import (
     density,
     gaussian_packet,
     to_coordinate,
-    to_dirac_picture,
     to_fw_picture,
 )
 from .grids import Grid
@@ -121,63 +124,56 @@ def check_boost_reach(field: MomentumField, rapidity: float, axis: int) -> None:
         )
 
 
-def _boost_geometry(field: MomentumField, rapidity: float, axis: int):
-    """Source momenta p (n, n, n, 3), E_q and E_p for an active boost along an axis.
+def _boosted_samples(field: MomentumField, rapidity: float, axis: int):
+    """The rest field read at the source momenta of an active boost along an
+    axis, with those momenta p (n, n, n, 3), E_q and E_p.
 
     The boosted amplitude at node q is read off the rest field at
     p = (targets, q_transverse): targets = cosh(chi) q_ax - sinh(chi) E_q.
-    Raises when the boosted support would leave the lattice band.
+    Nodes whose source momentum falls outside the principal band are zeroed
+    (the rest field carries no amplitude there). Raises when the boosted
+    support would leave the lattice band.
     """
     check_boost_reach(field, rapidity, axis)
     grid, m = field.grid, field.mass
     e_q = grid.energies(m)
     p = grid.p.copy()
     p[..., axis] = np.cosh(rapidity) * grid.p[..., axis] - np.sinh(rapidity) * e_q
-    return p, e_q, np.sqrt(m * m + np.sum(p * p, axis=-1))
+    vals = _resample_along_axis(field.values, grid, p[..., axis], axis)
+    vals[(p[..., axis] < -grid.pmax) | (p[..., axis] >= grid.pmax)] = 0.0
+    return vals, p, e_q, np.sqrt(m * m + np.sum(p * p, axis=-1))
 
 
 def boost_dirac_field(field: MomentumField, rapidity: float, axis: int = 0) -> MomentumField:
     """Active boost of a particle-branch Dirac-picture field.
 
     phi'(q) = sqrt(E_p / E_q) S(boost) phi(p) with p the inverse-boosted
-    momentum of q; nodes whose source momentum falls outside the principal
-    band are zeroed (the rest field carries no amplitude there).
+    momentum of q (see _boosted_samples).
     """
     if field.rep != "dirac":
         raise ValueError("boost_dirac_field expects a Dirac-picture field")
     _check_boostable(field, axis)
     if rapidity == 0.0:
         return field
-    grid = field.grid
-    p, e_q, e_p = _boost_geometry(field, rapidity, axis)
-    vals = _resample_along_axis(field.values, grid, p[..., axis], axis)
+    vals, _, e_q, e_p = _boosted_samples(field, rapidity, axis)
     vals = vals @ spinor_boost(rapidity * _AXES[axis]).T
     vals *= np.sqrt(e_p / e_q)[..., None]
-    vals[(p[..., axis] < -grid.pmax) | (p[..., axis] >= grid.pmax)] = 0.0
     return replace(field, values=vals)
 
 
-def boost_fw_field(
-    field: MomentumField, rapidity: float, axis: int = 0, route: str = "wigner"
-) -> MomentumField:
-    """Active boost of a particle-branch FW-picture field.
-
-    route="wigner" applies the momentum remap with the node-wise Wigner
-    rotation acting on the upper component pair; route="conjugation" maps
-    through the Dirac picture. The two agree to roundoff.
+def boost_fw_field(field: MomentumField, rapidity: float, axis: int = 0) -> MomentumField:
+    """Active boost of a particle-branch FW-picture field: the momentum remap
+    with the node-wise Wigner rotation acting on the upper component pair.
+    It agrees to roundoff with the Dirac-picture boost conjugated by the FW
+    transform, to_fw_picture(boost_dirac_field(to_dirac_picture(field))).
     """
     if field.rep != "fw":
         raise ValueError("boost_fw_field expects an FW-picture field")
     _check_boostable(field, axis)
-    if route == "conjugation":
-        return to_fw_picture(boost_dirac_field(to_dirac_picture(field), rapidity, axis))
-    if route != "wigner":
-        raise ValueError(f"route must be 'wigner' or 'conjugation', got {route!r}")
     if rapidity == 0.0:
         return field
     grid, m = field.grid, field.mass
-    p, e_q, e_p = _boost_geometry(field, rapidity, axis)
-    vals = _resample_along_axis(field.values, grid, p[..., axis], axis)
+    vals, p, e_q, e_p = _boosted_samples(field, rapidity, axis)
 
     # The Wigner rotation of the upper pair, [c a_q a_p + s a_p sigma.q sigma_ax +
     # s a_q sigma_ax sigma.p + c sigma.q sigma.p] / norm with q the node, p the source
@@ -192,7 +188,6 @@ def boost_fw_field(
     upper *= 1j
     upper += w[..., None] * vals[..., :2]
     upper *= (np.sqrt(e_p / e_q) / np.sqrt(4.0 * e_q * a_q * e_p * a_p))[..., None]
-    out[(p[..., axis] < -grid.pmax) | (p[..., axis] >= grid.pmax)] = 0.0
     return replace(field, values=out)
 
 
@@ -326,20 +321,6 @@ def slice_prediction(field: MomentumField, rapidity: float, axis: int = 0) -> np
     return np.moveaxis(ch * rho + sh * j_ax, 0, axis)
 
 
-def dirac_covariance_check(field: MomentumField, rapidity: float, axis: int = 0) -> float:
-    """Relative L2 mismatch between the boosted Dirac density and the
-    tilted-slice prediction from the rest state.
-
-    Continuum covariance of the Dirac current makes the two equal; the
-    residual measures lattice truncation only and shrinks under refinement.
-    """
-    if field.rep != "dirac":
-        raise ValueError("dirac_covariance_check expects a Dirac-picture field")
-    boosted = boost_dirac_field(field, rapidity, axis)
-    rho_b = density(to_coordinate(boosted))
-    return _slice_residual(rho_b, slice_prediction(field, rapidity, axis))
-
-
 # ---------------------------------------------------------------------------
 # box probabilities
 
@@ -371,8 +352,8 @@ class BoostExperimentReport:
     grid_n: int
     grid_pmax: float
     mass: float
-    fw_box_rest: float = float("nan")
-    fw_box_boosted: float = float("nan")
+    fw_box_rest: float
+    fw_box_boosted: float
 
     def as_dict(self) -> dict:
         return {
@@ -409,15 +390,11 @@ def contracted_cube(
     return center, halfwidths
 
 
-def covariance_experiment(
-    grid: Grid | None = None,
-    mass: float = 1.0,
-    rapidity: float = 0.5,
-    axis: int = 1,
-    box_fraction: float = 0.99,
-    field: MomentumField | None = None,
-) -> BoostExperimentReport:
-    """Slice-consistency residuals plus the box-probability comparison.
+def covariance_sweep(
+    field: MomentumField, rapidities, axis: int = 1, box_fraction: float = 0.99
+) -> list[BoostExperimentReport]:
+    """Slice-consistency residuals plus the box-probability comparison of one
+    packet, one report per rapidity.
 
     The cube holding `box_fraction` of the rest Dirac density is contracted
     by 1/cosh(chi) along the boost axis. box_boosted integrates the boosted
@@ -425,36 +402,35 @@ def covariance_experiment(
     same region: the flux-corrected tilted-slice prediction. A covariant
     density/current pair makes the two agree to lattice precision; the FW
     pair (fw_violation, fw_box_*: the same comparison run on the FW density
-    with its continuity-solving current) does not.
+    with its continuity-solving current) does not. At rapidity 0 the boost
+    and the slice are identities: boosted density and prediction are the
+    rest density of each picture, so both residuals are exactly 0.
     """
-    if grid is None:
-        grid = Grid(64, 6.0 * mass)
-    if field is None:
-        field = covariance_packet(grid, mass)
-    else:
-        grid, mass = field.grid, field.mass
-    boosted = boost_dirac_field(field, rapidity, axis)
-    rho_boosted = density(to_coordinate(boosted))
-    pred = slice_prediction(field, rapidity, axis)
-    residual = _slice_residual(rho_boosted, pred)
-
-    rho_bf = density(to_coordinate(to_fw_picture(boosted)))
-    pred_fw = slice_prediction(to_fw_picture(field), rapidity, axis)
-    violation = _slice_residual(rho_bf, pred_fw)
-
+    grid = field.grid
     rho_rest = density(to_coordinate(field))
-    center, halfwidths = contracted_cube(grid, rho_rest, rapidity, axis, box_fraction)
-    box_boosted = box_probability(grid, rho_boosted, center, halfwidths)
-    box_rest = box_probability(grid, pred, center, halfwidths)
-    return BoostExperimentReport(
-        rapidity=float(rapidity),
-        dirac_residual=residual,
-        fw_violation=violation,
-        box_rest=box_rest,
-        box_boosted=box_boosted,
-        grid_n=grid.n,
-        grid_pmax=grid.pmax,
-        mass=mass,
-        fw_box_rest=box_probability(grid, pred_fw, center, halfwidths),
-        fw_box_boosted=box_probability(grid, rho_bf, center, halfwidths),
-    )
+    reports = []
+    for chi in rapidities:
+        if chi == 0.0:
+            rho_boosted = pred = rho_rest
+            rho_bf = pred_fw = density(to_coordinate(to_fw_picture(field)))
+        else:
+            boosted = boost_dirac_field(field, chi, axis)
+            rho_boosted = density(to_coordinate(boosted))
+            rho_bf = density(to_coordinate(to_fw_picture(boosted)))
+            del boosted  # lower peak memory
+            pred = slice_prediction(field, chi, axis)
+            pred_fw = slice_prediction(to_fw_picture(field), chi, axis)
+        center, halfwidths = contracted_cube(grid, rho_rest, chi, axis, box_fraction)
+        reports.append(BoostExperimentReport(
+            rapidity=float(chi),
+            dirac_residual=_slice_residual(rho_boosted, pred),
+            fw_violation=_slice_residual(rho_bf, pred_fw),
+            box_rest=box_probability(grid, pred, center, halfwidths),
+            box_boosted=box_probability(grid, rho_boosted, center, halfwidths),
+            grid_n=grid.n,
+            grid_pmax=grid.pmax,
+            mass=field.mass,
+            fw_box_rest=box_probability(grid, pred_fw, center, halfwidths),
+            fw_box_boosted=box_probability(grid, rho_bf, center, halfwidths),
+        ))
+    return reports

@@ -115,10 +115,6 @@ def momentum_norm(a: MomentumField) -> float:
     return float(np.sqrt(np.sum(_measure(a) * pair(a.values, a.values)) * a.grid.dp**3))
 
 
-def coordinate_norm(a: CoordinateField) -> float:
-    return float(np.sqrt(total_probability(a)))
-
-
 def to_coordinate(field: MomentumField) -> CoordinateField:
     """Unitary transform to the coordinate lattice (rejects antiparticle labeling)."""
     if field.branch == "antiparticle":
@@ -258,23 +254,16 @@ def total_probability(field: CoordinateField) -> float:
     return float(np.sum(density(field)) * field.grid.dx**3)
 
 
-def _edge_fraction(values: np.ndarray, n: int) -> float:
+def boundary_fraction(field: MomentumField | CoordinateField) -> float:
     """Max |values| over the three boundary planes of each axis, over peak |values|."""
-    mags = np.abs(values)
+    mags = np.abs(field.values)
     peak = mags.max()
+    n = field.grid.n
     planes = [n // 2 - 1, n // 2, (n // 2 + 1) % n]
     worst = max(
         mags[planes].max(), mags[:, planes].max(), mags[:, :, planes].max()
     )
     return float(worst / peak)
-
-
-def momentum_boundary_fraction(field: MomentumField) -> float:
-    return _edge_fraction(field.values, field.grid.n)
-
-
-def coordinate_boundary_fraction(field: CoordinateField) -> float:
-    return _edge_fraction(field.values, field.grid.n)
 
 
 def _spin_vector(spin) -> np.ndarray:
@@ -290,12 +279,15 @@ def _packet(grid, mass, p0, x0, sigma, spin, rep, branch, upper, lower) -> Momen
     """Unit-norm packet: amp g(p) e^{-+i p.x0} times the per-node spinor
     (a (E+m) chi + b sigma.p chi, c (E+m) chi + d sigma.p chi) / sqrt(2m(E+m)),
     with (a, b) = upper, (c, d) = lower and the + sign for the antiparticle
-    labeling. Raises if it fails the lattice boundary-decay preconditions.
+    labeling. Raises if sigma, p0 or x0 is not finite, or if the packet fails
+    the lattice boundary-decay preconditions.
     """
     if rep not in REPS:
         raise ValueError(f"rep must be one of {REPS}, got {rep!r}")
     p0 = np.asarray(p0, dtype=float)
     x0 = np.asarray(x0, dtype=float)
+    if not (np.isfinite(sigma) and np.isfinite(p0).all() and np.isfinite(x0).all()):
+        raise ValueError("packet sigma, p0 and x0 must be finite")
     chi = _spin_vector(spin)
     e = grid.energies(mass)
     d = grid.p - p0
@@ -313,14 +305,14 @@ def _packet(grid, mass, p0, x0, sigma, spin, rep, branch, upper, lower) -> Momen
     field = MomentumField(grid, vals, mass, "dirac", branch)
     if rep == "fw":
         field = to_fw_picture(field)
-    edge = momentum_boundary_fraction(field)
+    edge = boundary_fraction(field)
     if edge > MOMENTUM_EDGE_TOL:
         raise ValueError(
             f"momentum boundary amplitude {edge:.2e} of peak exceeds {MOMENTUM_EDGE_TOL:.0e}; "
             "enlarge pmax or narrow the packet in momentum"
         )
     if branch != "antiparticle":  # antiparticle labels have no coordinate realization
-        leak = coordinate_boundary_fraction(to_coordinate(field))
+        leak = boundary_fraction(to_coordinate(field))
         if leak > COORDINATE_EDGE_TOL:
             raise ValueError(
                 f"coordinate boundary amplitude {leak:.2e} of peak exceeds {COORDINATE_EDGE_TOL:.0e}; "
@@ -426,9 +418,11 @@ class ContinuityReport:
     """Continuity defect || d(rho)/dt + div j || with a nonlocality proxy.
 
     The density rate uses a centered difference over 2*dt; `dt_warning` is
-    set when that time-step error dominates the reported residual. The
-    nonlocality proxy is the fraction of the current magnitude living
-    outside the smallest cube holding 99.9% of the density.
+    set when the residual exceeds 1% of the rate scale: "too fine" when the
+    rounding floor of the difference, eps ||rho|| / (2 dt), alone exceeds
+    that budget, "too coarse" otherwise. The nonlocality proxy is the
+    fraction of the current magnitude living outside the smallest cube
+    holding 99.9% of the density.
     """
 
     rep: str
@@ -437,7 +431,7 @@ class ContinuityReport:
     residual_sup: float
     rate_scale: float
     nonlocality: float
-    dt_warning: bool
+    dt_warning: str | None
 
 
 def continuity_residual(field: MomentumField, dt: float) -> ContinuityReport:
@@ -462,6 +456,10 @@ def continuity_residual(field: MomentumField, dt: float) -> ContinuityReport:
     outside = np.max(np.abs(grid.x - center), axis=-1) > half
     jmag = np.sqrt(np.einsum("xyzk,xyzk->xyz", j, j))
     nonlocality = float(np.sum(jmag[outside]) / np.sum(jmag))
+    rounding = np.finfo(float).eps * float(np.linalg.norm(rho)) * np.sqrt(cell) / (2.0 * dt)
+    dt_warning = None
+    if res_l2 > 0.01 * rate_scale:
+        dt_warning = "too fine" if rounding > 0.01 * rate_scale else "too coarse"
     return ContinuityReport(
         rep=field.rep,
         dt=dt,
@@ -469,7 +467,7 @@ def continuity_residual(field: MomentumField, dt: float) -> ContinuityReport:
         residual_sup=float(np.abs(defect).max()),
         rate_scale=rate_scale,
         nonlocality=nonlocality,
-        dt_warning=bool(res_l2 > 0.01 * rate_scale),
+        dt_warning=dt_warning,
     )
 
 

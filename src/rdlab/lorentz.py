@@ -16,11 +16,6 @@ def energy(p, m: float):
     return np.sqrt(m * m + np.sum(p * p, axis=-1))
 
 
-def measure_weight(p, m: float):
-    """Invariant momentum-measure weight m / ((2 pi)^3 E_p); p has shape (..., 3)."""
-    return m / ((2.0 * np.pi) ** 3 * energy(p, m))
-
-
 def boost(chi) -> np.ndarray:
     """Pure boost with rapidity vector chi (velocity v = tanh|chi| along chi)."""
     chi = np.asarray(chi, dtype=float)

@@ -21,7 +21,7 @@ spin-orbit shift -(p x S)_k / (2m(E+m)), and that of the FW term is zero.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import replace
 
 import numpy as np
 from scipy.special import erfc
@@ -300,15 +300,6 @@ def velocity_commutator_check(grid: Grid | None = None, mass: float = 1.0) -> fl
 # Newton-Wigner locality integrals
 
 
-@dataclass(frozen=True)
-class LocalityReport:
-    displacement: tuple
-    regulator: float
-    value: complex
-    peak: complex
-    ratio: float
-
-
 def locality_lattice(eps: float, a_len: float) -> tuple[int, float]:
     """Lattice (n, dp) for the regulated integral: covers the e^{-eps p^2}
     support and keeps periodic images of the displacement negligible. Raises
@@ -355,21 +346,6 @@ def locality_integral(
         phase = np.exp(sign * 1j * (px * a[0] + py * a[1] + pz * a[2]) - eps * p2)
         total += np.sum(weight * dens * phase)
     return complex(total * dp**3)
-
-
-def locality_report(
-    rep: str, branch: str, lam: float, a, eps: float, mass: float = 1.0
-) -> LocalityReport:
-    """Locality integral with its zero-displacement peak and decay ratio."""
-    value = locality_integral(rep, branch, lam, a, eps, mass)
-    peak = locality_integral(rep, branch, lam, (0.0, 0.0, 0.0), eps, mass)
-    return LocalityReport(
-        displacement=tuple(np.asarray(a, dtype=float)),
-        regulator=eps,
-        value=value,
-        peak=peak,
-        ratio=float(abs(value) / abs(peak)),
-    )
 
 
 # ---------------------------------------------------------------------------

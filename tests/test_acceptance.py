@@ -231,8 +231,11 @@ def test_criterion_8_continuity_orders_norm_and_nonlocality():
 
 
 def test_criterion_9_frame_consistency_discriminates_densities():
-    exp48 = covlab.covariance_experiment(Grid(48, 6.0), rapidity=0.5, axis=1)
-    exp64 = covlab.covariance_experiment(Grid(64, 6.0), rapidity=0.5, axis=1)
+    grid = Grid(48, 6.0)
+    packet = covlab.covariance_packet(grid)
+    sweep48 = covlab.covariance_sweep(packet, (0.1, 0.25, 0.5), axis=1)
+    exp48 = sweep48[-1]
+    exp64 = covlab.covariance_sweep(covlab.covariance_packet(Grid(64, 6.0)), (0.5,), axis=1)[0]
     # covariant pair: slice residual within tolerance and shrinking under refinement
     assert exp48.dirac_residual <= 1e-4
     assert exp64.dirac_residual <= 1e-4
@@ -241,14 +244,11 @@ def test_criterion_9_frame_consistency_discriminates_densities():
     # refinement, and vanishing with the boost
     assert exp48.fw_violation >= 10.0 * exp48.dirac_residual
     assert exp64.fw_violation >= 10.0 * exp64.dirac_residual
-    v = {chi: covlab.covariance_experiment(Grid(48, 6.0), rapidity=chi, axis=1).fw_violation
-         for chi in (0.1, 0.25)}
+    v = {rep.rapidity: rep.fw_violation for rep in sweep48}
     assert v[0.1] < v[0.25] < exp48.fw_violation
     assert v[0.1] <= 0.25 * exp48.fw_violation
 
     # pure rotations are exact lattice symmetries in both pictures
-    grid = Grid(48, 6.0)
-    packet = covlab.covariance_packet(grid)
     for field in (packet, to_fw_picture(packet)):
         rho = density(to_coordinate(field))
         rho_rot = density(to_coordinate(covlab.rotate_field(field, 2, 1)))

@@ -251,6 +251,13 @@ def test_continuity_coarse_dt_warns(tmp_path):
     assert any("time step too coarse" in w for w in report["warnings"])
 
 
+def test_continuity_fine_dt_warns(tmp_path):
+    # the step is below the resolution of the phase: the centred difference is zero
+    code, report = run(tmp_path, "continuity", "times.dt = 1e-300\ncontinuity.levels = 2\n")
+    assert code == 1
+    assert report["warnings"] == [f"level {i}: time step too fine for the density rate scale" for i in (0, 1)]
+
+
 # ---------------------------------------------------------------------------
 # covariance
 
@@ -311,6 +318,14 @@ CONFIG_ERRORS = [
     ("zitterbewegung", "times.T = -10\n", "times.T = -10: must be positive"),
     ("zitterbewegung", "pure.T = 0\n", "pure.T = 0: must be positive"),
     ("position", "grid.n = 16\n", "grid.n, grid.pmax, packet.sigma, packet.p0, packet.x0"),
+    # a NaN or infinite number never reaches a check, where it could pass vacuously
+    ("continuity", "packet.sigma = nan\n", "config key 'packet.sigma': expected a finite number"),
+    ("covariance", "mass = inf\n", "config key 'mass': expected a finite number"),
+    ("zitterbewegung", "packet.p0 = 0.3, nan, 0\n", "config key 'packet.p0': expected a finite number"),
+    ("covariance", "boost.rapidity = 0, -inf\n", "config key 'boost.rapidity': expected a finite number"),
+    ("locality", "locality.noise_floor = nan\n", "config key 'locality.noise_floor': expected a finite"),
+    ("locality", "locality.noise_floor = inf\n", "config key 'locality.noise_floor': expected a finite"),
+    ("locality", "locality.noise_floor = 1\n", "locality.noise_floor = 1: must lie in [0, 1)"),
 ]
 
 
@@ -330,7 +345,7 @@ LIBRARY_ERRORS = {
     "position": ("localized_eigen_residuals", "grid.n = 64\n"),
     "zitterbewegung": ("zitterbewegung_experiment", ZITTER_QUICK),
     "continuity": ("continuity_residual", "continuity.levels = 2\n"),
-    "covariance": ("covariance_experiment", "boost.rapidity = 0.5\n"),
+    "covariance": ("covariance_sweep", "boost.rapidity = 0.5\n"),
 }
 
 

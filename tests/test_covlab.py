@@ -15,9 +15,8 @@ from rdlab.covlab import (
     boost_fw_field,
     box_probability,
     contracted_cube,
-    covariance_experiment,
     covariance_packet,
-    dirac_covariance_check,
+    covariance_sweep,
     rotate_field,
     rotate_scalar_lattice,
     slice_prediction,
@@ -30,6 +29,7 @@ from rdlab.fields import (
     gaussian_packet,
     momentum_inner,
     to_coordinate,
+    to_dirac_picture,
     to_fw_picture,
 )
 from rdlab.grids import Grid
@@ -41,7 +41,7 @@ AXIS = 1  # boost along y: transverse to both the packet momentum and spin
 
 @lru_cache(maxsize=None)
 def _experiment(n: int):
-    return covariance_experiment(grid=Grid(n, 6.0), rapidity=CHI, axis=AXIS)
+    return covariance_sweep(covariance_packet(Grid(n, 6.0)), (CHI,), axis=AXIS)[0]
 
 
 def _measure_density(field):
@@ -92,8 +92,8 @@ def test_boost_preconditions():
     mixed = gaussian_packet(g, M, sigma=2.5, weights=(1.0, 1.0))
     with pytest.raises(ValueError):
         boost_dirac_field(mixed, CHI, AXIS)
-    with pytest.raises(ValueError):
-        boost_fw_field(to_fw_picture(f), CHI, AXIS, route="nearest")
+    with pytest.raises(ValueError, match="FW-picture"):
+        boost_fw_field(f, CHI, AXIS)
 
 
 def _einsum_resample(values, grid, targets, axis):
@@ -114,8 +114,8 @@ def test_boost_resampler_matches_einsum_oracle(monkeypatch, axis):
     fw = to_fw_picture(f)
     boosts = {
         "dirac": lambda: boost_dirac_field(f, CHI, axis).values,
-        "wigner": lambda: boost_fw_field(fw, CHI, axis, route="wigner").values,
-        "conjugation": lambda: boost_fw_field(fw, CHI, axis, route="conjugation").values,
+        "wigner": lambda: boost_fw_field(fw, CHI, axis).values,
+        "conjugation": lambda: to_fw_picture(boost_dirac_field(to_dirac_picture(fw), CHI, axis)).values,
     }
     new = {name: boost() for name, boost in boosts.items()}
     monkeypatch.setattr(covlab, "_resample_along_axis", _einsum_resample)
@@ -127,8 +127,8 @@ def test_boost_resampler_matches_einsum_oracle(monkeypatch, axis):
 
 def test_fw_boost_routes_agree():
     fw = to_fw_picture(covariance_packet(Grid(64, 6.0)))
-    direct = boost_fw_field(fw, CHI, AXIS, route="wigner")
-    conj = boost_fw_field(fw, CHI, AXIS, route="conjugation")
+    direct = boost_fw_field(fw, CHI, AXIS)
+    conj = to_fw_picture(boost_dirac_field(to_dirac_picture(fw), CHI, AXIS))
     dev = np.abs(direct.values - conj.values).max() / np.abs(conj.values).max()
     assert dev <= 1e-7
 
@@ -287,6 +287,26 @@ def test_box_probability_invariant_for_dirac_not_fw():
     fw_departure = abs(rep.fw_box_boosted - rep.fw_box_rest)
     assert fw_departure >= 1e-3
     assert fw_departure >= 100.0 * abs(rep.box_boosted - rep.box_rest)
+
+
+def test_sweep_at_zero_rapidity_is_the_identity(monkeypatch):
+    # the zero boost and the untilted slice are identities: nothing is transformed
+    def untouched(*args, **kwargs):
+        raise AssertionError("no boost or slice transform runs at rapidity 0")
+
+    monkeypatch.setattr(covlab, "boost_dirac_field", untouched)
+    monkeypatch.setattr(covlab, "slice_prediction", untouched)
+    (rep,) = covariance_sweep(covariance_packet(Grid(24, 4.5)), (0.0,), axis=AXIS)
+    assert rep.dirac_residual == 0.0 and rep.fw_violation == 0.0
+    assert rep.box_rest == rep.box_boosted
+    assert rep.fw_box_rest == rep.fw_box_boosted
+
+
+def test_sweep_equals_single_rapidity_sweeps():
+    f = covariance_packet(Grid(24, 4.5))
+    rapidities = (0.1, 0.25, 0.5)
+    singles = [covariance_sweep(f, (chi,), axis=AXIS)[0] for chi in rapidities]
+    assert covariance_sweep(f, rapidities, axis=AXIS) == singles
 
 
 def test_report_serialization_contract():

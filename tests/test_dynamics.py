@@ -123,10 +123,17 @@ def test_fw_current_more_nonlocal_than_dirac():
 
 def test_continuity_dt_warning_flags_coarse_steps():
     mix = gaussian_packet(GRID, M, sigma=2.2, weights=(1.0, 1.0))
-    assert continuity_residual(mix, 0.5).dt_warning
+    assert continuity_residual(mix, 0.5).dt_warning == "too coarse"
     assert not continuity_residual(mix, 0.02).dt_warning
     with pytest.raises(ValueError):
         continuity_residual(mix, 0.0)
+
+
+def test_continuity_dt_warning_flags_fine_steps():
+    mix = gaussian_packet(GRID, M, sigma=2.2, weights=(1.0, 1.0))
+    # rounding of the centred difference dominates, down to a zero difference
+    assert continuity_residual(mix, 1e-15).dt_warning == "too fine"
+    assert continuity_residual(mix, 1e-300).dt_warning == "too fine"
 
 
 def test_zitterbewegung_mixed_packet_trembles_at_twice_mean_energy():

@@ -11,9 +11,8 @@ from rdlab.fields import (
     CoordinateField,
     MomentumField,
     antiparticle_gaussian_packet,
-    coordinate_boundary_fraction,
+    boundary_fraction,
     coordinate_centroid,
-    coordinate_norm,
     current_density,
     density,
     density_rate,
@@ -22,7 +21,6 @@ from rdlab.fields import (
     fw_current_density,
     gaussian_packet,
     hamiltonian_apply,
-    momentum_boundary_fraction,
     momentum_expectation,
     momentum_inner,
     momentum_norm,
@@ -52,7 +50,7 @@ def test_packet_norm_and_parseval():
     f = packet()
     assert abs(momentum_norm(f) - 1.0) < 1e-12
     cf = to_coordinate(f)
-    assert abs(coordinate_norm(cf) - momentum_norm(f)) < 1e-12
+    assert abs(np.sqrt(total_probability(cf)) - momentum_norm(f)) < 1e-12
     assert abs(total_probability(cf) - 1.0) < 1e-12
 
 
@@ -192,8 +190,17 @@ def test_boundary_rejection():
         gaussian_packet(Grid(16, 8.0), M, sigma=10.0)
     # diagnostics on a healthy packet
     f = packet()
-    assert momentum_boundary_fraction(f) < 1e-8
-    assert coordinate_boundary_fraction(to_coordinate(f)) < 5e-2
+    assert boundary_fraction(f) < 1e-8
+    assert boundary_fraction(to_coordinate(f)) < 5e-2
+
+
+@pytest.mark.parametrize(
+    "shape", [dict(sigma=np.nan), dict(p0=(0.5, np.inf, 0.0)), dict(x0=(np.nan, 0.0, 0.0))]
+)
+def test_non_finite_packet_rejected(shape):
+    # an all-NaN field would pass both boundary checks
+    with pytest.raises(ValueError, match="finite"):
+        packet(**shape)
 
 
 def test_antiparticle_labeled_fields():

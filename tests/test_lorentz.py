@@ -11,7 +11,6 @@ from rdlab.lorentz import (
     energy,
     lorentz_defect,
     lorentz_inverse,
-    measure_weight,
     rotation,
     standard_boost,
     wigner_rotation,
@@ -24,13 +23,10 @@ def random_momenta(n, scale=3.0):
     return RNG.normal(scale=scale, size=(n, 3))
 
 
-def test_energy_and_weight():
+def test_energy():
     p = np.array([3.0, 0.0, 4.0])
     assert energy(p, 1.0) == pytest.approx(np.sqrt(26.0), rel=1e-15)
     assert energy(np.zeros(3), 2.5) == 2.5
-    np.testing.assert_allclose(
-        measure_weight(p, 2.0), 2.0 / ((2 * np.pi) ** 3 * np.sqrt(29.0)), rtol=1e-15
-    )
     # vectorized over leading axes
     ps = random_momenta(10)
     np.testing.assert_allclose(energy(ps, 1.5), [energy(q, 1.5) for q in ps], rtol=1e-15)

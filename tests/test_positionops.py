@@ -350,15 +350,16 @@ def test_locality_matches_gaussian_profile():
     assert abs(peak.imag) <= 1e-12 * abs(peak.real)
     last = 1.0 + 1e-9
     for a1 in (0.5, 1.0, 2.0):
-        rep = po.locality_report("dirac", "particle", 0.5, (a1, 0.0, 0.0), eps)
-        np.testing.assert_allclose(rep.ratio, np.exp(-a1 * a1 / (4.0 * eps)), rtol=1e-9)
-        assert 0.0 <= rep.ratio <= last
-        last = rep.ratio
+        ratio = abs(po.locality_integral("dirac", "particle", 0.5, (a1, 0.0, 0.0), eps)) / abs(peak)
+        np.testing.assert_allclose(ratio, np.exp(-a1 * a1 / (4.0 * eps)), rtol=1e-9)
+        assert 0.0 <= ratio <= last
+        last = ratio
 
 
 def test_locality_monotone_in_regulator():
     ratios = [
-        po.locality_report("dirac", "particle", 0.5, (1.0, 0.0, 0.0), eps).ratio
+        abs(po.locality_integral("dirac", "particle", 0.5, (1.0, 0.0, 0.0), eps))
+        / abs(po.locality_integral("dirac", "particle", 0.5, (0.0, 0.0, 0.0), eps))
         for eps in (0.03, 0.1)
     ]
     assert ratios[0] < ratios[1]
@@ -367,9 +368,10 @@ def test_locality_monotone_in_regulator():
 
 def test_locality_far_displacement_vanishes():
     for eps in (0.1, 0.03, 0.01):
-        rep = po.locality_report("dirac", "particle", 0.5, (5.0, 0.0, 0.0), eps)
-        assert rep.ratio < 1e-3
-        assert abs(rep.peak) > 0.0
+        value = po.locality_integral("dirac", "particle", 0.5, (5.0, 0.0, 0.0), eps)
+        peak = po.locality_integral("dirac", "particle", 0.5, (0.0, 0.0, 0.0), eps)
+        assert abs(value) / abs(peak) < 1e-3
+        assert abs(peak) > 0.0
 
 
 def test_locality_rep_and_branch_independent():
