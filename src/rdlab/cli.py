@@ -57,14 +57,12 @@ from .config import (
 from .covlab import check_boost_reach, covariance_sweep, rotate_field, rotate_scalar_lattice
 from .fields import (
     continuity_residual,
-    density,
+    coordinate_density,
     evolve,
     gaussian_packet,
     antiparticle_gaussian_packet,
     momentum_inner,
-    to_coordinate,
     to_fw_picture,
-    total_probability,
     zitterbewegung_experiment,
 )
 from .grids import Grid
@@ -566,8 +564,8 @@ def cmd_continuity(cfg: dict[str, str], record: ReportRecord, rng: np.random.Gen
         list(enumerate(residuals)),
     )
 
-    norm0 = total_probability(to_coordinate(mixed))
-    norm_t = total_probability(to_coordinate(evolve(mixed, horizon)))
+    norm0 = float(np.sum(coordinate_density(mixed)) * grid.dx**3)
+    norm_t = float(np.sum(coordinate_density(evolve(mixed, horizon))) * grid.dx**3)
     record.check("norm_drift", abs(norm_t - norm0), tol_norm,
                  note=f"coordinate-space probability drift over T = {horizon:g}")
 
@@ -629,7 +627,7 @@ def cmd_covariance(cfg: dict[str, str], record: ReportRecord, rng: np.random.Gen
     for chi in rapidities:
         _precondition(f"boost.rapidity = {chi:g}", check_boost_reach, packet, chi, axis)
 
-    sweep = covariance_sweep(packet, rapidities, axis, fraction)
+    sweep, rho_rest, rho_fw = covariance_sweep(packet, rapidities, axis, fraction)
     for report in sweep:
         if report.rapidity == 0.0:
             # the zero-rapidity boost and slice are identities: the residual is exactly 0
@@ -673,8 +671,7 @@ def cmd_covariance(cfg: dict[str, str], record: ReportRecord, rng: np.random.Gen
             note="FW box probability must miss the invariance budget the Dirac pair meets",
         )
 
-    rho_rest = density(to_coordinate(packet))
-    rho_rot = density(to_coordinate(rotate_field(packet, rot_axis, quarter_turns)))
+    rho_rot = coordinate_density(rotate_field(packet, rot_axis, quarter_turns))
     perm = rotate_scalar_lattice(grid, rho_rest, rot_axis, quarter_turns)
     scale = float(np.linalg.norm(rho_rest))
     record.check(
@@ -683,9 +680,7 @@ def cmd_covariance(cfg: dict[str, str], record: ReportRecord, rng: np.random.Gen
         tol_rot,
         note="density of the rotated field vs the permuted rest density",
     )
-    fw_packet = to_fw_picture(packet)
-    rho_fw = density(to_coordinate(fw_packet))
-    rho_fw_rot = density(to_coordinate(rotate_field(fw_packet, rot_axis, quarter_turns)))
+    rho_fw_rot = coordinate_density(rotate_field(to_fw_picture(packet), rot_axis, quarter_turns))
     perm_fw = rotate_scalar_lattice(grid, rho_fw, rot_axis, quarter_turns)
     record.check(
         "rotation_consistency_fw",

@@ -77,10 +77,12 @@ def sigma_dot(p, c, out=None) -> np.ndarray:
     p, c = np.asarray(p, dtype=float), np.asarray(c)
     if out is None:
         out = np.empty(np.broadcast_shapes(p.shape[:-1], c.shape[:-1]) + (2,), dtype=complex)
-    q = p[..., 0] - 1j * p[..., 1]
-    np.multiply(q, c[..., 1], out=out[..., 0])
-    out[..., 0] += p[..., 2] * c[..., 0]
-    np.multiply(np.conjugate(q), c[..., 0], out=out[..., 1])
+    q = np.asarray(p[..., 1] * -1j)  # p_x - i p_y, formed in place: one lattice temporary at a time
+    q += p[..., 0]
+    np.multiply(p[..., 2], c[..., 0], out=out[..., 0])
+    out[..., 0] += np.multiply(q, c[..., 1], out=out[..., 1])  # out[..., 1] as scratch
+    np.multiply(np.conjugate(q, out=q), c[..., 0], out=out[..., 1])
+    del q
     out[..., 1] -= p[..., 2] * c[..., 1]
     return out
 

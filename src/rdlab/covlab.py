@@ -32,12 +32,13 @@ import scipy.fft as sfft
 from .clifford import pair, sigma_dot
 from .fields import (
     MomentumField,
+    _flux,
+    _rate_planes,
     _workers,
     branch_projection,
     concentration_box,
-    density,
+    coordinate_density,
     gaussian_packet,
-    to_coordinate,
     to_fw_picture,
 )
 from .grids import Grid
@@ -266,9 +267,7 @@ def _fw_flux_planes(field: MomentumField, plus: np.ndarray, rapidity: float, axi
     grid, n = field.grid, field.grid.n
     ch, sh = np.cosh(rapidity), np.sinh(rapidity)
     e = np.moveaxis(grid.energies(field.mass), axis, 0)
-    p2 = np.sum(grid.p[..., : n // 2 + 1, :] ** 2, axis=-1)
-    flux = 2j * grid.p1d[:, None, None] / (np.where(p2 > 0.0, p2, np.inf) * grid.dx**6)
-    flux[n // 2] = 0.0  # the Nyquist term of a real current vanishes
+    flux = _flux(grid, 0) * (2.0 / grid.dx**6)  # boost axis first; 2 Re, psi has no 1/dx^3
     weights = np.exp(1j * np.outer(grid.x1d, grid.p1d * ch)) / n
     amp, step, rate_factor = np.moveaxis(plus, -1, 0).copy(), np.exp(1j * sh * grid.dx * e), -1j * e
     phase = np.ones_like(step)  # exp(-iEt)
@@ -279,9 +278,7 @@ def _fw_flux_planes(field: MomentumField, plus: np.ndarray, rapidity: float, axi
             np.conjugate(phase, out=phase)  # x' = k dx jumps from k = n/2 - 1 to k = -n/2
         np.multiply(amp, phase, out=buf[:2])
         np.multiply(buf[:2], rate_factor, out=buf[2:])
-        v = sfft.ifftn(buf, axes=(1, 2, 3), workers=_workers(), overwrite_x=True).view(float)
-        v = v.reshape(2, 2, n, n, n, 2)  # (psi, psi_dot), components, nodes, (re, im)
-        spectrum = sfft.rfftn(np.einsum("cxyzk,cxyzk->xyz", v[0], v[1]), workers=_workers()) * flux
+        spectrum = sfft.rfftn(_rate_planes(buf), workers=_workers()) * flux
         out[i] = sfft.irfftn(np.einsum("p,pab->ab", weights[i], spectrum), s=(n, n), workers=_workers())
         phase *= step
     return out
@@ -392,7 +389,7 @@ def contracted_cube(
 
 def covariance_sweep(
     field: MomentumField, rapidities, axis: int = 1, box_fraction: float = 0.99
-) -> list[BoostExperimentReport]:
+) -> tuple[list[BoostExperimentReport], np.ndarray, np.ndarray]:
     """Slice-consistency residuals plus the box-probability comparison of one
     packet, one report per rapidity.
 
@@ -404,19 +401,21 @@ def covariance_sweep(
     pair (fw_violation, fw_box_*: the same comparison run on the FW density
     with its continuity-solving current) does not. At rapidity 0 the boost
     and the slice are identities: boosted density and prediction are the
-    rest density of each picture, so both residuals are exactly 0.
+    rest density of each picture, so both residuals are exactly 0. Returns
+    (reports, rho_rest, rho_fw), with the rest densities of both pictures.
     """
     grid = field.grid
-    rho_rest = density(to_coordinate(field))
+    rho_rest = coordinate_density(field)
+    rho_fw = coordinate_density(to_fw_picture(field))
     reports = []
     for chi in rapidities:
         if chi == 0.0:
             rho_boosted = pred = rho_rest
-            rho_bf = pred_fw = density(to_coordinate(to_fw_picture(field)))
+            rho_bf = pred_fw = rho_fw
         else:
             boosted = boost_dirac_field(field, chi, axis)
-            rho_boosted = density(to_coordinate(boosted))
-            rho_bf = density(to_coordinate(to_fw_picture(boosted)))
+            rho_boosted = coordinate_density(boosted)
+            rho_bf = coordinate_density(to_fw_picture(boosted))
             del boosted  # lower peak memory
             pred = slice_prediction(field, chi, axis)
             pred_fw = slice_prediction(to_fw_picture(field), chi, axis)
@@ -433,4 +432,4 @@ def covariance_sweep(
             fw_box_rest=box_probability(grid, pred_fw, center, halfwidths),
             fw_box_boosted=box_probability(grid, rho_bf, center, halfwidths),
         ))
-    return reports
+    return reports, rho_rest, rho_fw

@@ -59,37 +59,9 @@ def lorentz_inverse(lam: np.ndarray) -> np.ndarray:
     return ETA @ lam.T @ ETA
 
 
-def lorentz_defect(lam: np.ndarray) -> float:
-    """Max-abs entry of Lambda^T eta Lambda - eta (0 for a Lorentz matrix)."""
-    return float(np.max(np.abs(lam.T @ ETA @ lam - ETA)))
-
-
 def wigner_rotation(lam: np.ndarray, p, m: float) -> np.ndarray:
     """Wigner rotation W = L_{Lambda p}^{-1} Lambda L_p; fixes the time axis."""
     p = np.asarray(p, dtype=float)
     p4 = np.concatenate(([energy(p, m)], p))
     q4 = lam @ p4
     return lorentz_inverse(standard_boost(q4[1:], m)) @ lam @ standard_boost(p, m)
-
-
-def axis_angle(r3: np.ndarray) -> tuple[np.ndarray, float]:
-    """Axis and angle of a 3x3 rotation matrix (angle in [0, pi])."""
-    w = np.array([r3[2, 1] - r3[1, 2], r3[0, 2] - r3[2, 0], r3[1, 0] - r3[0, 1]])
-    if np.linalg.norm(w) > 1e-8:
-        n = w / np.linalg.norm(w)
-    else:
-        # angle near 0 or pi: axis from the symmetric part (R+1)/2 = n n^T + O(pi-angle)
-        s = (r3 + np.eye(3)) / 2.0
-        k = int(np.argmax(np.diag(s)))
-        if s[k, k] < 1e-8:
-            return np.array([0.0, 0.0, 1.0]), 0.0
-        n = s[:, k] / np.linalg.norm(s[:, k])
-    # angle from a probe vector orthogonal to the axis (accurate at all angles)
-    u = np.eye(3)[int(np.argmin(np.abs(n)))]
-    u = u - (u @ n) * n
-    u /= np.linalg.norm(u)
-    ru = r3 @ u
-    angle = float(np.arctan2(n @ np.cross(u, ru), u @ ru))
-    if angle < 0.0:
-        n, angle = -n, -angle
-    return n, angle

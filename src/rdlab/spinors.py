@@ -39,7 +39,7 @@ def rest_spinor(branch: str, lam: float) -> np.ndarray:
     raise ValueError(f"branch must be one of {BRANCHES}, got {branch!r}")
 
 
-def alpha_dot(p) -> np.ndarray:
+def alpha_matrix(p) -> np.ndarray:
     """alpha . p as a 4x4 matrix."""
     p = np.asarray(p, dtype=float)
     return np.einsum("k,kab->ab", p, ALPHA)
@@ -52,7 +52,7 @@ def hamiltonian(p, m: float, branch: str = "particle") -> np.ndarray:
     if branch not in BRANCHES:
         raise ValueError(f"branch must be one of {BRANCHES}, got {branch!r}")
     sign = 1.0 if branch == "particle" else -1.0
-    return alpha_dot(p) + sign * m * BETA
+    return alpha_matrix(p) + sign * m * BETA
 
 
 def spinor_boost(chi) -> np.ndarray:
@@ -61,7 +61,7 @@ def spinor_boost(chi) -> np.ndarray:
     x = np.linalg.norm(chi)
     if x == 0.0:
         return np.eye(4, dtype=complex)
-    return np.cosh(x / 2.0) * np.eye(4) + np.sinh(x / 2.0) * alpha_dot(chi / x)
+    return np.cosh(x / 2.0) * np.eye(4) + np.sinh(x / 2.0) * alpha_matrix(chi / x)
 
 
 def spinor_rotation(axis, angle: float) -> np.ndarray:
@@ -75,13 +75,13 @@ def spinor_rotation(axis, angle: float) -> np.ndarray:
 def standard_spinor_matrix(p, m: float) -> np.ndarray:
     """M(L_p) = (E + m + alpha.p) / sqrt(2 m (E + m)): rest spinor -> momentum p."""
     e = energy(p, m)
-    return ((e + m) * np.eye(4) + alpha_dot(p)) / np.sqrt(2.0 * m * (e + m))
+    return ((e + m) * np.eye(4) + alpha_matrix(p)) / np.sqrt(2.0 * m * (e + m))
 
 
 def standard_spinor_inverse(p, m: float) -> np.ndarray:
     """M(L_p)^{-1} = (E + m - alpha.p) / sqrt(2 m (E + m))."""
     e = energy(p, m)
-    return ((e + m) * np.eye(4) - alpha_dot(p)) / np.sqrt(2.0 * m * (e + m))
+    return ((e + m) * np.eye(4) - alpha_matrix(p)) / np.sqrt(2.0 * m * (e + m))
 
 
 def dirac_adjoint(psi: np.ndarray) -> np.ndarray:
@@ -100,16 +100,7 @@ def fw_matrix(p, m: float) -> np.ndarray:
     Satisfies U (alpha.p + beta m) U^dag = beta E_p, U(0) = 1.
     """
     e = energy(p, m)
-    return ((e + m) * np.eye(4) + BETA @ alpha_dot(p)) / np.sqrt(2.0 * e * (e + m))
-
-
-def fw_spinor(p, m: float, branch: str = "particle", lam: float = 0.5) -> np.ndarray:
-    """FW-picture branch spinor: sqrt(E/m) times the rest basis vector.
-
-    Equals U(p) dirac_spinor(p, particle) on the particle branch and
-    U(p)^dag dirac_spinor(p, antiparticle) on the antiparticle branch.
-    """
-    return np.sqrt(energy(p, m) / m) * rest_spinor(branch, lam)
+    return ((e + m) * np.eye(4) + BETA @ alpha_matrix(p)) / np.sqrt(2.0 * e * (e + m))
 
 
 def wigner_spinor_matrix(spinor_lam: np.ndarray, lam: np.ndarray, p, m: float) -> np.ndarray:

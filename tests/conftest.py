@@ -1,0 +1,80 @@
+"""Shared test helpers: traced peak memory and reference observables that no
+library code needs."""
+from __future__ import annotations
+
+import tracemalloc
+
+import numpy as np
+
+from rdlab.clifford import ETA, pair
+from rdlab.fields import CoordinateField, MomentumField, _fft3, _measure, density
+from rdlab.lorentz import energy
+from rdlab.spinors import rest_spinor
+
+
+def peak_bytes(fn) -> int:
+    """Peak bytes traced by tracemalloc while fn() runs, counted from its entry
+    (the result is alive at the end, so it is included)."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def to_momentum(field: CoordinateField) -> MomentumField:
+    """Inverse of to_coordinate."""
+    half = np.sqrt(field.grid.energies(field.mass) / field.mass)
+    phi = half[..., None] * _fft3(field.values) * field.grid.dx**3
+    return MomentumField(field.grid, phi, field.mass, field.rep, field.branch, field.time)
+
+
+def momentum_expectation(field: MomentumField) -> np.ndarray:
+    """<p> under the invariant-measure density (3-vector)."""
+    dens = _measure(field) * pair(field.values, field.values)
+    total = np.sum(dens)
+    return np.einsum("xyz,xyzk->k", dens, field.grid.p) / total
+
+
+def coordinate_centroid(field: CoordinateField) -> np.ndarray:
+    """<x> under psi^dag psi (3-vector)."""
+    rho = density(field)
+    return np.einsum("xyz,xyzk->k", rho, field.grid.x) / np.sum(rho)
+
+
+def lorentz_defect(lam: np.ndarray) -> float:
+    """Max-abs entry of Lambda^T eta Lambda - eta (0 for a Lorentz matrix)."""
+    return float(np.max(np.abs(lam.T @ ETA @ lam - ETA)))
+
+
+def axis_angle(r3: np.ndarray) -> tuple[np.ndarray, float]:
+    """Axis and angle of a 3x3 rotation matrix (angle in [0, pi])."""
+    w = np.array([r3[2, 1] - r3[1, 2], r3[0, 2] - r3[2, 0], r3[1, 0] - r3[0, 1]])
+    if np.linalg.norm(w) > 1e-8:
+        n = w / np.linalg.norm(w)
+    else:
+        # angle near 0 or pi: axis from the symmetric part (R+1)/2 = n n^T + O(pi-angle)
+        s = (r3 + np.eye(3)) / 2.0
+        k = int(np.argmax(np.diag(s)))
+        if s[k, k] < 1e-8:
+            return np.array([0.0, 0.0, 1.0]), 0.0
+        n = s[:, k] / np.linalg.norm(s[:, k])
+    # angle from a probe vector orthogonal to the axis (accurate at all angles)
+    u = np.eye(3)[int(np.argmin(np.abs(n)))]
+    u = u - (u @ n) * n
+    u /= np.linalg.norm(u)
+    ru = r3 @ u
+    angle = float(np.arctan2(n @ np.cross(u, ru), u @ ru))
+    if angle < 0.0:
+        n, angle = -n, -angle
+    return n, angle
+
+
+def fw_spinor(p, m: float, branch: str = "particle", lam: float = 0.5) -> np.ndarray:
+    """FW-picture branch spinor: sqrt(E/m) times the rest basis vector.
+
+    Equals U(p) dirac_spinor(p, particle) on the particle branch and
+    U(p)^dag dirac_spinor(p, antiparticle) on the antiparticle branch.
+    """
+    return np.sqrt(energy(p, m) / m) * rest_spinor(branch, lam)

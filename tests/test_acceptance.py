@@ -233,9 +233,9 @@ def test_criterion_8_continuity_orders_norm_and_nonlocality():
 def test_criterion_9_frame_consistency_discriminates_densities():
     grid = Grid(48, 6.0)
     packet = covlab.covariance_packet(grid)
-    sweep48 = covlab.covariance_sweep(packet, (0.1, 0.25, 0.5), axis=1)
+    sweep48 = covlab.covariance_sweep(packet, (0.1, 0.25, 0.5), axis=1)[0]
     exp48 = sweep48[-1]
-    exp64 = covlab.covariance_sweep(covlab.covariance_packet(Grid(64, 6.0)), (0.5,), axis=1)[0]
+    exp64 = covlab.covariance_sweep(covlab.covariance_packet(Grid(64, 6.0)), (0.5,), axis=1)[0][0]
     # covariant pair: slice residual within tolerance and shrinking under refinement
     assert exp48.dirac_residual <= 1e-4
     assert exp64.dirac_residual <= 1e-4

@@ -1,11 +1,13 @@
 """Command-line runner: configs, reports, artifacts, exit codes."""
 from __future__ import annotations
 
+import hashlib
 import json
 
 import numpy as np
 import pytest
 
+from rdlab import cli, covlab
 from rdlab.cli import main
 from rdlab.config import ConfigError, get_bool, get_floats, get_int, parse_config
 from rdlab.report import format_value
@@ -262,9 +264,20 @@ def test_continuity_fine_dt_warns(tmp_path):
 # covariance
 
 
-def test_covariance_rotation_only(tmp_path):
+def test_covariance_rotation_only(tmp_path, monkeypatch):
+    formed = []  # (picture, field digest) of every coordinate density
+
+    def counted(field):
+        formed.append((field.rep, hashlib.sha256(field.values.tobytes()).hexdigest()))
+        return density_of(field)
+
+    density_of = cli.coordinate_density
+    for module in (cli, covlab):
+        monkeypatch.setattr(module, "coordinate_density", counted)
     code, report = run(tmp_path, "covariance", "boost.rapidity = 0\nrotation.quarter_turns = 2\n")
     assert code == 0
+    # the rest and the rotated density of each picture, each formed once
+    assert len(formed) == len(set(formed)) == 4
     by_name = {c["name"]: c for c in report["checks"]}
     assert by_name["chi_zero_identity"]["value"] == 0.0
     assert by_name["rotation_consistency_dirac"]["value"] <= 1e-6

@@ -2,11 +2,11 @@
 from __future__ import annotations
 
 import dataclasses
-import tracemalloc
 from functools import lru_cache
 
 import numpy as np
 import pytest
+from conftest import coordinate_centroid, peak_bytes
 
 from rdlab import covlab
 from rdlab.clifford import ALPHA
@@ -22,7 +22,7 @@ from rdlab.covlab import (
     slice_prediction,
 )
 from rdlab.fields import (
-    coordinate_centroid,
+    coordinate_density,
     density,
     evolve,
     fw_current_density,
@@ -41,7 +41,7 @@ AXIS = 1  # boost along y: transverse to both the packet momentum and spin
 
 @lru_cache(maxsize=None)
 def _experiment(n: int):
-    return covariance_sweep(covariance_packet(Grid(n, 6.0)), (CHI,), axis=AXIS)[0]
+    return covariance_sweep(covariance_packet(Grid(n, 6.0)), (CHI,), axis=AXIS)[0][0]
 
 
 def _measure_density(field):
@@ -223,13 +223,7 @@ def test_slice_prediction_peak_memory(rep):
     f = covariance_packet(Grid(32, 4.5))
     if rep == "fw":
         f = to_fw_picture(f)
-    tracemalloc.start()
-    try:
-        slice_prediction(f, CHI, AXIS)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak <= 4.0 * f.values.nbytes
+    assert peak_bytes(lambda: slice_prediction(f, CHI, AXIS)) <= 4.0 * f.values.nbytes
 
 
 def test_dirac_covariance_residual_small_and_refining():
@@ -296,8 +290,12 @@ def test_sweep_at_zero_rapidity_is_the_identity(monkeypatch):
 
     monkeypatch.setattr(covlab, "boost_dirac_field", untouched)
     monkeypatch.setattr(covlab, "slice_prediction", untouched)
-    (rep,) = covariance_sweep(covariance_packet(Grid(24, 4.5)), (0.0,), axis=AXIS)
+    f = covariance_packet(Grid(24, 4.5))
+    (rep,), rho_rest, rho_fw = covariance_sweep(f, (0.0,), axis=AXIS)
     assert rep.dirac_residual == 0.0 and rep.fw_violation == 0.0
+    # the rest densities it returns are those of both pictures
+    assert np.array_equal(rho_rest, coordinate_density(f))
+    assert np.array_equal(rho_fw, coordinate_density(to_fw_picture(f)))
     assert rep.box_rest == rep.box_boosted
     assert rep.fw_box_rest == rep.fw_box_boosted
 
@@ -305,8 +303,8 @@ def test_sweep_at_zero_rapidity_is_the_identity(monkeypatch):
 def test_sweep_equals_single_rapidity_sweeps():
     f = covariance_packet(Grid(24, 4.5))
     rapidities = (0.1, 0.25, 0.5)
-    singles = [covariance_sweep(f, (chi,), axis=AXIS)[0] for chi in rapidities]
-    assert covariance_sweep(f, rapidities, axis=AXIS) == singles
+    singles = [covariance_sweep(f, (chi,), axis=AXIS)[0][0] for chi in rapidities]
+    assert covariance_sweep(f, rapidities, axis=AXIS)[0] == singles
 
 
 def test_report_serialization_contract():

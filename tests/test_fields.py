@@ -1,18 +1,23 @@
 """Field construction, transforms, evolution, densities and currents."""
 from __future__ import annotations
 
-import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
 import scipy.linalg
+from conftest import coordinate_centroid, momentum_expectation, peak_bytes, to_momentum
 
+from rdlab.clifford import pair
 from rdlab.fields import (
     CoordinateField,
     MomentumField,
+    _coordinate_leak,
     antiparticle_gaussian_packet,
     boundary_fraction,
-    coordinate_centroid,
+    continuity_residual,
+    coordinate_current,
+    coordinate_density,
     current_density,
     density,
     density_rate,
@@ -21,13 +26,11 @@ from rdlab.fields import (
     fw_current_density,
     gaussian_packet,
     hamiltonian_apply,
-    momentum_expectation,
     momentum_inner,
     momentum_norm,
     to_coordinate,
     to_dirac_picture,
     to_fw_picture,
-    to_momentum,
     total_probability,
 )
 from rdlab.grids import Grid
@@ -269,10 +272,45 @@ def test_node_products_peak_memory():
     f = gaussian_packet(Grid(32, 4.5), M, (0.3, 0.0, 0.0), sigma=4.0)
     cf = to_coordinate(f)
     for apply, bound in ((lambda: hamiltonian_apply(f), 2.0), (lambda: density(cf), 1.5)):
-        tracemalloc.start()
-        try:
-            result = apply()
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak <= bound * result.nbytes
+        assert peak_bytes(apply) <= bound * apply().nbytes
+
+
+def _rel(got, want):
+    return np.abs(got - want).max() / np.abs(want).max()
+
+
+@pytest.mark.parametrize("rep", ["dirac", "fw"])
+@pytest.mark.parametrize("weights", [(1.0, 0.0), (0.8, 0.6j)], ids=["particle", "mixed"])
+def test_coordinate_observables_match_compositions(rep, weights):
+    # the component-at-a-time kernels against the full coordinate 4-spinor
+    f = packet(rep=rep, weights=weights)
+    cf = to_coordinate(f)
+    assert _rel(coordinate_density(f), density(cf)) <= 1e-13
+    dot = to_coordinate(replace(f, values=-1j * hamiltonian_apply(f)))
+    assert _rel(density_rate(f), 2.0 * pair(cf.values, dot.values)) <= 1e-13
+    if rep == "dirac":
+        assert _rel(coordinate_current(f), current_density(cf)) <= 1e-13
+    else:
+        with pytest.raises(ValueError):
+            coordinate_current(f)
+
+
+def test_packet_leak_check_is_exact():
+    for f in (packet(), packet(weights=(1, 0.5j), x0=(0.4, -0.3, 0.2)), packet(rep="fw", spin=(1, 1j))):
+        assert _coordinate_leak(f) == boundary_fraction(to_coordinate(f))
+    # like to_coordinate, the component transforms reject antiparticle labels
+    with pytest.raises(ValueError):
+        coordinate_density(antiparticle_gaussian_packet(GRID, M, p0=P0, sigma=3.0))
+
+
+def test_transport_peak_memory():
+    # bounded working memory: no coordinate 4-spinor, evolution in place
+    grid = Grid(32, 8.0)
+    f = gaussian_packet(grid, M, P0, sigma=2.0, weights=(1.0, 0.5))
+    size = f.values.nbytes
+    assert peak_bytes(lambda: gaussian_packet(grid, M, P0, sigma=2.0, weights=(1.0, 0.5))) <= 2.0 * size
+    assert peak_bytes(lambda: evolve(f, 0.3)) <= 2.0 * size
+    assert peak_bytes(lambda: coordinate_density(f)) <= 0.5 * size
+    for g in (f, to_fw_picture(f)):
+        continuity_residual(g, 1e-3)  # fill the lattice caches (grid.x) first
+        assert peak_bytes(lambda: continuity_residual(g, 1e-3)) <= 2.5 * size

@@ -3,13 +3,12 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from conftest import axis_angle, lorentz_defect
 
 from rdlab.clifford import ETA
 from rdlab.lorentz import (
-    axis_angle,
     boost,
     energy,
-    lorentz_defect,
     lorentz_inverse,
     rotation,
     standard_boost,

@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from conftest import coordinate_centroid
 from scipy.integrate import quad
 
 from rdlab.clifford import ALPHA
@@ -12,7 +13,6 @@ from rdlab.fields import (
     _fft3,
     _ifft3,
     antiparticle_gaussian_packet,
-    coordinate_centroid,
     gaussian_packet,
     momentum_inner,
     to_coordinate,

@@ -3,14 +3,15 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from conftest import axis_angle, fw_spinor
 
-from rdlab.clifford import BETA, GAMMA
-from rdlab.lorentz import axis_angle, boost, energy, lorentz_inverse, rotation, wigner_rotation
+from rdlab.clifford import ALPHA, BETA, GAMMA, alpha_dot
+from rdlab.lorentz import boost, energy, lorentz_inverse, rotation, wigner_rotation
 from rdlab.spinors import (
+    alpha_matrix,
     dirac_adjoint,
     dirac_spinor,
     fw_matrix,
-    fw_spinor,
     hamiltonian,
     pauli_spinor,
     rest_spinor,
@@ -43,6 +44,15 @@ def test_rest_spinors():
         rest_spinor("mixed", 0.5)
     with pytest.raises(ValueError):
         pauli_spinor(1.0)
+
+
+def test_alpha_matrix():
+    # the 4x4 matrix alpha.p, whose action is the block kernel clifford.alpha_dot
+    rng = np.random.default_rng(11)  # the module RNG stream stays as the other tests drew it
+    for p in rng.uniform(-10.0, 10.0, size=(6, 3)):
+        np.testing.assert_array_equal(alpha_matrix(p), np.einsum("k,kab->ab", p, ALPHA))
+        v = rng.normal(size=4) + 1j * rng.normal(size=4)
+        np.testing.assert_allclose(alpha_matrix(p) @ v, alpha_dot(p, v), rtol=0, atol=1e-14 * np.abs(p).sum())
 
 
 def test_energy_eigen_relations():
