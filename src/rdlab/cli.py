@@ -56,9 +56,8 @@ from .config import (
 )
 from .covlab import check_boost_reach, covariance_sweep, rotate_field, rotate_scalar_lattice
 from .fields import (
-    continuity_residual,
+    continuity_residuals,
     coordinate_density,
-    evolve,
     gaussian_packet,
     antiparticle_gaussian_packet,
     momentum_inner,
@@ -538,13 +537,10 @@ def cmd_continuity(cfg: dict[str, str], record: ReportRecord, rng: np.random.Gen
     # both packets pass the lattice hygiene checks before any work starts
     mixed = _precondition(f"{keys}, packet.mix", gaussian_packet, grid, mass, p0, sigma=sigma, weights=mix)
     pure_fw = to_fw_picture(_precondition(keys, gaussian_packet, grid, mass, p0, sigma=sigma))
-    residuals = []
-    base_report = None
-    for level in range(levels):
-        rep = continuity_residual(mixed, dt / 2.0**level)
-        residuals.append(rep.residual_l2)
-        if base_report is None:
-            base_report = rep
+    reports = continuity_residuals(mixed, [dt / 2.0**level for level in range(levels)])
+    residuals = [rep.residual_l2 for rep in reports]
+    base_report = reports[0]
+    for level, rep in enumerate(reports):
         if rep.dt_warning:
             record.warnings.append(
                 f"level {level}: time step {rep.dt_warning} for the density rate scale"
@@ -564,12 +560,12 @@ def cmd_continuity(cfg: dict[str, str], record: ReportRecord, rng: np.random.Gen
         list(enumerate(residuals)),
     )
 
-    norm0 = float(np.sum(coordinate_density(mixed)) * grid.dx**3)
-    norm_t = float(np.sum(coordinate_density(evolve(mixed, horizon))) * grid.dx**3)
+    norm0 = base_report.probability
+    norm_t = float(np.sum(coordinate_density(mixed, horizon)) * grid.dx**3)
     record.check("norm_drift", abs(norm_t - norm0), tol_norm,
                  note=f"coordinate-space probability drift over T = {horizon:g}")
 
-    fw_rep = continuity_residual(pure_fw, fw_dt)
+    fw_rep = continuity_residuals(pure_fw, [fw_dt])[0]
     record.check("fw_defining_residual", fw_rep.residual_l2, tol_fw,
                  note="FW density against the divergence of its own current")
 

@@ -87,6 +87,20 @@ def sigma_dot(p, c, out=None) -> np.ndarray:
     return out
 
 
+def sigma_row(p, c, k: int, out) -> np.ndarray:
+    """Row k of sigma.p c, sigma_dot(p, c)[..., k] bit for bit, written into `out`;
+    for callers that need one row at a time (one lattice plane, one component)."""
+    q = np.asarray(p[..., 1] * -1j)
+    q += p[..., 0]
+    if k == 0:
+        np.multiply(p[..., 2], c[..., 0], out=out)
+        out += q * c[..., 1]
+    else:
+        np.multiply(np.conjugate(q, out=q), c[..., 0], out=out)
+        out -= p[..., 2] * c[..., 1]
+    return out
+
+
 def alpha_dot(p, v) -> np.ndarray:
     """alpha.p v = (sigma.p l, sigma.p u) for 4-spinors v (..., 4)."""
     v = np.asarray(v)

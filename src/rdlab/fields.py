@@ -22,7 +22,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 import scipy.fft as sfft
 
-from .clifford import alpha_dot, pair, sigma_dot, sigma_pair
+from .clifford import alpha_dot, pair, sigma_dot, sigma_pair, sigma_row
 from .grids import Grid
 from .spinors import pauli_spinor
 
@@ -133,19 +133,55 @@ def _spectrum(field: MomentumField, values: np.ndarray, out: np.ndarray) -> np.n
     return out
 
 
-def _component(field: MomentumField, c: int, out: np.ndarray) -> np.ndarray:
-    """to_coordinate(field).values[..., c] bit for bit, computed in `out`; float view (n, n, n, 2)."""
-    psi = _ifft3(_spectrum(field, field.values[..., c], out), overwrite_x=True)
+def _evolved_spectrum(field: MomentumField, c: int, t: float, out: np.ndarray) -> np.ndarray:
+    """_spectrum of evolve(field, t).values[..., c] bit for bit, with no evolved field and no
+    field-sized H phi: per lattice plane, (H phi)_c is formed in `out` ((sigma.p l + m u,
+    sigma.p u - m l) in the Dirac picture, beta E phi in FW), turned in place into
+    cos(Et) phi_c - i sin(Et) / E (H phi)_c and scaled by sqrt(m / E). The mirrored planes
+    i and n - i have the same energies, so each pair shares one cos(Et), sin(Et) / E and
+    sqrt(m / E)."""
+    if field.branch == "antiparticle":
+        raise ValueError("antiparticle-labeled fields are momentum-space-only")
+    grid, m = field.grid, field.mass
+    energies = grid.energies(m)
+    for i in range(grid.n // 2 + 1):
+        e = energies[i]
+        et = e * t
+        sin_e = np.sin(et) / e
+        cos = np.cos(et, out=et)
+        half = np.sqrt(m / e)
+        for k in {i, -i % grid.n}:
+            v, h = field.values[k], out[k]
+            if field.rep == "dirac":
+                sigma_row(grid.p[k], v[..., 2:] if c < 2 else v[..., :2], c % 2, h)
+                (np.add if c < 2 else np.subtract)(h, m * v[..., c], out=h)
+            else:
+                np.multiply(v[..., c], e, out=h)
+                if c >= 2:
+                    h *= -1.0
+            h *= sin_e
+            h *= -1j
+            h += cos * v[..., c]
+            h *= half
+    return out
+
+
+def _component(field: MomentumField, c: int, out: np.ndarray, t: float = 0.0) -> np.ndarray:
+    """to_coordinate(evolve(field, t)).values[..., c] bit for bit, computed in `out`; float
+    view (n, n, n, 2). At t = 0 the field's own values are transformed, with no propagator."""
+    spec = _evolved_spectrum(field, c, t, out) if t else _spectrum(field, field.values[..., c], out)
+    psi = _ifft3(spec, overwrite_x=True)
     psi /= field.grid.dx**3
     return psi.view(float).reshape(*psi.shape, 2)
 
 
-def coordinate_density(field: MomentumField) -> np.ndarray:
-    """density(to_coordinate(field)), one component at a time in one reused buffer."""
+def coordinate_density(field: MomentumField, t: float = 0.0) -> np.ndarray:
+    """density(to_coordinate(evolve(field, t))), one component at a time in one reused buffer:
+    no evolved field is formed."""
     buf = np.empty(field.values.shape[:3], dtype=complex)
     rho = np.zeros(buf.shape)
     for c in range(4):
-        v = _component(field, c, buf)
+        v = _component(field, c, buf, t)
         np.square(v, out=v)
         rho += np.add(v[..., 0], v[..., 1], out=v[..., 0])  # |psi_c|^2, then the sum over c
     return rho
@@ -208,12 +244,15 @@ def _fw_rotate(field: MomentumField, direction: int) -> np.ndarray:
     if field.branch == "antiparticle":
         direction = -direction
     e = field.grid.energies(field.mass)
-    # direction * beta alpha.p v = direction * (sigma.p l, -sigma.p u), then + (E + m) v
+    # direction * beta alpha.p v = direction * (sigma.p l, -sigma.p u), then + (E + m) v,
+    # one component at a time: (n, n, n) temporaries only
     out = alpha_dot(field.grid.p, field.values)
+    em = e + field.mass
     for half, sign in ((slice(0, 2), direction), (slice(2, 4), -direction)):
         out[..., half] *= sign
-        out[..., half] += (e + field.mass)[..., None] * field.values[..., half]
-    out /= np.sqrt(2.0 * e * (e + field.mass))[..., None]
+        for c in range(half.start, half.stop):
+            out[..., c] += em * field.values[..., c]
+    out /= np.sqrt(2.0 * e * em)[..., None]
     return out
 
 
@@ -229,11 +268,6 @@ def to_dirac_picture(field: MomentumField) -> MomentumField:
     if field.rep != "fw":
         raise ValueError("field is already in the Dirac picture")
     return replace(field, values=_fw_rotate(field, -1), rep="dirac")
-
-
-def density(field: CoordinateField) -> np.ndarray:
-    """Probability density psi^dag psi (real, shape (n, n, n))."""
-    return pair(field.values, field.values)
 
 
 def current_density(field: CoordinateField) -> np.ndarray:
@@ -305,12 +339,6 @@ def fw_current_density(field: MomentumField) -> np.ndarray:
     for k in range(3):
         j[..., k] = sfft.irfftn(rate * _flux(field.grid, k), s=j.shape[:3], workers=_workers())
     return j
-
-
-def total_probability(field: CoordinateField) -> float:
-    if not isinstance(field, CoordinateField):
-        raise TypeError("total_probability integrates a coordinate-lattice field")
-    return float(np.sum(density(field)) * field.grid.dx**3)
 
 
 def _edge_and_peak(mags: np.ndarray) -> tuple[float, float]:
@@ -494,7 +522,8 @@ class ContinuityReport:
     rounding floor of the difference, eps ||rho|| / (2 dt), alone exceeds
     that budget, "too coarse" otherwise. The nonlocality proxy is the
     fraction of the current magnitude living outside the smallest cube
-    holding 99.9% of the density.
+    holding 99.9% of the density. `probability` is sum rho dx^3 at the
+    field's own time.
     """
 
     rep: str
@@ -503,43 +532,63 @@ class ContinuityReport:
     residual_sup: float
     rate_scale: float
     nonlocality: float
+    probability: float
     dt_warning: str | None
 
 
-def continuity_residual(field: MomentumField, dt: float) -> ContinuityReport:
-    """Continuity audit at the field's current time (either picture)."""
-    if dt <= 0.0:
-        raise ValueError("dt must be positive")
-    grid = field.grid
-    rate_fd = coordinate_density(evolve(field, dt))
-    rate_fd -= coordinate_density(evolve(field, -dt))
-    rate_fd /= 2.0 * dt
-    j = coordinate_current(field) if field.rep == "dirac" else fw_current_density(field)
-    defect = rate_fd + divergence(grid, j)
-    cell = grid.dx**3
-    res_l2 = float(np.sqrt(np.sum(defect**2) * cell))
-    res_sup = float(np.abs(defect).max())
-    rate_scale = float(np.sqrt(np.sum(rate_fd**2) * cell))
-    del defect, rate_fd  # lower peak memory
+def continuity_residuals(field: MomentumField, dts) -> list[ContinuityReport]:
+    """Continuity audits at the field's current time (either picture), one report per step.
 
+    The step-free quantities are formed once: the current j (the Dirac alpha-current or the
+    FW continuity-solving current), div j, rho, its concentration box, the nonlocality and
+    ||rho||. Each step then costs two evolved densities, coordinate_density(field, +-dt).
+    Raises ValueError for an empty `dts` or a step that is not finite and positive.
+    """
+    dts = [float(dt) for dt in dts]
+    if not dts:
+        raise ValueError("need at least one time step")
+    for dt in dts:
+        if not (np.isfinite(dt) and dt > 0.0):
+            raise ValueError(f"time steps must be finite and positive, got {dt}")
+    grid = field.grid
+    cell = grid.dx**3
+    j = coordinate_current(field) if field.rep == "dirac" else fw_current_density(field)
+    div = divergence(grid, j)
+    jmag = np.sqrt(np.einsum("xyzk,xyzk->xyz", j, j))
+    del j  # lower peak memory
     rho = coordinate_density(field)
     center, half = concentration_box(grid, rho, 0.999)
     outside = np.max(np.abs(grid.x - center), axis=-1) > half
-    jmag = np.sqrt(np.einsum("xyzk,xyzk->xyz", j, j))
     nonlocality = float(np.sum(jmag[outside]) / np.sum(jmag))
-    rounding = np.finfo(float).eps * float(np.linalg.norm(rho)) * np.sqrt(cell) / (2.0 * dt)
-    dt_warning = None
-    if res_l2 > 0.01 * rate_scale:
-        dt_warning = "too fine" if rounding > 0.01 * rate_scale else "too coarse"
-    return ContinuityReport(
-        rep=field.rep,
-        dt=dt,
-        residual_l2=res_l2,
-        residual_sup=res_sup,
-        rate_scale=rate_scale,
-        nonlocality=nonlocality,
-        dt_warning=dt_warning,
-    )
+    rho_norm = float(np.linalg.norm(rho))
+    probability = float(np.sum(rho) * cell)
+    del jmag, outside, rho
+
+    reports = []
+    for dt in dts:
+        rate_fd = coordinate_density(field, dt)
+        rate_fd -= coordinate_density(field, -dt)
+        rate_fd /= 2.0 * dt
+        defect = rate_fd + div
+        res_l2 = float(np.sqrt(np.sum(defect**2) * cell))
+        res_sup = float(np.abs(defect).max())
+        rate_scale = float(np.sqrt(np.sum(rate_fd**2) * cell))
+        del defect, rate_fd  # lower peak memory
+        rounding = np.finfo(float).eps * rho_norm * np.sqrt(cell) / (2.0 * dt)
+        dt_warning = None
+        if res_l2 > 0.01 * rate_scale:
+            dt_warning = "too fine" if rounding > 0.01 * rate_scale else "too coarse"
+        reports.append(ContinuityReport(
+            rep=field.rep,
+            dt=dt,
+            residual_l2=res_l2,
+            residual_sup=res_sup,
+            rate_scale=rate_scale,
+            nonlocality=nonlocality,
+            probability=probability,
+            dt_warning=dt_warning,
+        ))
+    return reports
 
 
 def _linear_slopes(times: np.ndarray, track: np.ndarray) -> np.ndarray:

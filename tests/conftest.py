@@ -7,7 +7,7 @@ import tracemalloc
 import numpy as np
 
 from rdlab.clifford import ETA, pair
-from rdlab.fields import CoordinateField, MomentumField, _fft3, _measure, density
+from rdlab.fields import CoordinateField, MomentumField, _fft3, _measure
 from rdlab.lorentz import energy
 from rdlab.spinors import rest_spinor
 
@@ -21,6 +21,18 @@ def peak_bytes(fn) -> int:
         return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+
+
+def density(field: CoordinateField) -> np.ndarray:
+    """Probability density psi^dag psi (real, shape (n, n, n)): the reference for
+    fields.coordinate_density."""
+    return pair(field.values, field.values)
+
+
+def total_probability(field: CoordinateField) -> float:
+    if not isinstance(field, CoordinateField):
+        raise TypeError("total_probability integrates a coordinate-lattice field")
+    return float(np.sum(density(field)) * field.grid.dx**3)
 
 
 def to_momentum(field: CoordinateField) -> MomentumField:

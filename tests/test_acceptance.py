@@ -7,6 +7,7 @@ floors behind those geometry choices are documented in the library modules.
 from __future__ import annotations
 
 import numpy as np
+from conftest import density, total_probability
 from scipy.integrate import quad
 
 from rdlab import covlab
@@ -14,14 +15,12 @@ from rdlab import positionops as po
 from rdlab.clifford import ALPHA, BETA, GAMMA, GAMMA5, SIGMA, anticommutation_defect, anticommutator, commutator
 from rdlab.fields import (
     CoordinateField,
-    continuity_residual,
-    density,
+    continuity_residuals,
     evolve,
     gaussian_packet,
     momentum_inner,
     to_coordinate,
     to_fw_picture,
-    total_probability,
     zitterbewegung_experiment,
 )
 from rdlab.grids import Grid
@@ -215,7 +214,7 @@ def test_criterion_7_trembling_frequency_and_uniform_transport():
 def test_criterion_8_continuity_orders_norm_and_nonlocality():
     grid = Grid(64, 8.0)
     mixed = gaussian_packet(grid, M, (0.3, 0.0, 0.0), sigma=2.5, weights=(1.0, 1.0))
-    reports = [continuity_residual(mixed, 2e-3 / 2**k) for k in range(3)]
+    reports = continuity_residuals(mixed, [2e-3 / 2**k for k in range(3)])
     for coarse, fine in zip(reports, reports[1:]):
         ratio = coarse.residual_l2 / fine.residual_l2
         assert 3.5 <= ratio <= 4.5  # centered-difference second order in dt
@@ -223,9 +222,10 @@ def test_criterion_8_continuity_orders_norm_and_nonlocality():
     norm0 = total_probability(to_coordinate(mixed))
     norm_t = total_probability(to_coordinate(evolve(mixed, 100.0)))
     assert abs(norm_t - norm0) <= 1e-12
+    assert abs(reports[0].probability - norm0) <= 1e-12
 
     pure_fw = to_fw_picture(gaussian_packet(grid, M, (0.3, 0.0, 0.0), sigma=2.5))
-    fw_report = continuity_residual(pure_fw, 1e-5)
+    [fw_report] = continuity_residuals(pure_fw, [1e-5])
     assert fw_report.residual_l2 <= 1e-10  # FW current's defining equation
     assert fw_report.nonlocality > reports[0].nonlocality  # nonlocality proxy gap
 

@@ -357,7 +357,7 @@ LIBRARY_ERRORS = {
     "locality": ("locality_integral", LOCALITY_QUICK),
     "position": ("localized_eigen_residuals", "grid.n = 64\n"),
     "zitterbewegung": ("zitterbewegung_experiment", ZITTER_QUICK),
-    "continuity": ("continuity_residual", "continuity.levels = 2\n"),
+    "continuity": ("continuity_residuals", "continuity.levels = 2\n"),
     "covariance": ("covariance_sweep", "boost.rapidity = 0.5\n"),
 }
 

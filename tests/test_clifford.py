@@ -21,6 +21,7 @@ from rdlab.clifford import (
     pauli,
     sigma_dot,
     sigma_pair,
+    sigma_row,
 )
 
 EYE4 = np.eye(4)
@@ -155,6 +156,15 @@ def test_sigma_dot_matches_matrices():
     out = np.empty((*SHAPE, 2), dtype=complex)
     assert sigma_dot(np.eye(3)[1], V[..., :2], out=out) is out
     assert_rel(out, V[..., :2] @ SIGMA[1][:2, :2].T)
+
+
+def test_sigma_row_is_sigma_dot_row_bit_for_bit():
+    for p, c in ((P, V[..., 2:]), (P[:, ::2], V[:, ::2, :, :2])):
+        full = sigma_dot(p, c)
+        for k in range(2):
+            out = np.empty(c.shape[:-1], dtype=complex)
+            assert sigma_row(p, c, k, out) is out
+            assert_exact(out, full[..., k])
 
 
 def test_pair_and_sigma_pair_match_conjugate_einsums():

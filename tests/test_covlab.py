@@ -6,7 +6,7 @@ from functools import lru_cache
 
 import numpy as np
 import pytest
-from conftest import coordinate_centroid, peak_bytes
+from conftest import coordinate_centroid, density, peak_bytes
 
 from rdlab import covlab
 from rdlab.clifford import ALPHA
@@ -23,7 +23,6 @@ from rdlab.covlab import (
 )
 from rdlab.fields import (
     coordinate_density,
-    density,
     evolve,
     fw_current_density,
     gaussian_packet,

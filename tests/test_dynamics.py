@@ -5,19 +5,22 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from conftest import density, total_probability
 
 from rdlab.clifford import ALPHA
 from rdlab.fields import (
     branch_projection,
     concentration_box,
-    continuity_residual,
-    density,
+    continuity_residuals,
+    coordinate_current,
+    coordinate_density,
+    divergence,
     evolve,
+    fw_current_density,
     gaussian_packet,
     momentum_inner,
     to_coordinate,
     to_fw_picture,
-    total_probability,
     zitterbewegung_experiment,
 )
 from rdlab.grids import Grid
@@ -97,8 +100,7 @@ def test_concentration_box_tracks_packet():
 
 def test_continuity_dirac_is_second_order_in_dt():
     mix = gaussian_packet(GRID, M, sigma=2.2, weights=(1.0, 1.0))
-    coarse = continuity_residual(mix, 2e-3)
-    fine = continuity_residual(mix, 1e-3)
+    coarse, fine = continuity_residuals(mix, [2e-3, 1e-3])
     assert 3.5 <= coarse.residual_l2 / fine.residual_l2 <= 4.5
     assert fine.residual_l2 <= 1e-6
     assert not fine.dt_warning
@@ -106,7 +108,7 @@ def test_continuity_dirac_is_second_order_in_dt():
 
 def test_continuity_fw_defining_equation():
     f = _moving_packet()
-    report = continuity_residual(to_fw_picture(f), 1e-5)
+    [report] = continuity_residuals(to_fw_picture(f), [1e-5])
     assert report.residual_l2 <= 1e-10
     assert not report.dt_warning
 
@@ -115,25 +117,53 @@ def test_fw_current_more_nonlocal_than_dirac():
     # same physical state in both pictures: the pointwise Dirac current is
     # supported with the packet, the FW current carries far-field tails
     f = _moving_packet()
-    dirac = continuity_residual(f, 1e-3)
-    fw = continuity_residual(to_fw_picture(f), 1e-5)
+    [dirac] = continuity_residuals(f, [1e-3])
+    [fw] = continuity_residuals(to_fw_picture(f), [1e-5])
     assert fw.nonlocality > 10.0 * dirac.nonlocality
     assert dirac.nonlocality < 1e-2
 
 
 def test_continuity_dt_warning_flags_coarse_steps():
     mix = gaussian_packet(GRID, M, sigma=2.2, weights=(1.0, 1.0))
-    assert continuity_residual(mix, 0.5).dt_warning == "too coarse"
-    assert not continuity_residual(mix, 0.02).dt_warning
+    coarse, fine = continuity_residuals(mix, [0.5, 0.02])
+    assert coarse.dt_warning == "too coarse"
+    assert not fine.dt_warning
+
+
+@pytest.mark.parametrize("dts", [[], [float("nan")], [1e-3, float("inf")], [0.0], [1e-3, -1e-3]],
+                         ids=["empty", "nan", "inf", "zero", "negative"])
+def test_continuity_rejects_bad_steps(dts):
+    # a NaN step would otherwise give a report full of NaN and no warning
     with pytest.raises(ValueError):
-        continuity_residual(mix, 0.0)
+        continuity_residuals(_moving_packet(), dts)
+
+
+@pytest.mark.parametrize("picture", ["dirac", "fw"])
+def test_continuity_steps_share_one_prelude(picture):
+    # one multi-step audit equals the single-step audits, field by field, and its
+    # centred difference is that of the evolved fields
+    f = gaussian_packet(GRID, M, sigma=2.2, weights=(1.0, 1.0))
+    if picture == "fw":
+        f = to_fw_picture(f)
+    dts = [2e-3, 0.5, 1e-5]
+    reports = continuity_residuals(f, dts)
+    assert reports == [continuity_residuals(f, [dt])[0] for dt in dts]
+    j = coordinate_current(f) if picture == "dirac" else fw_current_density(f)
+    div = divergence(GRID, j)
+    norm = total_probability(to_coordinate(f))
+    for dt, rep in zip(dts, reports):
+        rate = (coordinate_density(evolve(f, dt)) - coordinate_density(evolve(f, -dt))) / (2.0 * dt)
+        defect = rate + div
+        assert rep.residual_l2 == float(np.sqrt(np.sum(defect**2) * GRID.dx**3))
+        assert rep.residual_sup == float(np.abs(defect).max())
+        assert rep.rate_scale == float(np.sqrt(np.sum(rate**2) * GRID.dx**3))
+        assert abs(rep.probability - norm) <= 1e-13
 
 
 def test_continuity_dt_warning_flags_fine_steps():
     mix = gaussian_packet(GRID, M, sigma=2.2, weights=(1.0, 1.0))
     # rounding of the centred difference dominates, down to a zero difference
-    assert continuity_residual(mix, 1e-15).dt_warning == "too fine"
-    assert continuity_residual(mix, 1e-300).dt_warning == "too fine"
+    assert [r.dt_warning for r in continuity_residuals(mix, [1e-15, 1e-300])] == ["too fine"] * 2
 
 
 def test_zitterbewegung_mixed_packet_trembles_at_twice_mean_energy():
