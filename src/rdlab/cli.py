@@ -15,6 +15,7 @@ report; any other library `ValueError` becomes a failed check named
 `completed`, and the report is still written (exit 1). Runs are deterministic
 for a fixed config and seed. `RDLAB_THREADS` caps numerical thread pools;
 when it is absent the linear-algebra backends keep their defaults (all cores).
+Any value other than a positive integer exits 2 before any work.
 """
 from __future__ import annotations
 
@@ -56,13 +57,13 @@ from .config import (
 )
 from .covlab import check_boost_reach, covariance_sweep, rotate_field, rotate_scalar_lattice
 from .fields import (
+    _workers,
     continuity_residuals,
     coordinate_density,
     gaussian_packet,
     antiparticle_gaussian_packet,
     momentum_inner,
     to_fw_picture,
-    zitterbewegung_experiment,
 )
 from .grids import Grid
 from .lorentz import boost, energy, rotation
@@ -75,6 +76,7 @@ from .positionops import (
     locality_lattice,
     mean_position_equivalence,
     tail_consistency_residual,
+    zitterbewegung_experiment,
 )
 from .report import ReportRecord, format_value, write_json, write_report, write_table
 from .spinors import (
@@ -733,6 +735,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        _workers()  # the RDLAB_THREADS check
         cfg = load_config(args.config) if args.config else {}
         check_declared_tolerances(cfg)
     except (OSError, ConfigError) as exc:

@@ -38,7 +38,6 @@ from .fields import (
     branch_projection,
     concentration_box,
     coordinate_density,
-    gaussian_packet,
     to_fw_picture,
 )
 from .grids import Grid
@@ -56,13 +55,6 @@ _QUARTER = {
     2: np.array([[0, -1, 0], [1, 0, 0], [0, 0, 1]]),
 }
 _AXES = (np.array([1.0, 0, 0]), np.array([0, 1.0, 0]), np.array([0, 0, 1.0]))
-
-
-def _check_boostable(field: MomentumField, axis: int) -> None:
-    if axis not in (0, 1, 2):
-        raise ValueError(f"axis must be 0, 1 or 2, got {axis!r}")
-    if field.branch != "particle":
-        raise ValueError("boosts are implemented for single-branch particle fields")
 
 
 def _lattice_powers(w: np.ndarray, n: int, axis: int) -> np.ndarray:
@@ -126,8 +118,8 @@ def check_boost_reach(field: MomentumField, rapidity: float, axis: int) -> None:
 
 
 def _boosted_samples(field: MomentumField, rapidity: float, axis: int):
-    """The rest field read at the source momenta of an active boost along an
-    axis, with those momenta p (n, n, n, 3), E_q and E_p.
+    """The rest field read at the source momenta p of an active boost along an
+    axis, with E_q and E_p.
 
     The boosted amplitude at node q is read off the rest field at
     p = (targets, q_transverse): targets = cosh(chi) q_ax - sinh(chi) E_q.
@@ -142,7 +134,7 @@ def _boosted_samples(field: MomentumField, rapidity: float, axis: int):
     p[..., axis] = np.cosh(rapidity) * grid.p[..., axis] - np.sinh(rapidity) * e_q
     vals = _resample_along_axis(field.values, grid, p[..., axis], axis)
     vals[(p[..., axis] < -grid.pmax) | (p[..., axis] >= grid.pmax)] = 0.0
-    return vals, p, e_q, np.sqrt(m * m + np.sum(p * p, axis=-1))
+    return vals, e_q, np.sqrt(m * m + np.sum(p * p, axis=-1))
 
 
 def boost_dirac_field(field: MomentumField, rapidity: float, axis: int = 0) -> MomentumField:
@@ -153,43 +145,16 @@ def boost_dirac_field(field: MomentumField, rapidity: float, axis: int = 0) -> M
     """
     if field.rep != "dirac":
         raise ValueError("boost_dirac_field expects a Dirac-picture field")
-    _check_boostable(field, axis)
+    if axis not in (0, 1, 2):
+        raise ValueError(f"axis must be 0, 1 or 2, got {axis!r}")
+    if field.branch != "particle":
+        raise ValueError("boosts are implemented for single-branch particle fields")
     if rapidity == 0.0:
         return field
-    vals, _, e_q, e_p = _boosted_samples(field, rapidity, axis)
+    vals, e_q, e_p = _boosted_samples(field, rapidity, axis)
     vals = vals @ spinor_boost(rapidity * _AXES[axis]).T
     vals *= np.sqrt(e_p / e_q)[..., None]
     return replace(field, values=vals)
-
-
-def boost_fw_field(field: MomentumField, rapidity: float, axis: int = 0) -> MomentumField:
-    """Active boost of a particle-branch FW-picture field: the momentum remap
-    with the node-wise Wigner rotation acting on the upper component pair.
-    It agrees to roundoff with the Dirac-picture boost conjugated by the FW
-    transform, to_fw_picture(boost_dirac_field(to_dirac_picture(field))).
-    """
-    if field.rep != "fw":
-        raise ValueError("boost_fw_field expects an FW-picture field")
-    _check_boostable(field, axis)
-    if rapidity == 0.0:
-        return field
-    grid, m = field.grid, field.mass
-    vals, p, e_q, e_p = _boosted_samples(field, rapidity, axis)
-
-    # The Wigner rotation of the upper pair, [c a_q a_p + s a_p sigma.q sigma_ax +
-    # s a_q sigma_ax sigma.p + c sigma.q sigma.p] / norm with q the node, p the source
-    # momentum, a = E + m and (c, s) = (cosh, sinh)(chi/2), is the SU(2) element
-    # (w + i sigma.v) / norm, by sigma.a sigma.b = a.b + i sigma.(a x b).
-    c, s = np.cosh(rapidity / 2.0), np.sinh(rapidity / 2.0)
-    q, a_q, a_p = grid.p, e_q + m, e_p + m
-    w = c * (a_q * a_p + np.sum(q * p, axis=-1)) + s * (a_p * q[..., axis] + a_q * p[..., axis])
-    v = s * np.cross(a_p[..., None] * q - a_q[..., None] * p, _AXES[axis]) + c * np.cross(q, p)
-    out = np.zeros_like(vals)
-    upper = sigma_dot(v, vals[..., :2], out=out[..., :2])
-    upper *= 1j
-    upper += w[..., None] * vals[..., :2]
-    upper *= (np.sqrt(e_p / e_q) / np.sqrt(4.0 * e_q * a_q * e_p * a_p))[..., None]
-    return replace(field, values=out)
 
 
 def _rotation_source_indices(n: int, axis: int, k: int):
@@ -361,17 +326,6 @@ class BoostExperimentReport:
             "box_boosted": self.box_boosted,
             "grid": {"n": self.grid_n, "pmax": self.grid_pmax, "mass": self.mass},
         }
-
-
-def covariance_packet(grid: Grid, mass: float = 1.0) -> MomentumField:
-    """Transversely polarized moving packet used by the boost experiments:
-
-    momentum 0.5 m along x, spin +1/2 along z, width 2.5 / m, boosts along y
-    (both the mean momentum and the polarization are transverse to the boost).
-    """
-    return gaussian_packet(
-        grid, mass, p0=(0.5 * mass, 0.0, 0.0), sigma=2.5 / mass, spin=0.5
-    )
 
 
 def contracted_cube(

@@ -18,11 +18,13 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass, replace
+from functools import reduce
 
 import numpy as np
 import scipy.fft as sfft
 
 from .clifford import alpha_dot, pair, sigma_dot, sigma_pair, sigma_row
+from .config import ConfigError
 from .grids import Grid
 from .spinors import pauli_spinor
 
@@ -36,7 +38,13 @@ COORDINATE_EDGE_TOL = 5e-2
 
 
 def _workers() -> int:
-    return int(os.environ.get("RDLAB_THREADS") or os.cpu_count() or 1)
+    """RDLAB_THREADS, which must be a positive integer, or every core when it is unset."""
+    value = os.environ.get("RDLAB_THREADS")
+    if value is None:
+        return os.cpu_count() or 1
+    if not (value.isdecimal() and int(value) > 0):
+        raise ConfigError(f"RDLAB_THREADS = {value!r}: must be a positive integer")
+    return int(value)
 
 
 def _fft3(a: np.ndarray, overwrite_x: bool = False) -> np.ndarray:
@@ -56,7 +64,6 @@ class MomentumField:
     mass: float
     rep: str = "dirac"
     branch: str = "particle"
-    time: float = 0.0
 
     def __post_init__(self):
         self.values = np.asarray(self.values, dtype=complex)
@@ -80,7 +87,6 @@ class CoordinateField:
     mass: float
     rep: str = "dirac"
     branch: str = "particle"
-    time: float = 0.0
 
     def __post_init__(self):
         self.values = np.asarray(self.values, dtype=complex)
@@ -121,7 +127,7 @@ def to_coordinate(field: MomentumField) -> CoordinateField:
         raise ValueError("antiparticle-labeled fields are momentum-space-only")
     half = np.sqrt(field.mass / field.grid.energies(field.mass))
     psi = _ifft3(half[..., None] * field.values, overwrite_x=True) / field.grid.dx**3
-    return CoordinateField(field.grid, psi, field.mass, field.rep, field.branch, field.time)
+    return CoordinateField(field.grid, psi, field.mass, field.rep, field.branch)
 
 
 def _spectrum(field: MomentumField, values: np.ndarray, out: np.ndarray) -> np.ndarray:
@@ -222,8 +228,6 @@ def hamiltonian_apply(field: MomentumField) -> np.ndarray:
 
 def evolve(field: MomentumField, t: float) -> MomentumField:
     """Advance by duration t (exact per-node propagator; H^2 = E^2 in both pictures)."""
-    if field.branch == "antiparticle":
-        raise ValueError("antiparticle-labeled fields are momentum-space-only")
     e = field.grid.energies(field.mass)
     vals = hamiltonian_apply(field)  # becomes cos(Et) phi - i sin(Et) / E H phi in place
     et = e * t
@@ -232,7 +236,7 @@ def evolve(field: MomentumField, t: float) -> MomentumField:
     np.cos(et, out=et)
     for c in range(4):
         vals[..., c] += et * field.values[..., c]
-    return replace(field, values=vals, time=field.time + t)
+    return replace(field, values=vals)
 
 
 def _fw_rotate(field: MomentumField, direction: int) -> np.ndarray:
@@ -291,49 +295,51 @@ def _rate_planes(planes: np.ndarray) -> np.ndarray:
     return np.einsum("cxyzk,cxyzk->xyz", v[0], v[1])
 
 
+def _derivative(grid: Grid, axis: int) -> np.ndarray:
+    """i p_axis on the rfftn half spectrum, broadcast along `axis`: d/dx_axis of a real field.
+    0 on the Nyquist plane of `axis`, the real part of the anti-Hermitian i p f^ there."""
+    ip = 1j * grid.p1d[: grid.n // 2 + 1 if axis == 2 else grid.n]
+    ip[grid.n // 2] = 0.0
+    return ip.reshape([-1 if k == axis else 1 for k in range(3)])
+
+
 def _flux(grid: Grid, axis: int) -> np.ndarray:
     """i p_axis / p^2 on the rfftn half spectrum, taking a density rate's spectrum to that
     of the current solving continuity; 0 at p = 0 and on the Nyquist plane of `axis`."""
     p = np.ix_(grid.p1d, grid.p1d, grid.p1d[: grid.n // 2 + 1])
     p2 = p[0] ** 2 + p[1] ** 2 + p[2] ** 2
     p2[0, 0, 0] = np.inf
-    out = 1j * p[axis] / p2
-    np.moveaxis(out, axis, 0)[grid.n // 2] = 0.0
-    return out
+    return _derivative(grid, axis) / p2
 
 
 def density_rate(field: MomentumField) -> np.ndarray:
-    """Exact d(rho)/dt on the coordinate lattice, 2 Re psi^dag psi_dot with psi_dot =
-    -i H psi: one batched inverse FFT of (psi_c, psi_dot_c) per component."""
+    """Exact d(rho)/dt of an FW field on the coordinate lattice, 2 Re psi^dag psi_dot with
+    psi_dot = -i beta E psi: one batched inverse FFT of (psi_c, psi_dot_c) per component."""
+    if field.rep != "fw":
+        raise ValueError("defined for FW-picture fields")
     e = field.grid.energies(field.mass)
-    h = hamiltonian_apply(field) if field.rep == "dirac" else None  # FW: H = beta E
     planes = np.empty((2, *e.shape), dtype=complex)
     rate = np.zeros(e.shape)
     for c in range(4):
         _spectrum(field, field.values[..., c], planes[0])
-        if h is None:
-            np.multiply(planes[0], e if c < 2 else -e, out=planes[1])
-        else:
-            _spectrum(field, h[..., c], planes[1])
+        np.multiply(planes[0], e if c < 2 else -e, out=planes[1])
         planes[1] *= -1j
         rate += _rate_planes(planes)
     return np.multiply(rate, 2.0 / field.grid.dx**6, out=rate)
 
 
-def divergence(field_grid: Grid, vec: np.ndarray) -> np.ndarray:
-    """Spectral divergence of a real lattice vector field, (n, n, n, 3) -> (n, n, n), by axis."""
-    div = np.zeros(vec.shape[:3], dtype=complex)
+def divergence(grid: Grid, vec: np.ndarray) -> np.ndarray:
+    """Spectral divergence of a real lattice vector field, (n, n, n, 3) -> (n, n, n), on
+    the rfftn half spectrum, one axis at a time."""
+    div = np.zeros((grid.n, grid.n, grid.n // 2 + 1), dtype=complex)
     for k in range(3):
-        div += field_grid.p[..., k] * _fft3(vec[..., k].astype(complex), overwrite_x=True)
-    div *= 1j
-    return _ifft3(div, overwrite_x=True).real
+        div += _derivative(grid, k) * sfft.rfftn(vec[..., k], workers=_workers())
+    return sfft.irfftn(div, s=vec.shape[:3], workers=_workers())
 
 
 def fw_current_density(field: MomentumField) -> np.ndarray:
     """FW current as the longitudinal field solving continuity exactly:
     j = -grad (laplacian)^{-1} d(rho)/dt, with the zero mode set to zero."""
-    if field.rep != "fw":
-        raise ValueError("defined for FW-picture fields")
     rate = sfft.rfftn(density_rate(field), workers=_workers())
     j = np.empty((*field.values.shape[:3], 3))
     for k in range(3):
@@ -369,15 +375,13 @@ def _spin_vector(spin) -> np.ndarray:
     return chi / np.linalg.norm(chi)
 
 
-def _packet(grid, mass, p0, x0, sigma, spin, rep, branch, upper, lower) -> MomentumField:
+def _packet(grid, mass, p0, x0, sigma, spin, branch, upper, lower) -> MomentumField:
     """Unit-norm packet: amp g(p) e^{-+i p.x0} times the per-node spinor
     (a (E+m) chi + b sigma.p chi, c (E+m) chi + d sigma.p chi) / sqrt(2m(E+m)),
     with (a, b) = upper, (c, d) = lower and the + sign for the antiparticle
     labeling. Raises if sigma, p0 or x0 is not finite, or if the packet fails
     the lattice boundary-decay preconditions.
     """
-    if rep not in REPS:
-        raise ValueError(f"rep must be one of {REPS}, got {rep!r}")
     p0 = np.asarray(p0, dtype=float)
     x0 = np.asarray(x0, dtype=float)
     if not (np.isfinite(sigma) and np.isfinite(p0).all() and np.isfinite(x0).all()):
@@ -398,8 +402,6 @@ def _packet(grid, mass, p0, x0, sigma, spin, rep, branch, upper, lower) -> Momen
         for i in range(2):
             vals[..., half.start + i] += envelope * (a * chi)[i]
     field = MomentumField(grid, vals, mass, "dirac", branch)
-    if rep == "fw":
-        field = to_fw_picture(field)
     edge = boundary_fraction(field)
     if edge > MOMENTUM_EDGE_TOL:
         raise ValueError(
@@ -424,7 +426,6 @@ def gaussian_packet(
     sigma: float = 4.0,
     spin=0.5,
     weights=(1.0, 0.0),
-    rep: str = "dirac",
 ) -> MomentumField:
     """Unit-norm Gaussian packet centered at momentum p0 and position x0.
 
@@ -442,7 +443,7 @@ def gaussian_packet(
         raise ValueError("weights must be a nonzero pair of channel amplitudes")
     w = w / np.linalg.norm(w)
     branch = "particle" if w[1] == 0 else "mixed"
-    return _packet(grid, mass, p0, x0, sigma, spin, rep, branch, (w[0], -w[1]), (w[1], w[0]))
+    return _packet(grid, mass, p0, x0, sigma, spin, branch, (w[0], -w[1]), (w[1], w[0]))
 
 
 def antiparticle_gaussian_packet(
@@ -452,7 +453,6 @@ def antiparticle_gaussian_packet(
     x0=(0.0, 0.0, 0.0),
     sigma: float = 4.0,
     spin=0.5,
-    rep: str = "dirac",
 ) -> MomentumField:
     """Unit-norm antiparticle-labeled packet (momentum-space-only object).
 
@@ -460,11 +460,11 @@ def antiparticle_gaussian_packet(
     (sigma.p chi, (E+m) chi) / sqrt(2E(E+m)), the +E eigenvector of
     alpha.p - beta m, matching the mirrored position operators.
     """
-    return _packet(grid, mass, p0, x0, sigma, spin, rep, "antiparticle", (0.0, 1.0), (1.0, 0.0))
+    return _packet(grid, mass, p0, x0, sigma, spin, "antiparticle", (0.0, 1.0), (1.0, 0.0))
 
 
 # ---------------------------------------------------------------------------
-# branch projections, continuity and trembling motion
+# branch projections and continuity
 
 
 def branch_projection(field: MomentumField, branch: str) -> MomentumField:
@@ -492,6 +492,13 @@ def branch_projection(field: MomentumField, branch: str) -> MomentumField:
     return replace(field, values=vals, branch=branch)
 
 
+def _axis_distances(grid: Grid, center: np.ndarray) -> tuple[np.ndarray, ...]:
+    """|x1d - c_k| broadcast along axis k, k = 0, 1, 2: their maximum is the sup distance
+    |x - c|_inf of each node, with no (n, n, n, 3) lattice."""
+    d = np.abs(grid.x1d[:, None] - center)
+    return d[:, None, None, 0], d[None, :, None, 1], d[None, None, :, 2]
+
+
 def concentration_box(grid: Grid, rho: np.ndarray, fraction: float = 0.999):
     """Smallest centroid-centered cube holding `fraction` of the density.
 
@@ -505,12 +512,12 @@ def concentration_box(grid: Grid, rho: np.ndarray, fraction: float = 0.999):
     """
     total = np.sum(rho)
     center = np.einsum("xyz,xyzk->k", rho, grid.x) / total
-    dist = np.max(np.abs(grid.x - center), axis=-1)
+    dist = reduce(np.maximum, _axis_distances(grid, center))
     order = np.argsort(dist, axis=None)
     cum = np.cumsum(rho.ravel()[order])
     stop = int(np.searchsorted(cum, fraction * total))
     stop = min(stop, cum.size - 1)
-    return center, float(dist.ravel()[order][stop])
+    return center, float(dist.ravel()[order[stop]])
 
 
 @dataclass(frozen=True)
@@ -526,10 +533,7 @@ class ContinuityReport:
     field's own time.
     """
 
-    rep: str
-    dt: float
     residual_l2: float
-    residual_sup: float
     rate_scale: float
     nonlocality: float
     probability: float
@@ -558,7 +562,7 @@ def continuity_residuals(field: MomentumField, dts) -> list[ContinuityReport]:
     del j  # lower peak memory
     rho = coordinate_density(field)
     center, half = concentration_box(grid, rho, 0.999)
-    outside = np.max(np.abs(grid.x - center), axis=-1) > half
+    outside = reduce(np.logical_or, [d > half for d in _axis_distances(grid, center)])
     nonlocality = float(np.sum(jmag[outside]) / np.sum(jmag))
     rho_norm = float(np.linalg.norm(rho))
     probability = float(np.sum(rho) * cell)
@@ -571,7 +575,6 @@ def continuity_residuals(field: MomentumField, dts) -> list[ContinuityReport]:
         rate_fd /= 2.0 * dt
         defect = rate_fd + div
         res_l2 = float(np.sqrt(np.sum(defect**2) * cell))
-        res_sup = float(np.abs(defect).max())
         rate_scale = float(np.sqrt(np.sum(rate_fd**2) * cell))
         del defect, rate_fd  # lower peak memory
         rounding = np.finfo(float).eps * rho_norm * np.sqrt(cell) / (2.0 * dt)
@@ -579,108 +582,10 @@ def continuity_residuals(field: MomentumField, dts) -> list[ContinuityReport]:
         if res_l2 > 0.01 * rate_scale:
             dt_warning = "too fine" if rounding > 0.01 * rate_scale else "too coarse"
         reports.append(ContinuityReport(
-            rep=field.rep,
-            dt=dt,
             residual_l2=res_l2,
-            residual_sup=res_sup,
             rate_scale=rate_scale,
             nonlocality=nonlocality,
             probability=probability,
             dt_warning=dt_warning,
         ))
     return reports
-
-
-def _linear_slopes(times: np.ndarray, track: np.ndarray) -> np.ndarray:
-    return np.array([np.polyfit(times, track[:, k], 1)[0] for k in range(3)])
-
-
-def _dominant_angular_frequency(times: np.ndarray, signal: np.ndarray) -> float:
-    """Peak of the windowed spectrum of the detrended signal (angular units),
-    refined by parabolic interpolation around the peak bin."""
-    detrended = signal - np.polyval(np.polyfit(times, signal, 1), times)
-    window = np.hanning(len(times))
-    amp = np.abs(np.fft.rfft(detrended * window))
-    freqs = 2.0 * np.pi * np.fft.rfftfreq(len(times), d=times[1] - times[0])
-    k = int(np.argmax(amp[1:])) + 1
-    if 1 <= k < len(amp) - 1:
-        a, b, c = amp[k - 1], amp[k], amp[k + 1]
-        shift = 0.5 * (a - c) / (a - 2.0 * b + c)
-        return float(freqs[k] + shift * (freqs[1] - freqs[0]))
-    return float(freqs[k])
-
-
-@dataclass(frozen=True)
-class ZitterbewegungResult:
-    """Tracks of the naive coordinate and the branch position operator.
-
-    The coordinate track of a branch-mixed field oscillates around ballistic
-    motion at the interference frequency 2<E>; the branch position drifts
-    with the classical velocity <p/E> for any mix. The packet is split into
-    its +E and -E parts once, at t = 0, and every sample is taken at its
-    absolute time, so no roundoff builds up along the tracks: one expectation
-    (two inverse FFTs) per track and sample.
-    """
-
-    times: np.ndarray
-    coordinate_track: np.ndarray       # (samples, 3) <x-hat>
-    branch_position_track: np.ndarray  # (samples, 3) <X_P> on the +E projection
-    velocity_expectation: np.ndarray   # (3,) <p/E>
-    mean_energy: float
-    dominant_frequency: float
-    coordinate_slopes: np.ndarray
-    branch_slopes: np.ndarray
-
-
-def zitterbewegung_experiment(
-    packet: MomentumField, duration: float = 40.0, samples: int = 160
-) -> ZitterbewegungResult:
-    """Track position expectations of a (possibly branch-mixed) Dirac packet.
-
-    The packet f is split once, at t = 0, into a_+ = branch_projection(f,
-    "particle") and a_- = f - a_+. Free evolution is diagonal on the split, so
-    the sample at absolute time t_i is f(t_i) = e^{-iEt_i} a_+ + e^{+iEt_i} a_-
-    for the coordinate track and a_+(t_i) = e^{-iEt_i} a_+ for the branch
-    track: one diagonal phase and one expectation (two inverse FFTs, see
-    positionops.position_expectation) per track and sample, with no roundoff
-    carried from sample to sample.
-    """
-    if samples < 16:
-        raise ValueError("need at least 16 samples to resolve a trembling frequency")
-    if packet.rep != "dirac":
-        raise ValueError("the trembling-motion tracks are taken in the Dirac picture")
-    from .positionops import position_expectation
-
-    grid, f = packet.grid, packet.values
-    dens = _measure(packet) * pair(f, f)
-    total = np.sum(dens)
-    e = grid.energies(packet.mass)
-    mean_energy = float(np.sum(dens * e) / total)
-    v_exp = np.einsum("xyz,xyzk->k", dens / e, grid.p) / total
-
-    plus = branch_projection(packet, "particle")
-    times = np.linspace(0.0, duration, samples)
-    x_track = np.empty((samples, 3))
-    b_track = np.empty((samples, 3))
-    for i, t in enumerate(times):
-        phase = np.exp(-1j * e * t)[..., None]
-        # f(t) as e^{+iEt} f - 2i sin(Et) a_+: a_- = f - a_+ is never stored
-        sample = replace(packet, values=phase.conj() * f, time=packet.time + t)
-        sample.values -= (2j * np.sin(e * t))[..., None] * plus.values
-        x_track[i] = position_expectation(sample, "coordinate")
-        # rebinding drops f(t) before the next expectation: one sample field alive at a time
-        sample = replace(plus, values=phase * plus.values, time=packet.time + t)
-        b_track[i] = position_expectation(sample, "branch")
-
-    osc = x_track - times[:, None] * _linear_slopes(times, x_track)
-    axis = int(np.argmax(np.var(osc, axis=0)))
-    return ZitterbewegungResult(
-        times=times,
-        coordinate_track=x_track,
-        branch_position_track=b_track,
-        velocity_expectation=v_exp,
-        mean_energy=mean_energy,
-        dominant_frequency=_dominant_angular_frequency(times, x_track[:, axis]),
-        coordinate_slopes=_linear_slopes(times, x_track),
-        branch_slopes=_linear_slopes(times, b_track),
-    )

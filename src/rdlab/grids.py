@@ -33,10 +33,6 @@ class Grid:
     def dx(self) -> float:
         return np.pi / self.pmax
 
-    @property
-    def length(self) -> float:
-        return self.n * self.dx
-
     @cached_property
     def p1d(self) -> np.ndarray:
         return 2.0 * np.pi * np.fft.fftfreq(self.n, d=self.dx)

@@ -1,4 +1,4 @@
-"""Lorentz transformations on 4-vectors, standard boosts and Wigner rotations.
+"""Lorentz transformations on 4-vectors: pure boosts and spatial rotations.
 
 Conventions: metric eta = diag(+,-,-,-); 4-vectors are index-up rows
 (x^0, x^1, x^2, x^3); Lambda acts as x' = Lambda @ x.
@@ -6,8 +6,6 @@ Conventions: metric eta = diag(+,-,-,-); 4-vectors are index-up rows
 from __future__ import annotations
 
 import numpy as np
-
-from .clifford import ETA
 
 
 def energy(p, m: float):
@@ -39,29 +37,3 @@ def rotation(axis, angle: float) -> np.ndarray:
     lam = np.eye(4)
     lam[1:, 1:] = r3
     return lam
-
-
-def standard_boost(p, m: float) -> np.ndarray:
-    """Boost L_p taking the rest-frame momentum (m, 0) to (E_p, p)."""
-    p = np.asarray(p, dtype=float)
-    e = energy(p, m)
-    lam = np.eye(4)
-    lam[0, 0] = e / m
-    lam[0, 1:] = lam[1:, 0] = p / m
-    pp = float(p @ p)
-    if pp > 0.0:
-        lam[1:, 1:] = np.eye(3) + (e / m - 1.0) * np.outer(p, p) / pp
-    return lam
-
-
-def lorentz_inverse(lam: np.ndarray) -> np.ndarray:
-    """Inverse via the metric: Lambda^{-1} = eta Lambda^T eta."""
-    return ETA @ lam.T @ ETA
-
-
-def wigner_rotation(lam: np.ndarray, p, m: float) -> np.ndarray:
-    """Wigner rotation W = L_{Lambda p}^{-1} Lambda L_p; fixes the time axis."""
-    p = np.asarray(p, dtype=float)
-    p4 = np.concatenate(([energy(p, m)], p))
-    q4 = lam @ p4
-    return lorentz_inverse(standard_boost(q4[1:], m)) @ lam @ standard_boost(p, m)

@@ -1,4 +1,5 @@
-"""Position operators, localized states, locality integrals and the Yukawa tail.
+"""Position operators, trembling-motion tracks, localized states, locality
+integrals and the Yukawa tail.
 
 Operators act on MomentumField values (invariant-measure amplitudes) and are
 vector-valued: each returns a 3-tuple of fields, one per axis. The momentum
@@ -21,13 +22,16 @@ spin-orbit shift -(p x S)_k / (2m(E+m)), and that of the FW term is zero.
 """
 from __future__ import annotations
 
-from dataclasses import replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.special import erfc
 
 from .clifford import alpha_dot, pair
-from .fields import CoordinateField, MomentumField, _fft3, _ifft3, _measure, momentum_norm
+from .fields import (
+    CoordinateField, MomentumField, _fft3, _ifft3, _measure, branch_projection, momentum_norm,
+    to_dirac_picture, to_fw_picture,
+)
 from .grids import Grid
 from .spinors import rest_spinor
 
@@ -170,6 +174,96 @@ def position_expectation(field: MomentumField, role: str) -> np.ndarray:
     return sign * out / np.sum(d)
 
 
+def _linear_slopes(times: np.ndarray, track: np.ndarray) -> np.ndarray:
+    return np.array([np.polyfit(times, track[:, k], 1)[0] for k in range(3)])
+
+
+def _dominant_angular_frequency(times: np.ndarray, signal: np.ndarray) -> float:
+    """Peak of the windowed spectrum of the detrended signal (angular units),
+    refined by parabolic interpolation around the peak bin."""
+    detrended = signal - np.polyval(np.polyfit(times, signal, 1), times)
+    window = np.hanning(len(times))
+    amp = np.abs(np.fft.rfft(detrended * window))
+    freqs = 2.0 * np.pi * np.fft.rfftfreq(len(times), d=times[1] - times[0])
+    k = int(np.argmax(amp[1:])) + 1
+    if 1 <= k < len(amp) - 1:
+        a, b, c = amp[k - 1], amp[k], amp[k + 1]
+        shift = 0.5 * (a - c) / (a - 2.0 * b + c)
+        return float(freqs[k] + shift * (freqs[1] - freqs[0]))
+    return float(freqs[k])
+
+
+@dataclass(frozen=True)
+class ZitterbewegungResult:
+    """Tracks of the naive coordinate and the branch position operator.
+
+    The coordinate track of a branch-mixed field oscillates around ballistic
+    motion at the interference frequency 2<E>; the branch position drifts
+    with the classical velocity <p/E> for any mix.
+    """
+
+    times: np.ndarray
+    coordinate_track: np.ndarray       # (samples, 3) <x-hat>
+    branch_position_track: np.ndarray  # (samples, 3) <X_P> on the +E projection
+    velocity_expectation: np.ndarray   # (3,) <p/E>
+    mean_energy: float
+    dominant_frequency: float
+    coordinate_slopes: np.ndarray
+    branch_slopes: np.ndarray
+
+
+def zitterbewegung_experiment(
+    packet: MomentumField, duration: float = 40.0, samples: int = 160
+) -> ZitterbewegungResult:
+    """Track position expectations of a (possibly branch-mixed) Dirac packet.
+
+    The packet f is split once, at t = 0, into a_+ = branch_projection(f,
+    "particle") and a_- = f - a_+. Free evolution is diagonal on the split, so
+    the sample at absolute time t_i is f(t_i) = e^{-iEt_i} a_+ + e^{+iEt_i} a_-
+    for the coordinate track and a_+(t_i) = e^{-iEt_i} a_+ for the branch
+    track: one diagonal phase and one expectation (two inverse FFTs, see
+    position_expectation) per track and sample, with no roundoff carried from
+    sample to sample.
+    """
+    if samples < 16:
+        raise ValueError("need at least 16 samples to resolve a trembling frequency")
+    if packet.rep != "dirac":
+        raise ValueError("the trembling-motion tracks are taken in the Dirac picture")
+    grid, f = packet.grid, packet.values
+    dens = _measure(packet) * pair(f, f)
+    total = np.sum(dens)
+    e = grid.energies(packet.mass)
+    mean_energy = float(np.sum(dens * e) / total)
+    v_exp = np.einsum("xyz,xyzk->k", dens / e, grid.p) / total
+
+    plus = branch_projection(packet, "particle")
+    times = np.linspace(0.0, duration, samples)
+    x_track = np.empty((samples, 3))
+    b_track = np.empty((samples, 3))
+    for i, t in enumerate(times):
+        phase = np.exp(-1j * e * t)[..., None]
+        # f(t) as e^{+iEt} f - 2i sin(Et) a_+: a_- = f - a_+ is never stored
+        sample = replace(packet, values=phase.conj() * f)
+        sample.values -= (2j * np.sin(e * t))[..., None] * plus.values
+        x_track[i] = position_expectation(sample, "coordinate")
+        # rebinding drops f(t) before the next expectation: one sample field alive at a time
+        sample = replace(plus, values=phase * plus.values)
+        b_track[i] = position_expectation(sample, "branch")
+
+    x_slopes = _linear_slopes(times, x_track)
+    axis = int(np.argmax(np.var(x_track - times[:, None] * x_slopes, axis=0)))
+    return ZitterbewegungResult(
+        times=times,
+        coordinate_track=x_track,
+        branch_position_track=b_track,
+        velocity_expectation=v_exp,
+        mean_energy=mean_energy,
+        dominant_frequency=_dominant_angular_frequency(times, x_track[:, axis]),
+        coordinate_slopes=x_slopes,
+        branch_slopes=_linear_slopes(times, b_track),
+    )
+
+
 # ---------------------------------------------------------------------------
 # localized states
 
@@ -198,14 +292,11 @@ def localized_state(
     return MomentumField(grid, phase[..., None] * spinor, mass, rep, branch)
 
 
-def flat_top_window(
-    grid: Grid, plateau: float = WINDOW_PLATEAU, edge: float = WINDOW_EDGE,
-    steepness: float = WINDOW_STEEPNESS,
-) -> np.ndarray:
+def flat_top_window(grid: Grid, steepness: float = WINDOW_STEEPNESS) -> np.ndarray:
     """Separable momentum window: 1 on the central plateau, smooth erfc roll-off
     to ~0 before the lattice boundary. Used to band-limit sampled localized
     states so spectral derivatives retain their accuracy."""
-    t = (np.abs(grid.p1d) / grid.pmax - plateau) / (edge - plateau)
+    t = (np.abs(grid.p1d) / grid.pmax - WINDOW_PLATEAU) / (WINDOW_EDGE - WINDOW_PLATEAU)
     roll = 0.5 * erfc(steepness * (np.clip(t, 0.0, 1.0) - 0.5))
     w1 = np.where(t <= 0.0, 1.0, np.where(t >= 1.0, 0.0, roll))
     return w1[:, None, None] * w1[None, :, None] * w1[None, None, :]
@@ -220,10 +311,10 @@ def windowed_localized_state(
     return replace(f, values=flat_top_window(grid)[..., None] * f.values)
 
 
-def probe_mask(grid: Grid, fraction: float = PROBE_FRACTION) -> np.ndarray:
-    """Interior nodes |p_k| <= fraction * pmax on every axis (well inside the
+def probe_mask(grid: Grid) -> np.ndarray:
+    """Interior nodes |p_k| <= PROBE_FRACTION * pmax on every axis (well inside the
     window plateau; realizes the boundary-shell exclusion for residual norms)."""
-    inside = np.abs(grid.p1d) <= fraction * grid.pmax
+    inside = np.abs(grid.p1d) <= PROBE_FRACTION * grid.pmax
     return inside[:, None, None] & inside[None, :, None] & inside[None, None, :]
 
 
@@ -256,8 +347,6 @@ def localized_eigen_residuals(
 def mean_position_equivalence(field: MomentumField) -> np.ndarray:
     """Per-axis residual of U_FW^dag X_FW U_FW = X_P on a particle packet:
     || U^dag X_FW U f - X_P f || / || f || under the invariant measure."""
-    from .fields import to_dirac_picture, to_fw_picture
-
     if field.rep != "dirac" or field.branch != "particle":
         raise ValueError("equivalence is stated on particle-branch Dirac-picture fields")
     fw = to_fw_picture(field)
@@ -267,33 +356,6 @@ def mean_position_equivalence(field: MomentumField) -> np.ndarray:
         diff = to_dirac_picture(xfw_f).values - xp_f.values
         out.append(momentum_norm(replace(field, values=diff)) / nn)
     return np.array(out)
-
-
-def velocity_commutator_check(grid: Grid | None = None, mass: float = 1.0) -> float:
-    """Max per-axis plateau residual of i[H_FW, X_FW] f = beta (p/E) f with the
-    commutator composed from the discrete operators, on a windowed-constant
-    envelope. (With the e^{-iEt} evolution convention used throughout, the
-    Heisenberg velocity is +i[H, X].)"""
-    if grid is None:
-        grid = Grid(96, 4.0 * mass)
-    vals = np.zeros((grid.n, grid.n, grid.n, 4), dtype=complex)
-    # steeper roll: on this large box the splice discontinuity of the window,
-    # not its kernel width, limits the commutator residual
-    vals += flat_top_window(grid, steepness=8.5)[..., None] * np.array([0.5, 0.5, 0.5, 0.5])
-    f = MomentumField(grid, vals, mass, "fw", "particle")
-
-    from .fields import hamiltonian_apply
-
-    hf = replace(f, values=hamiltonian_apply(f))
-    e = grid.energies(mass)
-    mask = probe_mask(grid)
-    ref = np.linalg.norm(f.values[mask])
-    worst = 0.0
-    for k, (xf, xhf) in enumerate(zip(apply_xfw(f), apply_xfw(hf))):
-        comm = 1j * (hamiltonian_apply(xf) - xhf.values)
-        expect = (grid.p[..., k] / e**2)[..., None] * hf.values  # beta f = H_FW f / E
-        worst = max(worst, np.linalg.norm((comm - expect)[mask]) / ref)
-    return float(worst)
 
 
 # ---------------------------------------------------------------------------
@@ -384,7 +446,7 @@ def tail_consistency_residual(field: MomentumField) -> float:
     if field.rep != "fw":
         raise ValueError("defined for FW-picture fields")
     psi = full_weight_realization(field)
-    cf = CoordinateField(field.grid, psi, field.mass, "fw", field.branch, field.time)
+    cf = CoordinateField(field.grid, psi, field.mass, "fw", field.branch)
     tails = yukawa_tail(cf)
     worst = 0.0
     for k, xf in enumerate(apply_xfw(field)):

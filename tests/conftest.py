@@ -1,5 +1,5 @@
-"""Shared test helpers: traced peak memory and reference observables that no
-library code needs."""
+"""Shared test helpers: traced peak memory, and the reference observables, Lorentz
+transforms and packets that no library code needs."""
 from __future__ import annotations
 
 import tracemalloc
@@ -7,7 +7,8 @@ import tracemalloc
 import numpy as np
 
 from rdlab.clifford import ETA, pair
-from rdlab.fields import CoordinateField, MomentumField, _fft3, _measure
+from rdlab.fields import CoordinateField, MomentumField, _fft3, _measure, gaussian_packet
+from rdlab.grids import Grid
 from rdlab.lorentz import energy
 from rdlab.spinors import rest_spinor
 
@@ -39,7 +40,7 @@ def to_momentum(field: CoordinateField) -> MomentumField:
     """Inverse of to_coordinate."""
     half = np.sqrt(field.grid.energies(field.mass) / field.mass)
     phi = half[..., None] * _fft3(field.values) * field.grid.dx**3
-    return MomentumField(field.grid, phi, field.mass, field.rep, field.branch, field.time)
+    return MomentumField(field.grid, phi, field.mass, field.rep, field.branch)
 
 
 def momentum_expectation(field: MomentumField) -> np.ndarray:
@@ -58,6 +59,33 @@ def coordinate_centroid(field: CoordinateField) -> np.ndarray:
 def lorentz_defect(lam: np.ndarray) -> float:
     """Max-abs entry of Lambda^T eta Lambda - eta (0 for a Lorentz matrix)."""
     return float(np.max(np.abs(lam.T @ ETA @ lam - ETA)))
+
+
+def standard_boost(p, m: float) -> np.ndarray:
+    """Boost L_p taking the rest-frame momentum (m, 0) to (E_p, p)."""
+    p = np.asarray(p, dtype=float)
+    e = energy(p, m)
+    lam = np.eye(4)
+    lam[0, 0] = e / m
+    lam[0, 1:] = lam[1:, 0] = p / m
+    pp = float(p @ p)
+    if pp > 0.0:
+        lam[1:, 1:] = np.eye(3) + (e / m - 1.0) * np.outer(p, p) / pp
+    return lam
+
+
+def lorentz_inverse(lam: np.ndarray) -> np.ndarray:
+    """Inverse via the metric: Lambda^{-1} = eta Lambda^T eta."""
+    return ETA @ lam.T @ ETA
+
+
+def wigner_rotation(lam: np.ndarray, p, m: float) -> np.ndarray:
+    """Wigner rotation W = L_{Lambda p}^{-1} Lambda L_p; fixes the time axis. The 4-vector
+    reference for spinors.wigner_spinor_matrix."""
+    p = np.asarray(p, dtype=float)
+    p4 = np.concatenate(([energy(p, m)], p))
+    q4 = lam @ p4
+    return lorentz_inverse(standard_boost(q4[1:], m)) @ lam @ standard_boost(p, m)
 
 
 def axis_angle(r3: np.ndarray) -> tuple[np.ndarray, float]:
@@ -90,3 +118,10 @@ def fw_spinor(p, m: float, branch: str = "particle", lam: float = 0.5) -> np.nda
     U(p)^dag dirac_spinor(p, antiparticle) on the antiparticle branch.
     """
     return np.sqrt(energy(p, m) / m) * rest_spinor(branch, lam)
+
+
+def covariance_packet(grid: Grid, mass: float = 1.0) -> MomentumField:
+    """Transversely polarized moving packet of the boost tests: momentum 0.5 m along x,
+    spin +1/2 along z, width 2.5 / m; boosts run along y (both the mean momentum and the
+    polarization are transverse to the boost)."""
+    return gaussian_packet(grid, mass, p0=(0.5 * mass, 0.0, 0.0), sigma=2.5 / mass, spin=0.5)

@@ -7,7 +7,7 @@ floors behind those geometry choices are documented in the library modules.
 from __future__ import annotations
 
 import numpy as np
-from conftest import density, total_probability
+from conftest import covariance_packet, density, total_probability
 from scipy.integrate import quad
 
 from rdlab import covlab
@@ -21,9 +21,9 @@ from rdlab.fields import (
     momentum_inner,
     to_coordinate,
     to_fw_picture,
-    zitterbewegung_experiment,
 )
 from rdlab.grids import Grid
+from rdlab.positionops import zitterbewegung_experiment
 from rdlab.lorentz import boost, energy, rotation
 from rdlab.spinors import (
     dirac_adjoint,
@@ -171,7 +171,7 @@ def test_criterion_6_yukawa_tail_oracle_and_two_sided_consistency():
     s = 2.0
     spinor = np.array([0.6, -0.3 + 0.4j, 0.2j, 0.5])
     psi = np.exp(-np.einsum("xyzk,xyzk->xyz", g.x, g.x) / (2.0 * s * s))
-    cf = CoordinateField(g, psi[..., None] * spinor, M, "fw", "particle", 0.0)
+    cf = CoordinateField(g, psi[..., None] * spinor, M, "fw", "particle")
     tails = po.yukawa_tail(cf)
     amp = (2.0 * np.pi) ** 1.5 * s**3
 
@@ -193,7 +193,7 @@ def test_criterion_6_yukawa_tail_oracle_and_two_sided_consistency():
         assert np.linalg.norm(oracle - got) <= 1e-3 * np.linalg.norm(got)
 
     # two-sided check of the coordinate form of the FW position operator
-    packet = gaussian_packet(Grid(64, 4.0), M, (0.3, 0.0, 0.0), sigma=2.0, rep="fw")
+    packet = to_fw_picture(gaussian_packet(Grid(64, 4.0), M, (0.3, 0.0, 0.0), sigma=2.0))
     assert po.tail_consistency_residual(packet) <= 1e-8
 
 
@@ -232,10 +232,10 @@ def test_criterion_8_continuity_orders_norm_and_nonlocality():
 
 def test_criterion_9_frame_consistency_discriminates_densities():
     grid = Grid(48, 6.0)
-    packet = covlab.covariance_packet(grid)
+    packet = covariance_packet(grid)
     sweep48 = covlab.covariance_sweep(packet, (0.1, 0.25, 0.5), axis=1)[0]
     exp48 = sweep48[-1]
-    exp64 = covlab.covariance_sweep(covlab.covariance_packet(Grid(64, 6.0)), (0.5,), axis=1)[0][0]
+    exp64 = covlab.covariance_sweep(covariance_packet(Grid(64, 6.0)), (0.5,), axis=1)[0][0]
     # covariant pair: slice residual within tolerance and shrinking under refinement
     assert exp48.dirac_residual <= 1e-4
     assert exp64.dirac_residual <= 1e-4

@@ -7,7 +7,7 @@ import json
 import numpy as np
 import pytest
 
-from rdlab import cli, covlab
+from rdlab import cli, covlab, fields
 from rdlab.cli import main
 from rdlab.config import ConfigError, get_bool, get_floats, get_int, parse_config
 from rdlab.report import format_value
@@ -418,3 +418,19 @@ def test_tables_identical_across_thread_counts(tmp_path, monkeypatch, command):
         report.pop("runtime_seconds")
         outputs[threads] = (report, [(out / f"{command}.{t}").read_bytes() for t in tables])
     assert outputs["1"] == outputs["2"]
+
+
+@pytest.mark.parametrize("value", ["0", "abc", "-1"])
+def test_invalid_thread_count_exits_before_any_work(tmp_path, monkeypatch, capsys, value):
+    # one parser serves the CLI and the library's FFT calls; -1 would read as "all cores"
+    def untouched(*args, **kwargs):
+        raise AssertionError("no work runs on an invalid RDLAB_THREADS")
+
+    monkeypatch.setenv("RDLAB_THREADS", value)
+    monkeypatch.setattr(cli, "gaussian_packet", untouched)
+    code, report = run(tmp_path, "continuity", "grid.n = 32\ncontinuity.levels = 2\n")
+    assert code == 2 and report is None
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "RDLAB_THREADS" in err and "packet" not in err
+    with pytest.raises(ConfigError, match="RDLAB_THREADS"):
+        fields._workers()

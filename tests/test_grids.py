@@ -15,7 +15,7 @@ def test_layout():
     assert g.p1d[0] == 0.0
     assert g.p1d[1] == pytest.approx(g.dp)
     assert g.p1d[g.n // 2] == pytest.approx(-g.pmax)
-    assert g.x1d[g.n // 2] == pytest.approx(-g.length / 2)
+    assert g.x1d[g.n // 2] == pytest.approx(-g.n * g.dx / 2)
     assert g.p.shape == (16, 16, 16, 3)
     assert g.x.shape == (16, 16, 16, 3)
     np.testing.assert_array_equal(g.p[3, 5, 7], [g.p1d[3], g.p1d[5], g.p1d[7]])

@@ -3,17 +3,10 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
-from conftest import axis_angle, lorentz_defect
+from conftest import axis_angle, lorentz_defect, lorentz_inverse, standard_boost, wigner_rotation
 
 from rdlab.clifford import ETA
-from rdlab.lorentz import (
-    boost,
-    energy,
-    lorentz_inverse,
-    rotation,
-    standard_boost,
-    wigner_rotation,
-)
+from rdlab.lorentz import boost, energy, rotation
 
 RNG = np.random.default_rng(20260815)
 

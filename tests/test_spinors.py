@@ -3,10 +3,10 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
-from conftest import axis_angle, fw_spinor
+from conftest import axis_angle, fw_spinor, wigner_rotation
 
 from rdlab.clifford import ALPHA, BETA, GAMMA, alpha_dot
-from rdlab.lorentz import boost, energy, lorentz_inverse, rotation, wigner_rotation
+from rdlab.lorentz import boost, energy, rotation
 from rdlab.spinors import (
     alpha_matrix,
     dirac_adjoint,
