@@ -36,7 +36,6 @@ from .fields import (
     _rate_planes,
     _workers,
     branch_projection,
-    concentration_box,
     coordinate_density,
     to_fw_picture,
 )
@@ -48,12 +47,6 @@ from .spinors import spinor_boost, spinor_rotation
 # (~1e-6 of peak) so chained boosts see the genuine support, not the noise.
 SUPPORT_CUT = 3e-6
 
-# +90 degree rotations about the coordinate axes (exact integer node maps)
-_QUARTER = {
-    0: np.array([[1, 0, 0], [0, 0, -1], [0, 1, 0]]),
-    1: np.array([[0, 0, 1], [0, 1, 0], [-1, 0, 0]]),
-    2: np.array([[0, -1, 0], [1, 0, 0], [0, 0, 1]]),
-}
 _AXES = (np.array([1.0, 0, 0]), np.array([0, 1.0, 0]), np.array([0, 0, 1.0]))
 
 
@@ -157,14 +150,16 @@ def boost_dirac_field(field: MomentumField, rapidity: float, axis: int = 0) -> M
     return replace(field, values=vals)
 
 
-def _rotation_source_indices(n: int, axis: int, k: int):
-    """Fancy-index tuple realizing a quarter-turn permutation of the lattice."""
-    rot = np.linalg.matrix_power(_QUARTER[axis], k % 4)
-    freqs = np.rint(np.fft.fftfreq(n, 1.0 / n)).astype(int)
-    fx, fy, fz = np.meshgrid(freqs, freqs, freqs, indexing="ij")
-    q_int = np.stack([fx, fy, fz], axis=-1)
-    src = np.einsum("ab,xyzb->xyza", rot.T, q_int)
-    return tuple((src[..., i] % n).astype(np.intp) for i in range(3))
+def _quarter_turns(values: np.ndarray, axis: int, k: int) -> np.ndarray:
+    """Permute the nodes of a periodic lattice sample (any trailing per-node
+    axes) by k quarter turns about a coordinate axis: out(y) = in(R^-k y).
+    In the lattice integers (u, v) along axes (b, c) = (axis + 1, axis + 2)
+    mod 3, one +90 degree turn is out(u, v) = in(v, -u): a flip and a one-node
+    roll along c give -v (FFT order), then b and c swap."""
+    b, c = (axis + 1) % 3, (axis + 2) % 3
+    for _ in range(k % 4):
+        values = np.swapaxes(np.roll(np.flip(values, c), 1, c), b, c)
+    return values
 
 
 def rotate_field(field: MomentumField, axis: int, quarter_turns: int) -> MomentumField:
@@ -182,12 +177,11 @@ def rotate_field(field: MomentumField, axis: int, quarter_turns: int) -> Momentu
     k = int(quarter_turns) % 8
     if k == 0:
         return field
-    idx = _rotation_source_indices(field.grid.n, axis, k)
-    vals = field.values[idx] @ spinor_rotation(_AXES[axis], k * np.pi / 2.0).T
+    vals = _quarter_turns(field.values, axis, k) @ spinor_rotation(_AXES[axis], k * np.pi / 2.0).T
     return replace(field, values=vals)
 
 
-def rotate_scalar_lattice(grid: Grid, values: np.ndarray, axis: int, quarter_turns: int) -> np.ndarray:
+def rotate_scalar_lattice(values: np.ndarray, axis: int, quarter_turns: int) -> np.ndarray:
     """Quarter-turn rotation of a scalar lattice sample (momentum or coordinate):
     out(y) = in(R^-1 y)."""
     if axis not in (0, 1, 2):
@@ -195,17 +189,24 @@ def rotate_scalar_lattice(grid: Grid, values: np.ndarray, axis: int, quarter_tur
     k = int(quarter_turns) % 4
     if k == 0:
         return values.copy()
-    return values[_rotation_source_indices(grid.n, axis, k)]
+    return _quarter_turns(values, axis, k)
 
 
 # ---------------------------------------------------------------------------
 # slice-consistency checks
 
 
-def _slice_residual(rho_boosted: np.ndarray, predicted: np.ndarray) -> float:
-    num = float(np.sqrt(np.sum((predicted - rho_boosted) ** 2)))
+def _slice_departures(grid: Grid, rho_boosted: np.ndarray, predicted: np.ndarray) -> tuple[float, float]:
+    """(L2 residual of the prediction relative to the boosted density, D) with
+    D = max(sum (rho' - pred)_+, sum (rho' - pred)_-) dx^3: the largest
+    |P'(R) - P_pred(R)| over lattice regions R, reached on the nodes where the
+    difference has one sign."""
+    diff = predicted - rho_boosted
+    num = float(np.sqrt(np.sum(diff**2)))
     den = float(np.sqrt(np.sum(rho_boosted**2)))
-    return num / den
+    excess = float(np.sum(diff, where=diff > 0.0))
+    deficit = -float(np.sum(diff, where=diff < 0.0))
+    return num / den, max(excess, deficit) * grid.dx**3
 
 
 def _particle_amplitude(field: MomentumField, axis: int) -> np.ndarray:
@@ -284,78 +285,48 @@ def slice_prediction(field: MomentumField, rapidity: float, axis: int = 0) -> np
 
 
 # ---------------------------------------------------------------------------
-# box probabilities
-
-
-def box_probability(grid: Grid, rho: np.ndarray, center, halfwidths) -> float:
-    """Probability mass of a density inside an axis-aligned box."""
-    center = np.asarray(center, dtype=float)
-    halfwidths = np.broadcast_to(np.asarray(halfwidths, dtype=float), (3,))
-    mask = np.ones(rho.shape, dtype=bool)
-    for k in range(3):
-        mask &= np.abs(grid.x[..., k] - center[k]) <= halfwidths[k] + 1e-12
-    return float(np.sum(rho[mask]) * grid.dx**3)
+# the boost sweep
 
 
 @dataclass(frozen=True)
 class BoostExperimentReport:
-    """Boosted-frame audit of one packet at one rapidity.
-
-    fw_box_rest / fw_box_boosted carry the FW-density analog of the box
-    comparison; they are diagnostic extras, not part of the serialized
-    record.
-    """
+    """Boosted-frame audit of one packet at one rapidity: the slice residual
+    and the region departure D of each picture (see _slice_departures)."""
 
     rapidity: float
     dirac_residual: float
     fw_violation: float
-    box_rest: float
-    box_boosted: float
+    dirac_tv: float
+    fw_tv: float
     grid_n: int
     grid_pmax: float
     mass: float
-    fw_box_rest: float
-    fw_box_boosted: float
 
     def as_dict(self) -> dict:
         return {
             "rapidity": self.rapidity,
             "dirac_residual": self.dirac_residual,
             "fw_violation": self.fw_violation,
-            "box_rest": self.box_rest,
-            "box_boosted": self.box_boosted,
+            "dirac_tv": self.dirac_tv,
+            "fw_tv": self.fw_tv,
             "grid": {"n": self.grid_n, "pmax": self.grid_pmax, "mass": self.mass},
         }
 
 
-def contracted_cube(
-    grid: Grid, rho_rest: np.ndarray, rapidity: float, axis: int, fraction: float = 0.99
-):
-    """(center, halfwidths) of the rest-density capture cube, contracted by
-    1/cosh(chi) along the boost axis (its image on the boosted slice)."""
-    center, half = concentration_box(grid, rho_rest, fraction)
-    halfwidths = np.full(3, half)
-    halfwidths[axis] /= np.cosh(rapidity)
-    center = center.copy()
-    center[axis] /= np.cosh(rapidity)
-    return center, halfwidths
-
-
 def covariance_sweep(
-    field: MomentumField, rapidities, axis: int = 1, box_fraction: float = 0.99
+    field: MomentumField, rapidities, axis: int = 1
 ) -> tuple[list[BoostExperimentReport], np.ndarray, np.ndarray]:
-    """Slice-consistency residuals plus the box-probability comparison of one
-    packet, one report per rapidity.
+    """Slice-consistency residuals and region departures of one packet, one
+    report per rapidity.
 
-    The cube holding `box_fraction` of the rest Dirac density is contracted
-    by 1/cosh(chi) along the boost axis. box_boosted integrates the boosted
-    density over that cube; box_rest is the rest-frame accounting of the
-    same region: the flux-corrected tilted-slice prediction. A covariant
-    density/current pair makes the two agree to lattice precision; the FW
-    pair (fw_violation, fw_box_*: the same comparison run on the FW density
-    with its continuity-solving current) does not. At rapidity 0 the boost
-    and the slice are identities: boosted density and prediction are the
-    rest density of each picture, so both residuals are exactly 0. Returns
+    Each picture's boosted density is compared with its flux-corrected
+    tilted-slice prediction, the rest-frame accounting of the same slice: by
+    the L2 residual and by D = sup_R |P'(R) - P_pred(R)|, the probability
+    departure of the worst lattice region. A covariant density/current pair
+    makes both vanish to lattice precision; the FW pair (fw_violation, fw_tv:
+    the FW density with its continuity-solving current) does not. At rapidity
+    0 the boost and the slice are identities: boosted density and prediction
+    are the rest density of each picture, so all four are exactly 0. Returns
     (reports, rho_rest, rho_fw), with the rest densities of both pictures.
     """
     grid = field.grid
@@ -373,17 +344,16 @@ def covariance_sweep(
             del boosted  # lower peak memory
             pred = slice_prediction(field, chi, axis)
             pred_fw = slice_prediction(to_fw_picture(field), chi, axis)
-        center, halfwidths = contracted_cube(grid, rho_rest, chi, axis, box_fraction)
+        dirac_residual, dirac_tv = _slice_departures(grid, rho_boosted, pred)
+        fw_violation, fw_tv = _slice_departures(grid, rho_bf, pred_fw)
         reports.append(BoostExperimentReport(
             rapidity=float(chi),
-            dirac_residual=_slice_residual(rho_boosted, pred),
-            fw_violation=_slice_residual(rho_bf, pred_fw),
-            box_rest=box_probability(grid, pred, center, halfwidths),
-            box_boosted=box_probability(grid, rho_boosted, center, halfwidths),
+            dirac_residual=dirac_residual,
+            fw_violation=fw_violation,
+            dirac_tv=dirac_tv,
+            fw_tv=fw_tv,
             grid_n=grid.n,
             grid_pmax=grid.pmax,
             mass=field.mass,
-            fw_box_rest=box_probability(grid, pred_fw, center, halfwidths),
-            fw_box_boosted=box_probability(grid, rho_bf, center, halfwidths),
         ))
     return reports, rho_rest, rho_fw

@@ -285,7 +285,7 @@ def test_covariance_rotation_only(tmp_path, monkeypatch):
     sweep = json.loads((tmp_path / "covariance.sweep.json").read_text())
     assert len(sweep) == 1
     assert sweep[0]["rapidity"] == 0.0
-    assert sweep[0]["box_rest"] == sweep[0]["box_boosted"]
+    assert sweep[0]["dirac_tv"] == sweep[0]["fw_tv"] == 0.0
     assert sweep[0]["grid"] == {"n": 64, "pmax": 8.0, "mass": 1.0}
 
 
@@ -309,8 +309,25 @@ def test_covariance_rejects_packet_failing_hygiene(tmp_path, capsys):
 def test_covariance_rejects_bad_axes_and_rapidities(tmp_path, capsys):
     assert run(tmp_path, "covariance", "boost.axis = 3\n")[0] == 2
     assert run(tmp_path, "covariance", "boost.rapidity = 0.5, 0.1\n")[0] == 2
-    assert run(tmp_path, "covariance", "box.fraction = 1.5\n")[0] == 2
     capsys.readouterr()
+    # a repeated rapidity would fail fw_violation_increasing by construction
+    for rapidities in ("0.0, 0.0", "0.1, 0.5, 0.5"):
+        assert run(tmp_path, "covariance", f"boost.rapidity = {rapidities}\n") == (2, None)
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "boost.rapidity" in err and "strictly increasing" in err
+
+
+def test_covariance_fw_departure_holds_where_one_cube_cancels(tmp_path):
+    # a packet whose FW departure on the contracted 99% capture cube was
+    # 1.6e-4, below the 1e-3 budget: the worst region departs by far more
+    code, report = run(tmp_path, "covariance", (
+        "boost.rapidity = 0.0, 0.5\n"
+        "packet.p0 = 0.404040, -0.010462, 0.092226\n"
+        "packet.x0 = -0.204642, -0.149397, 0.079785\n"))
+    assert code == 0
+    by_name = {c["name"]: c for c in report["checks"]}
+    assert by_name["fw_box_departure"]["passed"] and by_name["fw_box_departure"]["value"] >= 1e-2
+    assert by_name["box_invariance_dirac"]["value"] <= 1e-4
 
 
 # ---------------------------------------------------------------------------

@@ -12,8 +12,6 @@ from rdlab import covlab
 from rdlab.clifford import ALPHA, sigma_dot
 from rdlab.covlab import (
     boost_dirac_field,
-    box_probability,
-    contracted_cube,
     covariance_sweep,
     rotate_field,
     rotate_scalar_lattice,
@@ -186,8 +184,35 @@ def test_rotated_density_is_permuted_density(rep):
         f = to_fw_picture(f)
     rho = density(to_coordinate(f))
     rho_rot = density(to_coordinate(rotate_field(f, 2, 1)))
-    expected = rotate_scalar_lattice(g, rho, 2, 1)
+    expected = rotate_scalar_lattice(rho, 2, 1)
     assert np.abs(rho_rot - expected).max() <= 1e-6 * rho.max()
+
+
+def _rotation_source_indices(n, axis, k):
+    """Oracle: fancy-index tuple of the k-quarter-turn node map, out(y) = in(R^-k y)
+    with R the integer +90 degree rotation about `axis`."""
+    quarter = {
+        0: np.array([[1, 0, 0], [0, 0, -1], [0, 1, 0]]),
+        1: np.array([[0, 0, 1], [0, 1, 0], [-1, 0, 0]]),
+        2: np.array([[0, -1, 0], [1, 0, 0], [0, 0, 1]]),
+    }
+    rot = np.linalg.matrix_power(quarter[axis], k % 4)
+    freqs = np.rint(np.fft.fftfreq(n, 1.0 / n)).astype(int)
+    q_int = np.stack(np.meshgrid(freqs, freqs, freqs, indexing="ij"), axis=-1)
+    src = np.einsum("ab,xyzb->xyza", rot.T, q_int)
+    return tuple((src[..., i] % n).astype(np.intp) for i in range(3))
+
+
+@pytest.mark.parametrize("n", [8, 16])
+def test_quarter_turns_match_the_index_map(n):
+    rng = np.random.default_rng(n)
+    scalar = rng.standard_normal((n, n, n))
+    spinor = rng.standard_normal((n, n, n, 4)) + 1j * rng.standard_normal((n, n, n, 4))
+    for axis in range(3):
+        for k in range(8):
+            idx = _rotation_source_indices(n, axis, k)
+            assert np.array_equal(rotate_scalar_lattice(scalar, axis, k), scalar[idx])
+            assert np.array_equal(covlab._quarter_turns(spinor, axis, k), spinor[idx])
 
 
 def _per_plane_slice(field, rapidity, axis):
@@ -288,18 +313,34 @@ def test_fw_density_rotation_consistent():
     fw = to_fw_picture(covariance_packet(g))
     rho = density(to_coordinate(fw))
     rho_rot = density(to_coordinate(rotate_field(fw, 2, 1)))
-    expected = rotate_scalar_lattice(g, rho, 2, 1)
+    expected = rotate_scalar_lattice(rho, 2, 1)
     residual = np.sqrt(np.sum((rho_rot - expected) ** 2) / np.sum(expected**2))
     assert residual <= 1e-6
 
 
 def test_box_probability_invariant_for_dirac_not_fw():
+    # D = sup_R |P'(R) - P_pred(R)|: within budget for every Dirac region,
+    # beyond it for some FW region
     rep = _experiment(64)
-    assert 0.97 <= rep.box_boosted <= 1.0
-    assert abs(rep.box_boosted - rep.box_rest) <= 1e-3
-    fw_departure = abs(rep.fw_box_boosted - rep.fw_box_rest)
-    assert fw_departure >= 1e-3
-    assert fw_departure >= 100.0 * abs(rep.box_boosted - rep.box_rest)
+    assert rep.dirac_tv <= 1e-3
+    assert rep.fw_tv >= 1e-3
+    assert rep.fw_tv >= 100.0 * rep.dirac_tv
+
+
+def test_region_departure_is_the_worst_region():
+    # D bounds |P'(R) - P_pred(R)| for boxes and half-spaces, and is reached
+    # on the region where the boosted density exceeds the prediction (or on
+    # its complement)
+    g = Grid(24, 4.5)
+    rng = np.random.default_rng(7)
+    rho_b, pred = rng.random((2, 24, 24, 24))
+    residual, tv = covlab._slice_departures(g, rho_b, pred)
+    diff = (rho_b - pred) * g.dx**3
+    assert residual == pytest.approx(np.sqrt(np.sum((pred - rho_b) ** 2) / np.sum(rho_b**2)), rel=1e-14)
+    assert tv == pytest.approx(max(diff[diff > 0].sum(), -diff[diff < 0].sum()), rel=1e-12)
+    for region in (np.s_[3:11, 5:20, :], np.s_[:12], np.s_[:, 7:, 2:9]):
+        assert abs(diff[region].sum()) <= tv
+    assert covlab._slice_departures(g, rho_b, rho_b) == (0.0, 0.0)
 
 
 def test_sweep_at_zero_rapidity_is_the_identity(monkeypatch):
@@ -315,8 +356,7 @@ def test_sweep_at_zero_rapidity_is_the_identity(monkeypatch):
     # the rest densities it returns are those of both pictures
     assert np.array_equal(rho_rest, coordinate_density(f))
     assert np.array_equal(rho_fw, coordinate_density(to_fw_picture(f)))
-    assert rep.box_rest == rep.box_boosted
-    assert rep.fw_box_rest == rep.fw_box_boosted
+    assert rep.dirac_tv == 0.0 and rep.fw_tv == 0.0
 
 
 def test_sweep_equals_single_rapidity_sweeps():
@@ -333,20 +373,11 @@ def test_report_serialization_contract():
         "rapidity",
         "dirac_residual",
         "fw_violation",
-        "box_rest",
-        "box_boosted",
+        "dirac_tv",
+        "fw_tv",
         "grid",
     }
     assert set(d["grid"]) == {"n", "pmax", "mass"}
     assert d["rapidity"] == CHI
     assert d["grid"]["n"] == 48
 
-
-def test_contracted_cube_geometry():
-    g = Grid(48, 6.0)
-    f = covariance_packet(g)
-    rho = density(to_coordinate(f))
-    center, halfwidths = contracted_cube(g, rho, CHI, AXIS, 0.99)
-    assert halfwidths[0] == halfwidths[2]
-    np.testing.assert_allclose(halfwidths[AXIS], halfwidths[0] / np.cosh(CHI))
-    assert box_probability(g, rho, center * 0.0, halfwidths[0]) >= 0.99
