@@ -76,6 +76,7 @@ from .positionops import (
     locality_lattice,
     mean_position_equivalence,
     tail_consistency_residual,
+    tremble_moments,
     zitterbewegung_experiment,
 )
 from .report import ReportRecord, format_value, write_json, write_report, write_table
@@ -458,13 +459,14 @@ def cmd_zitterbewegung(cfg: dict[str, str], record: ReportRecord, rng: np.random
     pure_samples = get_int(cfg, "pure.samples", 24)
     tol_freq = _tol(cfg, "frequency", 0.05)
     tol_slope = _tol(cfg, "slope", 1e-3)
-    for key, count in (("times.samples", samples), ("pure.samples", pure_samples)):
-        if count < 16:
-            raise ConfigError(f"{key} = {count}: need at least 16 samples to resolve a trembling frequency")
 
-    # both packets pass the lattice hygiene checks before any sampling starts
+    # both packets pass the lattice hygiene checks, and both tracks their sampling
+    # preconditions, before any sampling starts; only the mixed track must resolve
+    # its trembling frequency 2<E>, the pure track checks slopes
     packet = _precondition(f"{keys}, packet.mix", gaussian_packet, grid, mass, p0, sigma=sigma, weights=mix)
     pure_packet = _precondition(pure_keys, gaussian_packet, pure_grid, mass, pure_p0, sigma=pure_sigma)
+    _precondition("times.T, times.samples", tremble_moments, packet, duration, samples)
+    _precondition("pure.T, pure.samples", tremble_moments, pure_packet, pure_duration, pure_samples)
 
     mixed = zitterbewegung_experiment(packet, duration, samples)
     freq_err = abs(mixed.dominant_frequency / (2.0 * mixed.mean_energy) - 1.0)

@@ -347,6 +347,8 @@ CONFIG_ERRORS = [
     ("zitterbewegung", "times.T = 0\n", "times.T = 0: must be positive"),
     ("zitterbewegung", "times.T = -10\n", "times.T = -10: must be positive"),
     ("zitterbewegung", "pure.T = 0\n", "pure.T = 0: must be positive"),
+    # the mixed track cannot resolve 2<E> above its Nyquist frequency
+    ("zitterbewegung", "times.T = 1e300\n", "times.T, times.samples: the Nyquist frequency"),
     ("position", "grid.n = 16\n", "grid.n, grid.pmax, packet.sigma, packet.p0, packet.x0"),
     # a NaN or infinite number never reaches a check, where it could pass vacuously
     ("continuity", "packet.sigma = nan\n", "config key 'packet.sigma': expected a finite number"),

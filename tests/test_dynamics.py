@@ -1,14 +1,16 @@
 """Evolution, branch projections, continuity audits and trembling motion."""
 from __future__ import annotations
 
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
 import pytest
 from conftest import density, total_probability
 
-from rdlab.clifford import ALPHA
+from rdlab.clifford import ALPHA, pair
 from rdlab.fields import (
+    _measure,
     branch_projection,
     concentration_box,
     continuity_residuals,
@@ -23,6 +25,7 @@ from rdlab.fields import (
     to_fw_picture,
 )
 from rdlab.grids import Grid
+from rdlab import positionops as po
 from rdlab.positionops import apply_dirac_coordinate, apply_xp, zitterbewegung_experiment
 
 GRID = Grid(48, 6.0)
@@ -267,3 +270,46 @@ def test_zitterbewegung_needs_enough_samples():
         zitterbewegung_experiment(_moving_packet(), samples=8)
     with pytest.raises(ValueError, match="Dirac picture"):
         zitterbewegung_experiment(to_fw_picture(_moving_packet()), samples=16)
+
+
+@pytest.mark.parametrize(
+    "duration, message",
+    [(0.0, "finite and positive"), (-1.0, "finite and positive"), (np.nan, "finite and positive"),
+     (np.inf, "finite and positive"), (1e300, "Nyquist frequency")],
+)
+def test_zitterbewegung_needs_a_finite_resolving_duration(duration, message):
+    # a mixed track sampled below its trembling frequency 2<E> is rejected too
+    packet = gaussian_packet(Grid(16, 4.0), M, (0.3, 0.0, 0.0), sigma=2.0, weights=(1.0, 1.0))
+    with pytest.raises(ValueError, match=message):
+        zitterbewegung_experiment(packet, duration=duration, samples=16)
+
+
+def test_spin_orbit_shift_is_constant_along_the_branch_track():
+    # X_P - x-hat on a_+(t) = e^{-iEt} a_+ is the shift of a_+ at t = 0 at every
+    # sample, from the operator fields; the loop subtracts that hoisted shift
+    packet = gaussian_packet(Grid(32, 4.5), M, (0.4, 0.0, 0.2), sigma=4.0, weights=(1.0, 1.0))
+    result = zitterbewegung_experiment(packet, duration=10.0, samples=16)
+    plus = branch_projection(packet, "particle")
+    shift = po._spin_orbit_shift(plus)
+    e, w, n3 = plus.grid.energies(M), _measure(plus), plus.grid.n**3
+    for t, branch in zip(result.times, result.branch_position_track):
+        a = replace(plus, values=np.exp(-1j * e * t)[..., None] * plus.values)
+        want = -shift / (np.sum(w * pair(a.values, a.values)) / n3)
+        coordinate = _applied_expectation(a, apply_dirac_coordinate)
+        for got in (_applied_expectation(a, apply_xp) - coordinate, branch - coordinate):
+            assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+
+def test_zitterbewegung_memory_does_not_grow_with_samples():
+    # two sample buffers serve every sample: the peak is a few fields, whatever the count
+    packet = gaussian_packet(Grid(32, 4.0), M, (0.3, 0.0, 0.0), sigma=4.0, weights=(1.0, 1.0))
+    peaks = []
+    for samples in (16, 48):
+        tracemalloc.start()
+        try:
+            zitterbewegung_experiment(packet, duration=10.0, samples=samples)
+            peaks.append(tracemalloc.get_traced_memory()[1] / packet.values.nbytes)
+        finally:
+            tracemalloc.stop()
+    assert peaks[0] <= 4.5
+    assert abs(peaks[1] - peaks[0]) <= 0.01

@@ -14,6 +14,7 @@ from rdlab.fields import (
     MomentumField,
     _fft3,
     _ifft3,
+    _measure,
     antiparticle_gaussian_packet,
     gaussian_packet,
     hamiltonian_apply,
@@ -176,6 +177,30 @@ def _applied_expectation(field, op):
     return np.array([momentum_inner(field, xf).real / nn for xf in op(field)])
 
 
+def role_expectation(field, role):
+    """Re <f, X f> / <f, f> per axis, without applying X, through the
+    trembling-motion tracks' position_expectation and spin-orbit shift.
+
+    `role` picks X: "coordinate" is apply_dirac_coordinate, "branch" the
+    field's own branch operator OPERATORS[(rep, branch)]; each keeps the
+    preconditions of its apply function. The FW branch term -i p_k/(2 E^2)
+    has no real part; antiparticle labelings flip the overall sign, as the
+    operators do.
+    """
+    if role == "coordinate":
+        if field.rep != "dirac":
+            raise ValueError("the coordinate operator is defined on Dirac-picture fields")
+    elif role == "branch":
+        if (field.rep, field.branch) not in po.OPERATORS:
+            raise ValueError("per-branch operator; project the field first")
+    else:
+        raise ValueError(f"role must be 'coordinate' or 'branch', got {role!r}")
+    shift = po._spin_orbit_shift(field) if role == "branch" and field.rep == "dirac" else 0.0
+    sign = -1.0 if field.branch == "antiparticle" else 1.0
+    w = _measure(field)[..., None]
+    return sign * po.position_expectation(field.grid, w, field.values.copy(), np.empty_like(field.values), shift)
+
+
 @pytest.mark.parametrize(
     "op, role, rep, branch",
     [
@@ -195,7 +220,7 @@ def test_position_expectation_matches_applied_operator(op, role, rep, branch):
     vals = rng.normal(size=(16, 16, 16, 4)) + 1j * rng.normal(size=(16, 16, 16, 4))
     f = MomentumField(g, vals, 1.3, rep, branch)
     want = _applied_expectation(f, op)
-    got = po.position_expectation(f, role)
+    got = role_expectation(f, role)
     assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
     np.testing.assert_array_equal(f.values, vals)
 
@@ -209,7 +234,7 @@ def test_position_expectation_spin_orbit_term(branch):
     f = MomentumField(g, vals, 1.3, "dirac", branch)
     op = po.apply_xp if branch == "particle" else po.apply_xap
     want = _applied_expectation(f, op) - _applied_expectation(f, po.apply_dirac_coordinate)
-    got = po.position_expectation(f, "branch") - po.position_expectation(f, "coordinate")
+    got = role_expectation(f, "branch") - role_expectation(f, "coordinate")
     assert np.abs(want).max() > 1e-4
     assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
@@ -229,7 +254,7 @@ def test_position_expectation_spin_orbit_term(branch):
 def test_position_expectation_undefined_pairs_raise(role, rep, branch):
     f = MomentumField(Grid(8, 4.0), np.ones((8, 8, 8, 4)), M, rep, branch)
     with pytest.raises(ValueError):
-        po.position_expectation(f, role)
+        role_expectation(f, role)
 
 
 def _packet_pair(grid, sigma):
@@ -272,7 +297,7 @@ def test_coordinate_expectation_matches_centroid():
     # spin along p0: no transverse spin-orbit displacement of the centroid
     f = gaussian_packet(g, M, (0.0, 0.0, 0.3), (0.5, -0.4, 0.8), sigma=2.0)
     cen = coordinate_centroid(to_coordinate(f))
-    xexp = po.position_expectation(f, "coordinate")
+    xexp = role_expectation(f, "coordinate")
     np.testing.assert_allclose(xexp, cen, atol=1e-8)
     np.testing.assert_allclose(xexp, [0.5, -0.4, 0.8], atol=1e-6)
 
@@ -282,7 +307,7 @@ def test_polarized_packet_centroid_shows_spin_orbit_shift():
     # packet relative to its envelope center along s x p
     g = Grid(48, 6.0)
     f = gaussian_packet(g, M, (0.3, 0.0, 0.0), (0.0, 0.0, 0.0), sigma=2.0, spin=0.5)
-    xexp = po.position_expectation(f, "coordinate")
+    xexp = role_expectation(f, "coordinate")
     assert abs(xexp[1]) > 1e-2   # shift along z-hat x p0
     assert abs(xexp[0]) < 1e-6 and abs(xexp[2]) < 1e-6
 
