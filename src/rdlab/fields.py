@@ -125,41 +125,50 @@ def to_coordinate(field: MomentumField) -> CoordinateField:
     """Unitary transform to the coordinate lattice (rejects antiparticle labeling)."""
     if field.branch == "antiparticle":
         raise ValueError("antiparticle-labeled fields are momentum-space-only")
-    half = np.sqrt(field.mass / field.grid.energies(field.mass))
-    psi = _ifft3(half[..., None] * field.values, overwrite_x=True) / field.grid.dx**3
+    scale = np.sqrt(field.mass / field.grid.energies(field.mass)) / field.grid.dx**3
+    psi = _ifft3(scale[..., None] * field.values, overwrite_x=True)
     return CoordinateField(field.grid, psi, field.mass, field.rep, field.branch)
 
 
 def _spectrum(field: MomentumField, values: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """out = sqrt(m / E) values (n, n, n), the scale taken one lattice plane at a time."""
+    """out = sqrt(m / E) / dx^3 values (n, n, n), the scale of to_coordinate, taken one
+    lattice plane at a time."""
     if field.branch == "antiparticle":
         raise ValueError("antiparticle-labeled fields are momentum-space-only")
+    cell = field.grid.dx**3
     for i, e in enumerate(field.grid.energies(field.mass)):
-        np.multiply(values[i], np.sqrt(field.mass / e), out=out[i])
+        np.multiply(values[i], np.sqrt(field.mass / e) / cell, out=out[i])
     return out
 
 
-def _evolved_spectrum(field: MomentumField, c: int, t: float, out: np.ndarray) -> np.ndarray:
+def _evolved_spectrum(
+    field: MomentumField, c: int, t: float, out: np.ndarray, back: np.ndarray | None = None
+) -> np.ndarray:
     """_spectrum of evolve(field, t).values[..., c] bit for bit, with no evolved field and no
     field-sized H phi: per lattice plane, (H phi)_c is formed in `out` ((sigma.p l + m u,
     sigma.p u - m l) in the Dirac picture, beta E phi in FW), turned in place into
-    cos(Et) phi_c - i sin(Et) / E (H phi)_c and scaled by sqrt(m / E). The mirrored planes
-    i and n - i have the same energies, so each pair shares one cos(Et), sin(Et) / E and
-    sqrt(m / E)."""
+    O = -i sin(Et) / E (H phi)_c, then into O + cos(Et) phi_c, and scaled by sqrt(m / E) / dx^3.
+    The mirrored planes i and n - i have the same energies, so each pair shares one cos(Et),
+    sin(Et) / E and scale.
+
+    With `back`, the spectrum at -t is written there too, from the same (H phi)_c: numpy's
+    sin is odd and its cos even, bit for bit, so its plane is cos(Et) phi_c - O."""
     if field.branch == "antiparticle":
         raise ValueError("antiparticle-labeled fields are momentum-space-only")
     grid, m = field.grid, field.mass
     energies = grid.energies(m)
+    cell = grid.dx**3
+    w = np.empty(energies.shape[1:], dtype=complex)  # cos(Et) phi_c of one plane
     for i in range(grid.n // 2 + 1):
         e = energies[i]
         et = e * t
         sin_e = np.sin(et) / e
         cos = np.cos(et, out=et)
-        half = np.sqrt(m / e)
+        scale = np.sqrt(m / e) / cell
         for k in {i, -i % grid.n}:
             v, h = field.values[k], out[k]
             if field.rep == "dirac":
-                sigma_row(grid.p[k], v[..., 2:] if c < 2 else v[..., :2], c % 2, h)
+                sigma_row((grid.q[k], grid.p1d), v[..., 2:] if c < 2 else v[..., :2], c % 2, h)
                 (np.add if c < 2 else np.subtract)(h, m * v[..., c], out=h)
             else:
                 np.multiply(v[..., c], e, out=h)
@@ -167,18 +176,33 @@ def _evolved_spectrum(field: MomentumField, c: int, t: float, out: np.ndarray) -
                     h *= -1.0
             h *= sin_e
             h *= -1j
-            h += cos * v[..., c]
-            h *= half
+            np.multiply(v[..., c], cos, out=w)
+            if back is not None:
+                np.subtract(w, h, out=back[k])
+                back[k] *= scale
+            h += w
+            h *= scale
     return out
+
+
+def _transformed(spec: np.ndarray) -> np.ndarray:
+    """The inverse FFT of a scaled spectrum (n, n, n), in place: a coordinate component as a
+    float view (n, n, n, 2)."""
+    psi = _ifft3(spec, overwrite_x=True)
+    return psi.view(float).reshape(*psi.shape, 2)
 
 
 def _component(field: MomentumField, c: int, out: np.ndarray, t: float = 0.0) -> np.ndarray:
     """to_coordinate(evolve(field, t)).values[..., c] bit for bit, computed in `out`; float
     view (n, n, n, 2). At t = 0 the field's own values are transformed, with no propagator."""
     spec = _evolved_spectrum(field, c, t, out) if t else _spectrum(field, field.values[..., c], out)
-    psi = _ifft3(spec, overwrite_x=True)
-    psi /= field.grid.dx**3
-    return psi.view(float).reshape(*psi.shape, 2)
+    return _transformed(spec)
+
+
+def _add_square(rho: np.ndarray, v: np.ndarray) -> None:
+    """rho += |psi_c|^2 for a component's float view v (n, n, n, 2), squared in place."""
+    np.square(v, out=v)
+    rho += np.add(v[..., 0], v[..., 1], out=v[..., 0])
 
 
 def coordinate_density(field: MomentumField, t: float = 0.0) -> np.ndarray:
@@ -187,10 +211,20 @@ def coordinate_density(field: MomentumField, t: float = 0.0) -> np.ndarray:
     buf = np.empty(field.values.shape[:3], dtype=complex)
     rho = np.zeros(buf.shape)
     for c in range(4):
-        v = _component(field, c, buf, t)
-        np.square(v, out=v)
-        rho += np.add(v[..., 0], v[..., 1], out=v[..., 0])  # |psi_c|^2, then the sum over c
+        _add_square(rho, _component(field, c, buf, t))
     return rho
+
+
+def _density_pair(field: MomentumField, t: float) -> tuple[np.ndarray, np.ndarray]:
+    """(coordinate_density(field, t), coordinate_density(field, -t)) bit for bit, from two
+    component buffers: each (H phi)_c is formed once for both times (_evolved_spectrum)."""
+    bufs = np.empty((2, *field.values.shape[:3]), dtype=complex)
+    rhos = np.zeros(bufs.shape[:4])
+    for c in range(4):
+        _evolved_spectrum(field, c, t, bufs[0], bufs[1])
+        for rho, spec in zip(rhos, bufs):
+            _add_square(rho, _transformed(spec))
+    return rhos[0], rhos[1]
 
 
 def coordinate_current(field: MomentumField) -> np.ndarray:
@@ -215,10 +249,12 @@ def hamiltonian_apply(field: MomentumField) -> np.ndarray:
     if field.branch == "antiparticle":
         raise ValueError("antiparticle-labeled fields are momentum-space-only")
     if field.rep == "dirac":
-        # (sigma.p l + m u, sigma.p u - m l)
-        out = alpha_dot(field.grid.p, field.values)
-        for c, acc in enumerate((np.add, np.add, np.subtract, np.subtract)):  # (n, n, n) temporaries
-            acc(out[..., c], field.mass * field.values[..., c], out=out[..., c])
+        # (sigma.p l + m u, sigma.p u - m l), one lattice plane at a time
+        grid, out = field.grid, np.empty_like(field.values)
+        for k, (v, h) in enumerate(zip(field.values, out)):
+            alpha_dot((grid.q[k], grid.p1d), v, out=h)
+            for c, acc in enumerate((np.add, np.add, np.subtract, np.subtract)):
+                acc(h[..., c], field.mass * v[..., c], out=h[..., c])
         return out
     e = field.grid.energies(field.mass)[..., None]
     out = field.values * e
@@ -247,16 +283,17 @@ def _fw_rotate(field: MomentumField, direction: int) -> np.ndarray:
     """
     if field.branch == "antiparticle":
         direction = -direction
-    e = field.grid.energies(field.mass)
+    grid, out = field.grid, np.empty_like(field.values)
     # direction * beta alpha.p v = direction * (sigma.p l, -sigma.p u), then + (E + m) v,
-    # one component at a time: (n, n, n) temporaries only
-    out = alpha_dot(field.grid.p, field.values)
-    em = e + field.mass
-    for half, sign in ((slice(0, 2), direction), (slice(2, 4), -direction)):
-        out[..., half] *= sign
-        for c in range(half.start, half.stop):
-            out[..., c] += em * field.values[..., c]
-    out /= np.sqrt(2.0 * e * em)[..., None]
+    # one lattice plane at a time
+    for k, (v, u, e) in enumerate(zip(field.values, out, grid.energies(field.mass))):
+        alpha_dot((grid.q[k], grid.p1d), v, out=u)
+        em = e + field.mass
+        for half, sign in ((slice(0, 2), direction), (slice(2, 4), -direction)):
+            u[..., half] *= sign
+            for c in range(half.start, half.stop):
+                u[..., c] += em * v[..., c]
+        u /= np.sqrt(2.0 * e * em)[..., None]
     return out
 
 
@@ -325,7 +362,7 @@ def density_rate(field: MomentumField) -> np.ndarray:
         np.multiply(planes[0], e if c < 2 else -e, out=planes[1])
         planes[1] *= -1j
         rate += _rate_planes(planes)
-    return np.multiply(rate, 2.0 / field.grid.dx**6, out=rate)
+    return np.multiply(rate, 2.0, out=rate)  # the spectra carry 1 / dx^3 each
 
 
 def divergence(grid: Grid, vec: np.ndarray) -> np.ndarray:
@@ -388,19 +425,25 @@ def _packet(grid, mass, p0, x0, sigma, spin, branch, upper, lower) -> MomentumFi
         raise ValueError("packet sigma, p0 and x0 must be finite")
     chi = _spin_vector(spin)
     e = grid.energies(mass)
-    g = np.exp(-0.5 * sigma**2 * np.einsum("xyzk,xyzk->xyz", grid.p - p0, grid.p - p0))
+    px, py, pz = grid.p_axes
+    g = np.add((px - p0[0]) ** 2 + (py - p0[1]) ** 2, (pz - p0[2]) ** 2)
+    g *= -0.5 * sigma**2
+    g = np.exp(g, out=g)
     amp = 1.0 / np.sqrt(np.sum(g * g) * grid.dp**3 / (2.0 * np.pi) ** 3)
     sign = 1.0 if branch == "antiparticle" else -1.0
-    envelope = amp * g * np.exp(sign * 1j * (grid.p @ x0)) / np.sqrt(2.0 * mass * (e + mass))
-    del g  # lower peak memory
+    yz = (py * x0[1] + pz * x0[2])[0]  # p.x0 on plane k is p1d[k] x0_x + yz
     vals = np.empty((*e.shape, 4), dtype=complex)
-    sp = sigma_dot(grid.p, chi, out=vals[..., 2:])  # held in the lower pair, built last
-    sp *= envelope[..., None]
-    envelope *= e + mass
-    for half, (a, b) in ((slice(0, 2), upper), (slice(2, 4), lower)):
-        np.multiply(b, sp, out=vals[..., half])
-        for i in range(2):
-            vals[..., half.start + i] += envelope * (a * chi)[i]
+    for k, v in enumerate(vals):  # one lattice plane at a time
+        phase = np.exp(sign * 1j * (grid.p1d[k] * x0[0] + yz))
+        envelope = amp * g[k] * phase / np.sqrt(2.0 * mass * (e[k] + mass))
+        sp = sigma_dot((grid.q[k], grid.p1d), chi, out=v[..., 2:])  # held in the lower pair, built last
+        sp *= envelope[..., None]
+        envelope *= e[k] + mass
+        for half, (a, b) in ((slice(0, 2), upper), (slice(2, 4), lower)):
+            np.multiply(b, sp, out=v[..., half])
+            for i in range(2):
+                v[..., half.start + i] += envelope * (a * chi)[i]
+    del g  # lower peak memory
     field = MomentumField(grid, vals, mass, "dirac", branch)
     edge = boundary_fraction(field)
     if edge > MOMENTUM_EDGE_TOL:
@@ -512,12 +555,20 @@ def concentration_box(grid: Grid, rho: np.ndarray, fraction: float = 0.999):
     """
     total = np.sum(rho)
     center = np.einsum("xyz,xyzk->k", rho, grid.x) / total
-    dist = reduce(np.maximum, _axis_distances(grid, center))
-    order = np.argsort(dist, axis=None)
-    cum = np.cumsum(rho.ravel()[order])
-    stop = int(np.searchsorted(cum, fraction * total))
-    stop = min(stop, cum.size - 1)
-    return center, float(dist.ravel()[order[stop]])
+    # the cube of half-width h holds, on each axis, a prefix of that axis's nodes sorted by
+    # distance: sort each axis once, and the prefix sums of rho gathered into that order
+    # give the mass of every cube
+    dists = np.abs(grid.x1d[:, None] - center).T
+    orders = np.argsort(dists, axis=1, kind="stable")
+    mass = rho[np.ix_(*orders)]
+    for k in range(3):
+        np.cumsum(mass, axis=k, out=mass)
+    ranked = np.take_along_axis(dists, orders, axis=1)
+    candidates = np.unique(ranked)
+    counts = [np.searchsorted(r, candidates, side="right") for r in ranked]
+    held = np.where(np.min(counts, axis=0) > 0, mass[tuple(c - 1 for c in counts)], 0.0)
+    stop = min(int(np.searchsorted(held, fraction * total)), candidates.size - 1)
+    return center, float(candidates[stop])
 
 
 @dataclass(frozen=True)
@@ -545,7 +596,8 @@ def continuity_residuals(field: MomentumField, dts) -> list[ContinuityReport]:
 
     The step-free quantities are formed once: the current j (the Dirac alpha-current or the
     FW continuity-solving current), div j, rho, its concentration box, the nonlocality and
-    ||rho||. Each step then costs two evolved densities, coordinate_density(field, +-dt).
+    ||rho||. Each step then costs the two evolved densities coordinate_density(field, +-dt),
+    formed together from one H phi per component (_density_pair).
     Raises ValueError for an empty `dts` or a step that is not finite and positive.
     """
     dts = [float(dt) for dt in dts]
@@ -570,13 +622,13 @@ def continuity_residuals(field: MomentumField, dts) -> list[ContinuityReport]:
 
     reports = []
     for dt in dts:
-        rate_fd = coordinate_density(field, dt)
-        rate_fd -= coordinate_density(field, -dt)
+        rate_fd, back = _density_pair(field, dt)
+        rate_fd -= back
         rate_fd /= 2.0 * dt
         defect = rate_fd + div
         res_l2 = float(np.sqrt(np.sum(defect**2) * cell))
         rate_scale = float(np.sqrt(np.sum(rate_fd**2) * cell))
-        del defect, rate_fd  # lower peak memory
+        del defect, rate_fd, back  # lower peak memory
         rounding = np.finfo(float).eps * rho_norm * np.sqrt(cell) / (2.0 * dt)
         dt_warning = None
         if res_l2 > 0.01 * rate_scale:

@@ -169,10 +169,10 @@ def _spin_orbit_shift(field: MomentumField) -> np.ndarray:
     sq = np.abs(vals) ** 2
     s = (2.0 * z.real, 2.0 * z.imag, sq[..., 0] - sq[..., 1] + sq[..., 2] - sq[..., 3])
     q = _measure(field) / (2.0 * field.mass * (g.energies(field.mass) + field.mass) * g.n**3)
-    out = np.empty(3)
+    p, out = g.p_axes, np.empty(3)
     for k in range(3):
         i, j = (k + 1) % 3, (k + 2) % 3
-        out[k] = np.sum(q * (g.p[..., i] * s[j] - g.p[..., j] * s[i]))
+        out[k] = np.sum(q * (p[i] * s[j] - p[j] * s[i]))
     return out
 
 
@@ -198,7 +198,9 @@ def tremble_moments(packet: MomentumField, duration: float, samples: int) -> tup
     if packet.branch == "mixed" and nyquist < 2.0 * mean_energy:
         raise ValueError(f"the Nyquist frequency pi (samples - 1) / duration = {nyquist:g} is below "
                          f"the trembling frequency 2<E> = {2.0 * mean_energy:g} of the mixed packet")
-    return mean_energy, np.einsum("xyz,xyzk->k", dens / e, grid.p) / total
+    slow = dens / e
+    moments = [grid.p1d @ slow.sum(axis=axes) for axes in ((1, 2), (0, 2), (0, 1))]  # axis marginals
+    return mean_energy, np.array(moments) / total
 
 
 def _linear_slopes(times: np.ndarray, track: np.ndarray) -> np.ndarray:

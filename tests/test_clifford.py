@@ -23,6 +23,7 @@ from rdlab.clifford import (
     sigma_pair,
     sigma_row,
 )
+from rdlab.grids import Grid
 
 EYE4 = np.eye(4)
 EXACT_ENTRIES = np.array([0, 1, -1, 1j, -1j])
@@ -165,6 +166,22 @@ def test_sigma_row_is_sigma_dot_row_bit_for_bit():
             out = np.empty(c.shape[:-1], dtype=complex)
             assert sigma_row(p, c, k, out) is out
             assert_exact(out, full[..., k])
+
+
+def test_grid_factors_give_the_lattice_products_bit_for_bit():
+    # (q, p_z) broadcast from the axis, whole or one plane at a time, against p (..., 3)
+    grid = Grid(8, 3.0)
+    v = RNG.normal(size=(8, 8, 8, 4)) + 1j * RNG.normal(size=(8, 8, 8, 4))
+    factors = (grid.q, grid.p_axes[2])
+    assert_exact(alpha_dot(factors, v), alpha_dot(grid.p, v))
+    assert_exact(sigma_dot(factors, R[:2]), sigma_dot(grid.p, R[:2]))
+    for k in (0, 5):
+        plane = (grid.q[k], grid.p1d)
+        assert_exact(alpha_dot(plane, v[k]), alpha_dot(grid.p[k], v[k]))
+        for row in range(2):
+            out = np.empty((8, 8), dtype=complex)
+            assert_exact(sigma_row(plane, v[k, ..., 2:], row, out), sigma_dot(grid.p[k], v[k, ..., 2:])[..., row])
+    assert not grid.q.flags.writeable  # shared by every caller; the kernel conjugates a copy
 
 
 def test_pair_and_sigma_pair_match_conjugate_einsums():

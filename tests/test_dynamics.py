@@ -130,6 +130,22 @@ def test_box_and_outside_mask_match_the_coordinate_lattice(picture):
     assert report.nonlocality == float(np.sum(jmag[dist > half]) / np.sum(jmag))
 
 
+def test_box_from_axis_prefix_sums_matches_the_argsort_form():
+    # random densities, and a node-centred one whose centroid is 0 up to rounding, with
+    # face ties at every |x|: the prefix-sum search returns the argsort form's box
+    rng = np.random.default_rng(11)
+    x = GRID.x1d
+    r2 = x[:, None, None] ** 2 + x[None, :, None] ** 2 + x[None, None, :] ** 2
+    tied = np.exp(-r2 / 3.0)
+    for k in range(3):  # drop the unpaired -L/2 face so that each |x| has both faces
+        np.moveaxis(tied, k, 0)[GRID.n // 2] = 0.0
+    for rho in [rng.random(tied.shape) ** 6 for _ in range(3)] + [tied]:
+        for fraction in (0.3, 0.9, 0.999):
+            center, half, _ = _lattice_box(GRID, rho, fraction)
+            got_center, got_half = concentration_box(GRID, rho, fraction)
+            assert np.array_equal(got_center, center) and got_half == half
+
+
 def test_continuity_dirac_is_second_order_in_dt():
     mix = gaussian_packet(GRID, M, sigma=2.2, weights=(1.0, 1.0))
     coarse, fine = continuity_residuals(mix, [2e-3, 1e-3])
