@@ -7,11 +7,10 @@ identities hold to machine exactness (== comparisons, not approximate).
 The block kernel at the end applies the algebra per lattice node on strided
 views of the 2-spinor halves u = v[..., :2], l = v[..., 2:] of a spinor field:
 alpha.p (u, l) = (sigma.p l, sigma.p u) and beta (u, l) = (u, -l). It takes a
-momentum either as an array p (..., 3) or as the pair (q, p_z), q = p_x - i p_y,
-which is all sigma.p reads: a Grid holds the pair as factors broadcast from its
-1-D axis (Grid.q, Grid.p_axes[2]), so a lattice caller never forms the
-(n, n, n, 3) lattice, and can pass one plane (Grid.q[k], Grid.p1d) at a time.
-Both forms give the same products bit for bit.
+momentum as the pair (q, p_z), q = p_x - i p_y, which is all sigma.p reads: a
+Grid holds the pair as factors broadcast from its 1-D axis (Grid.q,
+Grid.p_axes[2]), so a lattice caller never forms the (n, n, n, 3) lattice, and
+can pass one plane (Grid.q[k], Grid.p1d) at a time; a unit axis is AXES[k].
 """
 from __future__ import annotations
 
@@ -72,49 +71,17 @@ def anticommutation_defect(gamma: np.ndarray = GAMMA, eta: np.ndarray = ETA) -> 
 # ---------------------------------------------------------------------------
 # block kernel
 
-
-def _factors(p):
-    """(q, p_z, fresh): the pair as given (fresh False: q is shared and must not be
-    written), or q formed from p (..., 3) as one temporary the kernel may overwrite."""
-    if isinstance(p, tuple):
-        q, pz = p
-        return q, pz, False
-    p = np.asarray(p, dtype=float)
-    q = np.asarray(p[..., 1] * -1j)
-    q += p[..., 0]
-    return q, p[..., 2], True
-
-
-def _nodes(p) -> tuple[int, ...]:
-    """The node shape of p in either form."""
-    if isinstance(p, tuple):
-        return np.broadcast_shapes(*(np.shape(a) for a in p))
-    return np.shape(p)[:-1]
-
-
-def sigma_dot(p, c, out=None) -> np.ndarray:
-    """sigma.p c = (p_z c0 + (p_x - i p_y) c1, (p_x + i p_y) c0 - p_z c1).
-
-    p (..., 3) or (q, p_z), and c (..., 2) broadcast: a constant spinor meets a momentum
-    lattice, a unit axis a spinor field. `out` must not share memory with c.
-    """
-    q, pz, fresh = _factors(p)
-    c = np.asarray(c)
-    if out is None:
-        out = np.empty(np.broadcast_shapes(_nodes(p), c.shape[:-1]) + (2,), dtype=complex)
-    np.multiply(pz, c[..., 0], out=out[..., 0])
-    out[..., 0] += np.multiply(q, c[..., 1], out=out[..., 1])  # out[..., 1] as scratch
-    q = np.conjugate(q, out=q if fresh else None)  # one lattice temporary at a time
-    np.multiply(q, c[..., 0], out=out[..., 1])
-    del q
-    out[..., 1] -= pz * c[..., 1]
-    return out
+# The unit axes x, y, z as (q, p_z) pairs: sigma_dot(AXES[k], c) = sigma^(k+1) c.
+AXES = ((1.0, 0.0), (-1j, 0.0), (0.0, 1.0))
 
 
 def sigma_row(p, c, k: int, out) -> np.ndarray:
-    """Row k of sigma.p c, sigma_dot(p, c)[..., k] bit for bit, written into `out`;
-    for callers that need one row at a time (one lattice plane, one component)."""
-    q, pz, _ = _factors(p)
+    """Row k of sigma.p c = (p_z c0 + q c1, conj(q) c0 - p_z c1), written into `out`.
+
+    p is the pair (q, p_z), q = p_x - i p_y, and broadcasts against c (..., 2): a
+    constant spinor meets a momentum lattice, a unit axis a spinor field. `out` must
+    not share memory with c."""
+    q, pz = p
     if k == 0:
         np.multiply(pz, c[..., 0], out=out)
         out += q * c[..., 1]
@@ -124,12 +91,22 @@ def sigma_row(p, c, k: int, out) -> np.ndarray:
     return out
 
 
+def sigma_dot(p, c, out=None) -> np.ndarray:
+    """sigma.p c (..., 2), its two rows written by sigma_row; p and `out` as there."""
+    c = np.asarray(c)
+    if out is None:
+        out = np.empty(np.broadcast_shapes(*map(np.shape, p), c.shape[:-1]) + (2,), dtype=complex)
+    for k in range(2):
+        sigma_row(p, c, k, out[..., k])
+    return out
+
+
 def alpha_dot(p, v, out=None) -> np.ndarray:
-    """alpha.p v = (sigma.p l, sigma.p u) for 4-spinors v (..., 4); p as for sigma_dot.
-    `out` must not share memory with v."""
+    """alpha.p v = (sigma.p l, sigma.p u) for 4-spinors v (..., 4); p and `out` as
+    for sigma_dot (`out` must not share memory with v)."""
     v = np.asarray(v)
     if out is None:
-        out = np.empty(np.broadcast_shapes(_nodes(p), v.shape[:-1]) + (4,), dtype=complex)
+        out = np.empty(np.broadcast_shapes(*map(np.shape, p), v.shape[:-1]) + (4,), dtype=complex)
     sigma_dot(p, v[..., 2:], out=out[..., :2])
     sigma_dot(p, v[..., :2], out=out[..., 2:])
     return out
@@ -143,4 +120,4 @@ def pair(a, b) -> np.ndarray:
 
 def sigma_pair(a, b) -> np.ndarray:
     """Re a^dag sigma^k b = pair(a, sigma^k b) for 2-spinors, k = 1, 2, 3; shape (..., 3)."""
-    return np.stack([pair(a, sigma_dot(axis, b)) for axis in np.eye(3)], axis=-1)
+    return np.stack([pair(a, sigma_dot(axis, b)) for axis in AXES], axis=-1)

@@ -29,7 +29,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 import scipy.fft as sfft
 
-from .clifford import pair, sigma_dot
+from .clifford import AXES, pair, sigma_dot
 from .fields import (
     MomentumField,
     _flux,
@@ -46,8 +46,6 @@ from .spinors import spinor_boost, spinor_rotation
 # Sits above the trig-interpolation noise floor of an already-boosted field
 # (~1e-6 of peak) so chained boosts see the genuine support, not the noise.
 SUPPORT_CUT = 3e-6
-
-_AXES = (np.array([1.0, 0, 0]), np.array([0, 1.0, 0]), np.array([0, 0, 1.0]))
 
 
 def _lattice_powers(w: np.ndarray, n: int, axis: int) -> np.ndarray:
@@ -100,7 +98,7 @@ def check_boost_reach(field: MomentumField, rapidity: float, axis: int) -> None:
     grid = field.grid
     amp = np.abs(field.values).max(axis=-1)
     support = amp > SUPPORT_CUT * amp.max()
-    q_ax = grid.p[..., axis]
+    q_ax = grid.p_axes[axis]
     e_q = grid.energies(field.mass)
     reach = float(np.abs(np.cosh(rapidity) * q_ax + np.sinh(rapidity) * e_q)[support].max())
     if reach > grid.pmax - grid.dp:
@@ -123,11 +121,12 @@ def _boosted_samples(field: MomentumField, rapidity: float, axis: int):
     check_boost_reach(field, rapidity, axis)
     grid, m = field.grid, field.mass
     e_q = grid.energies(m)
-    p = grid.p.copy()
-    p[..., axis] = np.cosh(rapidity) * grid.p[..., axis] - np.sinh(rapidity) * e_q
-    vals = _resample_along_axis(field.values, grid, p[..., axis], axis)
-    vals[(p[..., axis] < -grid.pmax) | (p[..., axis] >= grid.pmax)] = 0.0
-    return vals, e_q, np.sqrt(m * m + np.sum(p * p, axis=-1))
+    p = list(grid.p_axes)
+    p[axis] = np.cosh(rapidity) * p[axis] - np.sinh(rapidity) * e_q
+    vals = _resample_along_axis(field.values, grid, p[axis], axis)
+    vals[(p[axis] < -grid.pmax) | (p[axis] >= grid.pmax)] = 0.0
+    p2 = np.add(p[0] * p[0] + p[1] * p[1], p[2] * p[2])  # the order of np.sum(p * p, axis=-1)
+    return vals, e_q, np.sqrt(m * m + p2)
 
 
 def boost_dirac_field(field: MomentumField, rapidity: float, axis: int = 0) -> MomentumField:
@@ -145,7 +144,7 @@ def boost_dirac_field(field: MomentumField, rapidity: float, axis: int = 0) -> M
     if rapidity == 0.0:
         return field
     vals, e_q, e_p = _boosted_samples(field, rapidity, axis)
-    vals = vals @ spinor_boost(rapidity * _AXES[axis]).T
+    vals = vals @ spinor_boost(rapidity * np.eye(3)[axis]).T
     vals *= np.sqrt(e_p / e_q)[..., None]
     return replace(field, values=vals)
 
@@ -177,7 +176,7 @@ def rotate_field(field: MomentumField, axis: int, quarter_turns: int) -> Momentu
     k = int(quarter_turns) % 8
     if k == 0:
         return field
-    vals = _quarter_turns(field.values, axis, k) @ spinor_rotation(_AXES[axis], k * np.pi / 2.0).T
+    vals = _quarter_turns(field.values, axis, k) @ spinor_rotation(np.eye(3)[axis], k * np.pi / 2.0).T
     return replace(field, values=vals)
 
 
@@ -277,7 +276,7 @@ def slice_prediction(field: MomentumField, rapidity: float, axis: int = 0) -> np
     psi /= grid.n * grid.dx**3
     rho = pair(psi, psi)
     if field.rep == "dirac":  # psi^dag alpha^ax psi = 2 Re u^dag sigma^ax l
-        j_ax = 2.0 * pair(psi[..., :2], sigma_dot(_AXES[axis], psi[..., 2:]))
+        j_ax = 2.0 * pair(psi[..., :2], sigma_dot(AXES[axis], psi[..., 2:]))
     else:
         del psi  # lower peak memory
         j_ax = _fw_flux_planes(field, plus, rapidity, axis)

@@ -390,17 +390,22 @@ def _edge_and_peak(mags: np.ndarray) -> tuple[float, float]:
     return max(mags[planes].max(), mags[:, planes].max(), mags[:, :, planes].max()), mags.max()
 
 
+def _edge_fraction(components) -> float:
+    """_edge_and_peak of |c| for each component c (n, n, n[, ...]) of a field, one at a
+    time: the edge maximum over the peak, exactly as for the whole field (a max of maxes)."""
+    edges, peaks = zip(*(_edge_and_peak(np.abs(c)) for c in components))
+    return float(max(edges) / max(peaks))
+
+
 def boundary_fraction(field: MomentumField | CoordinateField) -> float:
     """Max |values| over the three boundary planes of each axis, over peak |values|."""
-    edge, peak = _edge_and_peak(np.abs(field.values))
-    return float(edge / peak)
+    return _edge_fraction(field.values[..., c] for c in range(4))
 
 
 def _coordinate_leak(field: MomentumField) -> float:
     """boundary_fraction(to_coordinate(field)), exactly, one component at a time."""
     buf = np.empty(field.values.shape[:3], dtype=complex)
-    edges, peaks = zip(*(_edge_and_peak(np.abs(_component(field, c, buf).view(complex))) for c in range(4)))
-    return float(max(edges) / max(peaks))
+    return _edge_fraction(_component(field, c, buf).view(complex) for c in range(4))
 
 
 def _spin_vector(spin) -> np.ndarray:

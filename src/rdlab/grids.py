@@ -44,25 +44,17 @@ class Grid:
     @cached_property
     def p_axes(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Momentum components p_x, p_y, p_z as views of p1d broadcast along their axes,
-        shapes (n, 1, 1), (1, n, 1) and (1, 1, n): the lattice p without its n^3 storage."""
+        shapes (n, 1, 1), (1, n, 1) and (1, 1, n): the momentum lattice without its n^3 storage."""
         return self.p1d[:, None, None], self.p1d[None, :, None], self.p1d[None, None, :]
 
     @cached_property
     def q(self) -> np.ndarray:
-        """p_x - i p_y, shape (n, n, 1): with p_z all that sigma.p reads (clifford.sigma_dot
-        takes the pair (q, p_z)). Formed as sigma_dot forms it from p, so the products
-        agree bit for bit; read-only, as the array is shared."""
+        """p_x - i p_y, shape (n, n, 1): with p_z all that sigma.p reads (the clifford
+        kernel takes the momentum as the pair (q, p_z)); read-only, as the array is shared."""
         px, py, _ = self.p_axes
         q = np.add(px, py * -1j)
         q.flags.writeable = False
         return q
-
-    @cached_property
-    def p(self) -> np.ndarray:
-        """Momentum components, shape (n, n, n, 3), for callers that need the stacked
-        lattice; the grid's own products use p_axes and q."""
-        px, py, pz = np.meshgrid(self.p1d, self.p1d, self.p1d, indexing="ij")
-        return np.stack([px, py, pz], axis=-1)
 
     @cached_property
     def x(self) -> np.ndarray:

@@ -31,7 +31,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 from scipy.special import erfc
 
-from .clifford import alpha_dot, pair
+from .clifford import AXES, alpha_dot, pair
 from .fields import (
     CoordinateField, MomentumField, _fft3, _ifft3, _measure, branch_projection, momentum_norm,
     to_dirac_picture, to_fw_picture,
@@ -92,14 +92,15 @@ def _boost_frame_position(field: MomentumField, sign: float) -> tuple[MomentumFi
     e = g.energies(m)
     is2 = 1j / (2.0 * m * (e + m))
     out = spectral_momentum_derivative(field)
-    u = alpha_dot(g.p, vals)
+    p = g.p_axes
+    u = alpha_dot((g.q, p[2]), vals)
     r = u * (is2 / e)[..., None]
     r -= is2[..., None] * vals
     u -= (e + m)[..., None] * vals
     u *= is2[..., None]
     for k, d in enumerate(out):
-        d += alpha_dot(np.eye(3)[k], u)
-        d += g.p[..., k, None] * r
+        d += alpha_dot(AXES[k], u)
+        d += p[k][..., None] * r
         if sign < 0:
             np.negative(d, out=d)
     return _axis_fields(field, out)
@@ -129,7 +130,7 @@ def apply_xfw(field: MomentumField) -> tuple[MomentumField, ...]:
     e2 = field.grid.energies(field.mass) ** 2
     out = spectral_momentum_derivative(field)
     for k, d in enumerate(out):
-        d -= (1j * field.grid.p[..., k] / (2.0 * e2))[..., None] * field.values
+        d -= (1j * field.grid.p_axes[k] / (2.0 * e2))[..., None] * field.values
         if field.branch == "antiparticle":
             np.negative(d, out=d)
     return _axis_fields(field, out)
@@ -313,10 +314,11 @@ def localized_state(
     x0 = np.asarray(x0, dtype=float)
     e = grid.energies(mass)
     sign = -1.0 if branch == "particle" else 1.0
-    phase = np.exp(sign * 1j * (grid.p @ x0))
+    px, py, pz = grid.p_axes
+    phase = np.exp(sign * 1j * (px * x0[0] + py * x0[1] + pz * x0[2]))
     r = rest_spinor(branch, spin)
     if rep == "dirac":
-        spinor = (e + mass)[..., None] * r + alpha_dot(grid.p, r)
+        spinor = (e + mass)[..., None] * r + alpha_dot((grid.q, pz), r)
         spinor /= np.sqrt(2.0 * mass * (e + mass))[..., None]
     elif rep == "fw":
         spinor = np.sqrt(e / mass)[..., None] * r
@@ -431,8 +433,7 @@ def locality_integral(
         e = np.sqrt(mass * mass + p2)
         if rep == "dirac":
             # psi = [(E+m) r + alpha.p r] / sqrt(2m(E+m)); psi^dag psi computed honestly
-            p = np.stack([np.full_like(py, px), py, pz], axis=-1)
-            psi = (e + mass)[..., None] * r + alpha_dot(p, r)
+            psi = (e + mass)[..., None] * r + alpha_dot((np.add(px, py * -1j), pz), r)
             dens = pair(psi, psi) / (2.0 * mass * (e + mass))
         else:
             u = np.sqrt(e / mass)[..., None] * r
@@ -452,11 +453,11 @@ def yukawa_tail(g: CoordinateField) -> tuple[CoordinateField, ...]:
     convolution with the Yukawa-kernel gradient, evaluated spectrally with the
     multiplier i p_k / (2 (p^2 + m^2))."""
     ghat = _fft3(g.values)
-    p = g.grid.p
-    denom = 2.0 * (np.einsum("xyzk,xyzk->xyz", p, p) + g.mass**2)
+    p = g.grid.p_axes
+    denom = 2.0 * (p[0] * p[0] + p[1] * p[1] + p[2] * p[2] + g.mass**2)
     out = []
     for k in range(3):
-        mult = (1j * p[..., k] / denom)[..., None]
+        mult = (1j * p[k] / denom)[..., None]
         out.append(replace(g, values=_ifft3(mult * ghat)))
     return tuple(out)
 

@@ -43,11 +43,22 @@ def to_momentum(field: CoordinateField) -> MomentumField:
     return MomentumField(field.grid, phi, field.mass, field.rep, field.branch)
 
 
+def lattice_p(grid: Grid) -> np.ndarray:
+    """The stacked momentum lattice, shape (n, n, n, 3): the oracles' form of p."""
+    return np.stack(np.meshgrid(grid.p1d, grid.p1d, grid.p1d, indexing="ij"), axis=-1)
+
+
+def momentum_pair(p) -> tuple[np.ndarray, np.ndarray]:
+    """The block kernel's (q, p_z) of a stacked momentum p (..., 3), q = p_x - i p_y."""
+    p = np.asarray(p, dtype=float)
+    return np.add(p[..., 0], p[..., 1] * -1j), p[..., 2]
+
+
 def momentum_expectation(field: MomentumField) -> np.ndarray:
     """<p> under the invariant-measure density (3-vector)."""
     dens = _measure(field) * pair(field.values, field.values)
     total = np.sum(dens)
-    return np.einsum("xyz,xyzk->k", dens, field.grid.p) / total
+    return np.einsum("xyz,xyzk->k", dens, lattice_p(field.grid)) / total
 
 
 def coordinate_centroid(field: CoordinateField) -> np.ndarray:

@@ -5,9 +5,11 @@ import itertools
 
 import numpy as np
 import pytest
+from conftest import lattice_p, momentum_pair
 
 from rdlab.clifford import (
     ALPHA,
+    AXES,
     BETA,
     ETA,
     GAMMA,
@@ -141,46 +143,48 @@ def _alpha_oracle(p, v):
 
 
 def test_alpha_dot_matches_matrices():
-    assert_rel(alpha_dot(P, V), _alpha_oracle(P, V))
+    assert_rel(alpha_dot(momentum_pair(P), V), _alpha_oracle(P, V))
     # a constant spinor broadcast over the momenta, a unit axis over the field
-    assert_rel(alpha_dot(P, R), _alpha_oracle(P, np.broadcast_to(R, V.shape)))
+    assert_rel(alpha_dot(momentum_pair(P), R), _alpha_oracle(P, np.broadcast_to(R, V.shape)))
     for k in range(3):
-        assert_rel(alpha_dot(np.eye(3)[k], V), V @ ALPHA[k].T)
+        assert_rel(alpha_dot(AXES[k], V), V @ ALPHA[k].T)
 
 
 def test_sigma_dot_matches_matrices():
     # alpha.p (0, c) = (sigma.p c, 0)
     lower = V.copy()
     lower[..., :2] = 0.0
-    assert_rel(sigma_dot(P, V[..., 2:]), _alpha_oracle(P, lower)[..., :2])
-    assert_rel(sigma_dot(P, R[2:]), _alpha_oracle(P, np.broadcast_to(R, V.shape))[..., :2])
+    assert_rel(sigma_dot(momentum_pair(P), V[..., 2:]), _alpha_oracle(P, lower)[..., :2])
+    assert_rel(sigma_dot(momentum_pair(P), R[2:]), _alpha_oracle(P, np.broadcast_to(R, V.shape))[..., :2])
     out = np.empty((*SHAPE, 2), dtype=complex)
-    assert sigma_dot(np.eye(3)[1], V[..., :2], out=out) is out
+    assert sigma_dot(AXES[1], V[..., :2], out=out) is out
     assert_rel(out, V[..., :2] @ SIGMA[1][:2, :2].T)
 
 
-def test_sigma_row_is_sigma_dot_row_bit_for_bit():
-    for p, c in ((P, V[..., 2:]), (P[:, ::2], V[:, ::2, :, :2])):
-        full = sigma_dot(p, c)
-        for k in range(2):
-            out = np.empty(c.shape[:-1], dtype=complex)
-            assert sigma_row(p, c, k, out) is out
-            assert_exact(out, full[..., k])
+def test_axes_are_the_alpha_and_sigma_matrices_exactly():
+    # the rows of the identity go to the columns of the matrix
+    for k in range(3):
+        assert_exact(alpha_dot(AXES[k], EYE4), ALPHA[k].T)
+        assert_exact(sigma_dot(AXES[k], np.eye(2)), SIGMA[k][:2, :2].T)
+        assert_exact(alpha_dot(AXES[k], V), V @ ALPHA[k].T)
+        assert_exact(sigma_dot(AXES[k], V[..., :2]), V[..., :2] @ SIGMA[k][:2, :2].T)
 
 
 def test_grid_factors_give_the_lattice_products_bit_for_bit():
-    # (q, p_z) broadcast from the axis, whole or one plane at a time, against p (..., 3)
+    # (q, p_z) broadcast from the axis, whole or one plane at a time, against the stacked lattice
     grid = Grid(8, 3.0)
+    p = lattice_p(grid)
     v = RNG.normal(size=(8, 8, 8, 4)) + 1j * RNG.normal(size=(8, 8, 8, 4))
     factors = (grid.q, grid.p_axes[2])
-    assert_exact(alpha_dot(factors, v), alpha_dot(grid.p, v))
-    assert_exact(sigma_dot(factors, R[:2]), sigma_dot(grid.p, R[:2]))
+    assert_exact(alpha_dot(factors, v), alpha_dot(momentum_pair(p), v))
+    assert_exact(sigma_dot(factors, R[:2]), sigma_dot(momentum_pair(p), R[:2]))
     for k in (0, 5):
         plane = (grid.q[k], grid.p1d)
-        assert_exact(alpha_dot(plane, v[k]), alpha_dot(grid.p[k], v[k]))
+        assert_exact(alpha_dot(plane, v[k]), alpha_dot(momentum_pair(p[k]), v[k]))
         for row in range(2):
             out = np.empty((8, 8), dtype=complex)
-            assert_exact(sigma_row(plane, v[k, ..., 2:], row, out), sigma_dot(grid.p[k], v[k, ..., 2:])[..., row])
+            assert sigma_row(plane, v[k, ..., 2:], row, out) is out
+            assert_exact(out, sigma_dot(momentum_pair(p[k]), v[k, ..., 2:])[..., row])
     assert not grid.q.flags.writeable  # shared by every caller; the kernel conjugates a copy
 
 

@@ -6,7 +6,7 @@ from functools import lru_cache
 
 import numpy as np
 import pytest
-from conftest import coordinate_centroid, covariance_packet, density, peak_bytes
+from conftest import coordinate_centroid, covariance_packet, density, lattice_p, momentum_pair, peak_bytes
 
 from rdlab import covlab
 from rdlab.clifford import ALPHA, sigma_dot
@@ -66,7 +66,7 @@ def test_boost_moves_momentum_like_a_four_vector():
     def moments(x):
         d = _measure_density(x)
         tot = d.sum()
-        return np.einsum("xyz,xyzk->k", d, g.p) / tot, float((d * e).sum() / tot)
+        return np.einsum("xyz,xyzk->k", d, lattice_p(g)) / tot, float((d * e).sum() / tot)
 
     p0, e0 = moments(f)
     p1, e1 = moments(b)
@@ -95,22 +95,36 @@ def _wigner_boost_fw(field, rapidity, axis):
     independent of the program's FW boost to_fw_picture(boost_dirac_field(...))."""
     grid, m = field.grid, field.mass
     vals, e_q, e_p = covlab._boosted_samples(field, rapidity, axis)
-    p = grid.p.copy()
-    p[..., axis] = np.cosh(rapidity) * grid.p[..., axis] - np.sinh(rapidity) * e_q
+    q = lattice_p(grid)
+    p = q.copy()
+    p[..., axis] = np.cosh(rapidity) * q[..., axis] - np.sinh(rapidity) * e_q
     # The Wigner rotation of the upper pair, [c a_q a_p + s a_p sigma.q sigma_ax +
     # s a_q sigma_ax sigma.p + c sigma.q sigma.p] / norm with q the node, p the source
     # momentum, a = E + m and (c, s) = (cosh, sinh)(chi/2), is the SU(2) element
     # (w + i sigma.v) / norm, by sigma.a sigma.b = a.b + i sigma.(a x b).
     c, s = np.cosh(rapidity / 2.0), np.sinh(rapidity / 2.0)
-    q, a_q, a_p, n = grid.p, e_q + m, e_p + m, np.eye(3)[axis]
+    a_q, a_p, n = e_q + m, e_p + m, np.eye(3)[axis]
     w = c * (a_q * a_p + np.sum(q * p, axis=-1)) + s * (a_p * q[..., axis] + a_q * p[..., axis])
     v = s * np.cross(a_p[..., None] * q - a_q[..., None] * p, n) + c * np.cross(q, p)
     out = np.zeros_like(vals)
-    upper = sigma_dot(v, vals[..., :2], out=out[..., :2])
+    upper = sigma_dot(momentum_pair(v), vals[..., :2], out=out[..., :2])
     upper *= 1j
     upper += w[..., None] * vals[..., :2]
     upper *= (np.sqrt(e_p / e_q) / np.sqrt(4.0 * e_q * a_q * e_p * a_p))[..., None]
     return dataclasses.replace(field, values=out)
+
+
+def test_boosted_source_energies_are_the_stacked_lattice_sums_bit_for_bit():
+    # E_p adds the squares in the order of np.sum(p * p, axis=-1), which the boost's
+    # sqrt(E_p / E_q) factor and so the covariance headlines were computed with
+    g = Grid(32, 6.0)
+    f = covariance_packet(g)
+    e_q = g.energies(M)
+    for axis in range(3):
+        e_p = covlab._boosted_samples(f, CHI, axis)[2]
+        p = lattice_p(g)
+        p[..., axis] = np.cosh(CHI) * p[..., axis] - np.sinh(CHI) * e_q
+        assert np.array_equal(e_p, np.sqrt(M * M + np.sum(p * p, axis=-1)))
 
 
 def _einsum_resample(values, grid, targets, axis):
@@ -164,7 +178,7 @@ def test_quarter_turn_rotations_are_exact():
         atol=1e-9,
     )
     d = _measure_density(r)
-    pbar = np.einsum("xyz,xyzk->k", d, g.p) / d.sum()
+    pbar = np.einsum("xyz,xyzk->k", d, lattice_p(g)) / d.sum()
     np.testing.assert_allclose(pbar, rot @ (0.4, 0.0, 0.1), atol=1e-12)
 
     # spinor double-cover structure: eight quarter turns close, four flip sign

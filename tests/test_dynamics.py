@@ -6,7 +6,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from conftest import density, total_probability
+from conftest import density, lattice_p, total_probability
 
 from rdlab.clifford import ALPHA, pair
 from rdlab.fields import (
@@ -245,7 +245,7 @@ def _plus_channel(grid, mass, chi):
     from the 4x4 matrices, independent of the block kernel."""
     e = grid.energies(mass)
     r = np.concatenate([chi, [0, 0]])
-    ar = np.einsum("xyzk,kab,b->xyza", grid.p, ALPHA, r)
+    ar = np.einsum("xyzk,kab,b->xyza", lattice_p(grid), ALPHA, r)
     return ((e + mass)[..., None] * r + ar) / np.sqrt(2.0 * e * (e + mass))[..., None]
 
 

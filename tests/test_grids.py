@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from conftest import lattice_p
 
 from rdlab.grids import Grid
 
@@ -16,9 +17,10 @@ def test_layout():
     assert g.p1d[1] == pytest.approx(g.dp)
     assert g.p1d[g.n // 2] == pytest.approx(-g.pmax)
     assert g.x1d[g.n // 2] == pytest.approx(-g.n * g.dx / 2)
-    assert g.p.shape == (16, 16, 16, 3)
+    assert [a.shape for a in g.p_axes] == [(16, 1, 1), (1, 16, 1), (1, 1, 16)]
     assert g.x.shape == (16, 16, 16, 3)
-    np.testing.assert_array_equal(g.p[3, 5, 7], [g.p1d[3], g.p1d[5], g.p1d[7]])
+    px, py, pz = g.p_axes
+    np.testing.assert_array_equal([px[3, 0, 0], py[0, 5, 0], pz[0, 0, 7]], [g.p1d[3], g.p1d[5], g.p1d[7]])
 
 
 def test_energies():
@@ -37,7 +39,7 @@ def test_energies_cached_per_mass_and_read_only():
     assert not e.flags.writeable
     with pytest.raises(ValueError):
         e[0, 0, 0] = 0.0
-    np.testing.assert_array_equal(e, np.sqrt(4.0 + np.sum(g.p**2, axis=-1)))
+    np.testing.assert_array_equal(e, np.sqrt(4.0 + np.sum(lattice_p(g) ** 2, axis=-1)))
     assert g.energies(1.0) is not e and g.energies(1.0)[0, 0, 0] == 1.0
     assert g == Grid(8, 4.0)  # the cache is not part of the lattice's identity
 

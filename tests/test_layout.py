@@ -109,3 +109,11 @@ def test_no_import_inside_a_function():
                 nested += [f"{mod}.{fn.name}:{node.lineno}" for node in ast.walk(fn)
                            if isinstance(node, (ast.Import, ast.ImportFrom))]
     assert not nested, nested
+
+
+def test_no_expression_reads_an_attribute_named_p():
+    # the stacked (n, n, n, 3) momentum lattice stays out of the program: a momentum is
+    # the axis factors Grid.p_axes, the block kernel's pair (Grid.q, p_z), or clifford.AXES
+    reads = [f"{mod}:{node.lineno}" for mod, tree in MODULES.items() for node in ast.walk(tree)
+             if isinstance(node, ast.Attribute) and node.attr == "p"]
+    assert not reads, reads

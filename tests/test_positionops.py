@@ -5,7 +5,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from conftest import coordinate_centroid
+from conftest import coordinate_centroid, lattice_p
 from scipy.integrate import quad
 
 from rdlab.clifford import ALPHA
@@ -50,7 +50,7 @@ def test_localized_state_density_and_phase():
             np.testing.assert_allclose(dens, e / M, rtol=1e-12)
     base = po.localized_state(g, M, (0.0, 0.0, 0.0), 0.5, "particle", "dirac")
     shifted = po.localized_state(g, M, (0.7, -0.2, 0.1), 0.5, "particle", "dirac")
-    phase = np.exp(-1j * (g.p @ np.array([0.7, -0.2, 0.1])))
+    phase = np.exp(-1j * (lattice_p(g) @ np.array([0.7, -0.2, 0.1])))
     np.testing.assert_allclose(shifted.values, phase[..., None] * base.values, atol=1e-13)
     anti = po.localized_state(g, M, (0.7, -0.2, 0.1), 0.5, "antiparticle", "dirac")
     anti0 = po.localized_state(g, M, (0.0, 0.0, 0.0), 0.5, "antiparticle", "dirac")
@@ -114,13 +114,14 @@ def _oracle_dirac_coordinate(field):
 
 def _oracle_xp(field):
     g, m, vals = field.grid, field.mass, field.values
+    p = lattice_p(g)
     e = g.energies(m)
     s2 = 1.0 / (2.0 * m * (e + m))
     out = []
     for k in range(3):
-        pk = g.p[..., k]
+        pk = p[..., k]
         w = (pk / e)[..., None] * vals - vals @ ALPHA[k].T
-        aw = sum(g.p[..., j, None] * (w @ ALPHA[j].T) for j in range(3))
+        aw = sum(p[..., j, None] * (w @ ALPHA[j].T) for j in range(3))
         a_term = s2[..., None] * ((e + m)[..., None] * w + aw) - (pk / (2.0 * e * (e + m)))[..., None] * vals
         out.append(_axis_derivative(field, k) + 1j * a_term)
     return out
@@ -128,12 +129,13 @@ def _oracle_xp(field):
 
 def _oracle_xap(field):
     g, m, vals = field.grid, field.mass, field.values
+    p = lattice_p(g)
     e = g.energies(m)
     s2 = 1.0 / (2.0 * m * (e + m))
-    w = (e + m)[..., None] * vals - sum(g.p[..., j, None] * (vals @ ALPHA[j].T) for j in range(3))
+    w = (e + m)[..., None] * vals - sum(p[..., j, None] * (vals @ ALPHA[j].T) for j in range(3))
     out = []
     for k in range(3):
-        pk = g.p[..., k]
+        pk = p[..., k]
         b_term = s2[..., None] * ((pk / e)[..., None] * w + w @ ALPHA[k].T) - (
             pk / (2.0 * e * (e + m))
         )[..., None] * vals
@@ -143,9 +145,9 @@ def _oracle_xap(field):
 
 def _oracle_xfw(field):
     sign = -1.0 if field.branch == "antiparticle" else 1.0
-    e2 = field.grid.energies(field.mass) ** 2
+    e2, p = field.grid.energies(field.mass) ** 2, lattice_p(field.grid)
     return [
-        sign * (_axis_derivative(field, k) - 1j * (field.grid.p[..., k] / (2.0 * e2))[..., None] * field.values)
+        sign * (_axis_derivative(field, k) - 1j * (p[..., k] / (2.0 * e2))[..., None] * field.values)
         for k in range(3)
     ]
 
@@ -328,7 +330,7 @@ def test_velocity_commutator_heisenberg():
     worst = 0.0
     for k, (xf, xhf) in enumerate(zip(po.apply_xfw(f), po.apply_xfw(hf))):
         comm = 1j * (hamiltonian_apply(xf) - xhf.values)
-        expect = (grid.p[..., k] / e**2)[..., None] * hf.values  # beta f = H_FW f / E
+        expect = (lattice_p(grid)[..., k] / e**2)[..., None] * hf.values  # beta f = H_FW f / E
         worst = max(worst, np.linalg.norm((comm - expect)[mask]) / ref)
     assert worst <= 1e-8
 

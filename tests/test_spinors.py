@@ -3,7 +3,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
-from conftest import axis_angle, fw_spinor, wigner_rotation
+from conftest import axis_angle, fw_spinor, momentum_pair, wigner_rotation
 
 from rdlab.clifford import ALPHA, BETA, GAMMA, alpha_dot
 from rdlab.lorentz import boost, energy, rotation
@@ -52,7 +52,7 @@ def test_alpha_matrix():
     for p in rng.uniform(-10.0, 10.0, size=(6, 3)):
         np.testing.assert_array_equal(alpha_matrix(p), np.einsum("k,kab->ab", p, ALPHA))
         v = rng.normal(size=4) + 1j * rng.normal(size=4)
-        np.testing.assert_allclose(alpha_matrix(p) @ v, alpha_dot(p, v), rtol=0, atol=1e-14 * np.abs(p).sum())
+        np.testing.assert_allclose(alpha_matrix(p) @ v, alpha_dot(momentum_pair(p), v), rtol=0, atol=1e-14 * np.abs(p).sum())
 
 
 def test_energy_eigen_relations():
