@@ -213,7 +213,7 @@ def _particle_amplitude(field: MomentumField, axis: int) -> np.ndarray:
     +E part that evolves as exp(-iEt) a_+: shape (n, n, n, 4), or in the FW
     picture the upper component pair, (n, n, n, 2). Raises ValueError when
     |a_-| > 1e-12 |a_+|: a mislabelled field fails, it is never truncated."""
-    plus = branch_projection(field, "particle").values
+    plus = branch_projection(field).values
     minus = field.values - plus
     if np.sum(pair(minus, minus)) > 1e-24 * np.sum(pair(plus, plus)):
         raise ValueError("the -E branch of a particle-labelled field is populated")
@@ -233,7 +233,7 @@ def _fw_flux_planes(field: MomentumField, plus: np.ndarray, rapidity: float, axi
     ch, sh = np.cosh(rapidity), np.sinh(rapidity)
     e = np.moveaxis(grid.energies(field.mass), axis, 0)
     flux = _flux(grid, 0) * (2.0 / grid.dx**6)  # boost axis first; 2 Re, psi has no 1/dx^3
-    weights = np.exp(1j * np.outer(grid.x1d, grid.p1d * ch)) / n
+    weights = _lattice_powers(np.exp(1j * grid.dx * ch * grid.p1d), n, 0) / n
     amp, step, rate_factor = np.moveaxis(plus, -1, 0).copy(), np.exp(1j * sh * grid.dx * e), -1j * e
     phase = np.ones_like(step)  # exp(-iEt)
     buf = np.empty((4, n, n, n), dtype=complex)

@@ -142,17 +142,18 @@ def _spectrum(field: MomentumField, values: np.ndarray, out: np.ndarray) -> np.n
 
 
 def _evolved_spectrum(
-    field: MomentumField, c: int, t: float, out: np.ndarray, back: np.ndarray | None = None
+    field: MomentumField, c: int, t: float, out: np.ndarray, odd: np.ndarray | None = None
 ) -> np.ndarray:
     """_spectrum of evolve(field, t).values[..., c] bit for bit, with no evolved field and no
     field-sized H phi: per lattice plane, (H phi)_c is formed in `out` ((sigma.p l + m u,
     sigma.p u - m l) in the Dirac picture, beta E phi in FW), turned in place into
-    O = -i sin(Et) / E (H phi)_c, then into O + cos(Et) phi_c, and scaled by sqrt(m / E) / dx^3.
-    The mirrored planes i and n - i have the same energies, so each pair shares one cos(Et),
-    sin(Et) / E and scale.
+    -i sin(Et) / E (H phi)_c, then into cos(Et) phi_c plus that, and scaled by
+    sqrt(m / E) / dx^3. The mirrored planes i and n - i have the same energies, so each pair
+    shares one cos(Et), sin(Et) / E and scale.
 
-    With `back`, the spectrum at -t is written there too, from the same (H phi)_c: numpy's
-    sin is odd and its cos even, bit for bit, so its plane is cos(Et) phi_c - O."""
+    With `odd`, psi(+-t) = a +- t o is written as its two parts, both scaled: the even part
+    a = cos(Et) phi_c in `out`, and the odd part over t, o = -i sin(Et) / (Et) (H phi)_c, in
+    `odd`, with sin(Et) / (Et) read as 1 at t = 0, where o is the rate -i (H phi)_c."""
     if field.branch == "antiparticle":
         raise ValueError("antiparticle-labeled fields are momentum-space-only")
     grid, m = field.grid, field.mass
@@ -162,11 +163,14 @@ def _evolved_spectrum(
     for i in range(grid.n // 2 + 1):
         e = energies[i]
         et = e * t
-        sin_e = np.sin(et) / e
+        if odd is None:
+            sin_e = np.sin(et) / e
+        else:  # sin(Et) / (Et), with its limit 1 at t = 0
+            sin_e = np.sin(et) / et if t else 1.0
         cos = np.cos(et, out=et)
         scale = np.sqrt(m / e) / cell
         for k in {i, -i % grid.n}:
-            v, h = field.values[k], out[k]
+            v, h = field.values[k], (out if odd is None else odd)[k]
             if field.rep == "dirac":
                 sigma_row((grid.q[k], grid.p1d), v[..., 2:] if c < 2 else v[..., :2], c % 2, h)
                 (np.add if c < 2 else np.subtract)(h, m * v[..., c], out=h)
@@ -176,27 +180,21 @@ def _evolved_spectrum(
                     h *= -1.0
             h *= sin_e
             h *= -1j
-            np.multiply(v[..., c], cos, out=w)
-            if back is not None:
-                np.subtract(w, h, out=back[k])
-                back[k] *= scale
-            h += w
+            if odd is None:
+                h += np.multiply(v[..., c], cos, out=w)
+            else:
+                np.multiply(v[..., c], cos * scale, out=out[k])
             h *= scale
     return out
 
 
-def _transformed(spec: np.ndarray) -> np.ndarray:
-    """The inverse FFT of a scaled spectrum (n, n, n), in place: a coordinate component as a
-    float view (n, n, n, 2)."""
+def _component(field: MomentumField, c: int, out: np.ndarray, t: float = 0.0) -> np.ndarray:
+    """to_coordinate(evolve(field, t)).values[..., c] bit for bit, computed in `out` by one
+    inverse FFT in place; float view (n, n, n, 2). At t = 0 the field's own values are
+    transformed, with no propagator."""
+    spec = _evolved_spectrum(field, c, t, out) if t else _spectrum(field, field.values[..., c], out)
     psi = _ifft3(spec, overwrite_x=True)
     return psi.view(float).reshape(*psi.shape, 2)
-
-
-def _component(field: MomentumField, c: int, out: np.ndarray, t: float = 0.0) -> np.ndarray:
-    """to_coordinate(evolve(field, t)).values[..., c] bit for bit, computed in `out`; float
-    view (n, n, n, 2). At t = 0 the field's own values are transformed, with no propagator."""
-    spec = _evolved_spectrum(field, c, t, out) if t else _spectrum(field, field.values[..., c], out)
-    return _transformed(spec)
 
 
 def _add_square(rho: np.ndarray, v: np.ndarray) -> None:
@@ -213,18 +211,6 @@ def coordinate_density(field: MomentumField, t: float = 0.0) -> np.ndarray:
     for c in range(4):
         _add_square(rho, _component(field, c, buf, t))
     return rho
-
-
-def _density_pair(field: MomentumField, t: float) -> tuple[np.ndarray, np.ndarray]:
-    """(coordinate_density(field, t), coordinate_density(field, -t)) bit for bit, from two
-    component buffers: each (H phi)_c is formed once for both times (_evolved_spectrum)."""
-    bufs = np.empty((2, *field.values.shape[:3]), dtype=complex)
-    rhos = np.zeros(bufs.shape[:4])
-    for c in range(4):
-        _evolved_spectrum(field, c, t, bufs[0], bufs[1])
-        for rho, spec in zip(rhos, bufs):
-            _add_square(rho, _transformed(spec))
-    return rhos[0], rhos[1]
 
 
 def coordinate_current(field: MomentumField) -> np.ndarray:
@@ -325,8 +311,9 @@ def current_density(field: CoordinateField) -> np.ndarray:
 
 
 def _rate_planes(planes: np.ndarray) -> np.ndarray:
-    """Re sum_c psi_c^* psi_dot_c from planes = (psi_0..psi_k-1, psi_dot_0..psi_dot_k-1),
-    the spectra (2k, n, n, n): one batched inverse FFT in place, one contraction."""
+    """Re sum_c a_c^* o_c from planes = (a_0..a_k-1, o_0..o_k-1), the spectra (2k, n, n, n) of
+    a field's components and of their rates (or of its even and odd parts, _evolved_spectrum):
+    one batched inverse FFT in place, one contraction."""
     v = sfft.ifftn(planes, axes=(1, 2, 3), workers=_workers(), overwrite_x=True)
     v = v.view(float).reshape(2, planes.shape[0] // 2, *planes.shape[1:], 2)
     return np.einsum("cxyzk,cxyzk->xyz", v[0], v[1])
@@ -349,18 +336,17 @@ def _flux(grid: Grid, axis: int) -> np.ndarray:
     return _derivative(grid, axis) / p2
 
 
-def density_rate(field: MomentumField) -> np.ndarray:
-    """Exact d(rho)/dt of an FW field on the coordinate lattice, 2 Re psi^dag psi_dot with
-    psi_dot = -i beta E psi: one batched inverse FFT of (psi_c, psi_dot_c) per component."""
-    if field.rep != "fw":
-        raise ValueError("defined for FW-picture fields")
-    e = field.grid.energies(field.mass)
-    planes = np.empty((2, *e.shape), dtype=complex)
-    rate = np.zeros(e.shape)
+def density_rate(field: MomentumField, t: float = 0.0) -> np.ndarray:
+    """d(rho)/dt on the coordinate lattice, in either picture. At t = 0 the exact rate
+    2 Re psi^dag psi_dot, psi_dot = -i H psi; at t > 0 the centred difference
+    (rho(t) - rho(-t)) / 2t, formed as 2 Re a^dag o from the even part a and the odd part
+    over t, o, of psi(+-t) = a +- t o (_evolved_spectrum): no two densities are subtracted,
+    so its rounding does not grow as the step shrinks. One batched inverse FFT of (a_c, o_c)
+    per component."""
+    planes = np.empty((2, *field.values.shape[:3]), dtype=complex)
+    rate = np.zeros(planes.shape[1:])
     for c in range(4):
-        _spectrum(field, field.values[..., c], planes[0])
-        np.multiply(planes[0], e if c < 2 else -e, out=planes[1])
-        planes[1] *= -1j
+        _evolved_spectrum(field, c, t, planes[0], planes[1])
         rate += _rate_planes(planes)
     return np.multiply(rate, 2.0, out=rate)  # the spectra carry 1 / dx^3 each
 
@@ -377,6 +363,8 @@ def divergence(grid: Grid, vec: np.ndarray) -> np.ndarray:
 def fw_current_density(field: MomentumField) -> np.ndarray:
     """FW current as the longitudinal field solving continuity exactly:
     j = -grad (laplacian)^{-1} d(rho)/dt, with the zero mode set to zero."""
+    if field.rep != "fw":
+        raise ValueError("the continuity-solving current is for FW-picture fields")
     rate = sfft.rfftn(density_rate(field), workers=_workers())
     j = np.empty((*field.values.shape[:3], 3))
     for k in range(3):
@@ -384,28 +372,33 @@ def fw_current_density(field: MomentumField) -> np.ndarray:
     return j
 
 
-def _edge_and_peak(mags: np.ndarray) -> tuple[float, float]:
-    """Max of `mags` (n, n, n[, ...]) over the three boundary planes of each axis, and overall."""
-    planes = [mags.shape[0] // 2 - 1, mags.shape[0] // 2, (mags.shape[0] // 2 + 1) % mags.shape[0]]
-    return max(mags[planes].max(), mags[:, planes].max(), mags[:, :, planes].max()), mags.max()
-
-
-def _edge_fraction(components) -> float:
-    """_edge_and_peak of |c| for each component c (n, n, n[, ...]) of a field, one at a
-    time: the edge maximum over the peak, exactly as for the whole field (a max of maxes)."""
-    edges, peaks = zip(*(_edge_and_peak(np.abs(c)) for c in components))
-    return float(max(edges) / max(peaks))
+def _edge_fraction(planes, n: int) -> float:
+    """Max |v| over the three boundary planes of each axis, over max |v|, from the lattice
+    planes (i, v), v = values[i] of shape (n, n[, ...]), of one or more (n, n, n[, ...]) arrays:
+    |v| of one plane at a time, and exactly the whole-array value (a max of maxes). Boundary
+    planes along axis 0 are whole planes, along axes 1 and 2 slices of each plane."""
+    edges = [n // 2 - 1, n // 2, (n // 2 + 1) % n]
+    edge = peak = 0.0
+    for i, v in planes:
+        mags = np.abs(v)
+        top = mags.max()
+        peak = max(peak, top)
+        edge = max(edge, top if i in edges else max(mags[edges].max(), mags[:, edges].max()))
+    return float(edge / peak)
 
 
 def boundary_fraction(field: MomentumField | CoordinateField) -> float:
     """Max |values| over the three boundary planes of each axis, over peak |values|."""
-    return _edge_fraction(field.values[..., c] for c in range(4))
+    return _edge_fraction(enumerate(field.values), field.grid.n)
 
 
 def _coordinate_leak(field: MomentumField) -> float:
     """boundary_fraction(to_coordinate(field)), exactly, one component at a time."""
     buf = np.empty(field.values.shape[:3], dtype=complex)
-    return _edge_fraction(_component(field, c, buf).view(complex) for c in range(4))
+    return _edge_fraction(
+        (plane for c in range(4) for plane in enumerate(_component(field, c, buf).view(complex))),
+        field.grid.n,
+    )
 
 
 def _spin_vector(spin) -> np.ndarray:
@@ -515,29 +508,23 @@ def antiparticle_gaussian_packet(
 # branch projections and continuity
 
 
-def branch_projection(field: MomentumField, branch: str) -> MomentumField:
-    """Node-wise orthogonal projection onto the +E or -E eigenspace of H(p).
+def branch_projection(field: MomentumField) -> MomentumField:
+    """Node-wise orthogonal projection onto the +E eigenspace of H(p), a particle field.
 
-    The projector is (1 +- H/E) / 2 (H^2 = E^2 per node); in the FW picture it
-    selects the upper or the lower component pair.
+    The projector is (1 + H/E) / 2 (H^2 = E^2 per node); in the FW picture it
+    keeps the upper component pair. The -E part is f - branch_projection(f).
     """
-    if branch not in ("particle", "antiparticle"):
-        raise ValueError(f"branch must be 'particle' or 'antiparticle', got {branch!r}")
     if field.branch == "antiparticle":
         raise ValueError("antiparticle-labeled fields are already single-branch")
     if field.rep == "fw":
         vals = field.values.copy()
-        if branch == "particle":
-            vals[..., 2:] = 0.0
-        else:
-            vals[..., :2] = 0.0
+        vals[..., 2:] = 0.0
     else:
-        sign = 1.0 if branch == "particle" else -1.0
         vals = hamiltonian_apply(field)
-        vals *= (sign / field.grid.energies(field.mass))[..., None]
+        vals *= (1.0 / field.grid.energies(field.mass))[..., None]
         vals += field.values
         vals *= 0.5
-    return replace(field, values=vals, branch=branch)
+    return replace(field, values=vals, branch="particle")
 
 
 def _axis_distances(grid: Grid, center: np.ndarray) -> tuple[np.ndarray, ...]:
@@ -580,10 +567,9 @@ def concentration_box(grid: Grid, rho: np.ndarray, fraction: float = 0.999):
 class ContinuityReport:
     """Continuity defect || d(rho)/dt + div j || with a nonlocality proxy.
 
-    The density rate uses a centered difference over 2*dt; `dt_warning` is
-    set when the residual exceeds 1% of the rate scale: "too fine" when the
-    rounding floor of the difference, eps ||rho|| / (2 dt), alone exceeds
-    that budget, "too coarse" otherwise. The nonlocality proxy is the
+    The density rate is the centred difference over 2 dt (density_rate, whose
+    rounding does not grow as dt shrinks); `dt_warning` is "too coarse" when
+    the residual exceeds 1% of the rate scale. The nonlocality proxy is the
     fraction of the current magnitude living outside the smallest cube
     holding 99.9% of the density. `probability` is sum rho dx^3 at the
     field's own time.
@@ -601,8 +587,7 @@ def continuity_residuals(field: MomentumField, dts) -> list[ContinuityReport]:
 
     The step-free quantities are formed once: the current j (the Dirac alpha-current or the
     FW continuity-solving current), div j, rho, its concentration box, the nonlocality and
-    ||rho||. Each step then costs the two evolved densities coordinate_density(field, +-dt),
-    formed together from one H phi per component (_density_pair).
+    its total. Each step then costs one density_rate(field, dt).
     Raises ValueError for an empty `dts` or a step that is not finite and positive.
     """
     dts = [float(dt) for dt in dts]
@@ -621,28 +606,21 @@ def continuity_residuals(field: MomentumField, dts) -> list[ContinuityReport]:
     center, half = concentration_box(grid, rho, 0.999)
     outside = reduce(np.logical_or, [d > half for d in _axis_distances(grid, center)])
     nonlocality = float(np.sum(jmag[outside]) / np.sum(jmag))
-    rho_norm = float(np.linalg.norm(rho))
     probability = float(np.sum(rho) * cell)
     del jmag, outside, rho
 
     reports = []
     for dt in dts:
-        rate_fd, back = _density_pair(field, dt)
-        rate_fd -= back
-        rate_fd /= 2.0 * dt
-        defect = rate_fd + div
-        res_l2 = float(np.sqrt(np.sum(defect**2) * cell))
-        rate_scale = float(np.sqrt(np.sum(rate_fd**2) * cell))
-        del defect, rate_fd, back  # lower peak memory
-        rounding = np.finfo(float).eps * rho_norm * np.sqrt(cell) / (2.0 * dt)
-        dt_warning = None
-        if res_l2 > 0.01 * rate_scale:
-            dt_warning = "too fine" if rounding > 0.01 * rate_scale else "too coarse"
+        rate = density_rate(field, dt)
+        rate_scale = float(np.sqrt(np.sum(rate**2) * cell))
+        rate += div
+        res_l2 = float(np.sqrt(np.sum(rate**2) * cell))
+        del rate  # lower peak memory
         reports.append(ContinuityReport(
             residual_l2=res_l2,
             rate_scale=rate_scale,
             nonlocality=nonlocality,
             probability=probability,
-            dt_warning=dt_warning,
+            dt_warning="too coarse" if res_l2 > 0.01 * rate_scale else None,
         ))
     return reports

@@ -247,8 +247,8 @@ def zitterbewegung_experiment(
 ) -> ZitterbewegungResult:
     """Track position expectations of a (possibly branch-mixed) Dirac packet.
 
-    The packet f is split once, at t = 0, into a_+ = branch_projection(f,
-    "particle") and a_- = f - a_+. Free evolution is diagonal on the split, so
+    The packet f is split once, at t = 0, into a_+ = branch_projection(f)
+    and a_- = f - a_+. Free evolution is diagonal on the split, so
     the sample at absolute time t_i is f(t_i) = e^{-iEt_i} a_+ + e^{+iEt_i} a_-
     for the coordinate track and a_+(t_i) = e^{-iEt_i} a_+ for the branch
     track, with no roundoff carried from sample to sample. <X_P> is the
@@ -266,7 +266,7 @@ def zitterbewegung_experiment(
     e = grid.energies(packet.mass)
     w = _measure(packet)[..., None]
 
-    plus = branch_projection(packet, "particle")
+    plus = branch_projection(packet)
     shift = _spin_orbit_shift(plus)
     times = np.linspace(0.0, duration, samples)
     x_track = np.empty((samples, 3))

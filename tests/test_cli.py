@@ -254,10 +254,13 @@ def test_continuity_coarse_dt_warns(tmp_path):
 
 
 def test_continuity_fine_dt_warns(tmp_path):
-    # the step is below the resolution of the phase: the centred difference is zero
+    # the step is below the resolution of the phase, yet the centred rate has no rounding
+    # floor: no warning, and the refinement fails only because both residuals sit at rounding
     code, report = run(tmp_path, "continuity", "times.dt = 1e-300\ncontinuity.levels = 2\n")
     assert code == 1
-    assert report["warnings"] == [f"level {i}: time step too fine for the density rate scale" for i in (0, 1)]
+    assert report["warnings"] == []
+    ratio = {c["name"]: c for c in report["checks"]}["dirac_dt_ratio[0]"]
+    assert not ratio["passed"] and abs(ratio["value"] - 1.0) <= 1e-3
 
 
 # ---------------------------------------------------------------------------
