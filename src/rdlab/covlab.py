@@ -211,13 +211,10 @@ def _slice_departures(grid: Grid, rho_boosted: np.ndarray, predicted: np.ndarray
 def _particle_amplitude(field: MomentumField, axis: int) -> np.ndarray:
     """sqrt(m/E) a_+ with the boost axis first, a_+ = (phi + H phi / E) / 2 the
     +E part that evolves as exp(-iEt) a_+: shape (n, n, n, 4), or in the FW
-    picture the upper component pair, (n, n, n, 2). Raises ValueError when
-    |a_-| > 1e-12 |a_+|: a mislabelled field fails, it is never truncated."""
+    picture the upper component pair, (n, n, n, 2). branch_projection raises
+    ValueError when |a_-| > 1e-12 |a_+|: a mislabelled field fails, it is never
+    truncated."""
     plus = branch_projection(field).values
-    minus = field.values - plus
-    if np.sum(pair(minus, minus)) > 1e-24 * np.sum(pair(plus, plus)):
-        raise ValueError("the -E branch of a particle-labelled field is populated")
-    del minus  # lower peak memory
     plus = plus[..., :2] if field.rep == "fw" else plus  # the FW lower pair is a_-
     return np.moveaxis(plus * np.sqrt(field.mass / field.grid.energies(field.mass))[..., None], axis, 0)
 

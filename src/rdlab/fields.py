@@ -215,18 +215,22 @@ def coordinate_density(field: MomentumField, t: float = 0.0) -> np.ndarray:
 
 def coordinate_current(field: MomentumField) -> np.ndarray:
     """current_density(to_coordinate(field)) from three component buffers, read as
-    float views: j = 2 (Re(u0* l1 + u1* l0), Im(u0* l1 - u1* l0), Re(u0* l0 - u1* l1))."""
+    float views: j = 2 (Re(u0* l1 + u1* l0), Im(u0* l1 - u1* l0), Re(u0* l0 - u1* l1)).
+    Every term passes through one (n, n, n) float scratch."""
     if field.rep != "dirac":
         raise ValueError("pointwise alpha-current is defined in the Dirac picture only")
     bufs = np.empty((3, *field.values.shape[:3]), dtype=complex)
     l0, l1 = _component(field, 2, bufs[0]), _component(field, 3, bufs[1])
     j = np.zeros((*bufs.shape[1:], 3))
+    s = np.empty(bufs.shape[1:])
     for c, lx, lz, acc in ((0, l1, l0, np.add), (1, l0, l1, np.subtract)):
         u = _component(field, c, bufs[2])
-        j[..., 0] += np.einsum("...k,...k->...", u, lx)
-        im = u[..., 0] * lx[..., 1]
-        acc(j[..., 1], np.subtract(im, u[..., 1] * lx[..., 0], out=im), out=j[..., 1])
-        acc(j[..., 2], np.einsum("...k,...k->...", u, lz), out=j[..., 2])
+        j[..., 0] += np.einsum("...k,...k->...", u, lx, out=s)
+        acc(j[..., 2], np.einsum("...k,...k->...", u, lz, out=s), out=j[..., 2])
+        # Im(u* lx) = Re u Im lx - Im u Re lx, the first product written over Re u, its last use
+        np.multiply(u[..., 1], lx[..., 0], out=s)
+        np.subtract(np.multiply(u[..., 0], lx[..., 1], out=u[..., 0]), s, out=s)
+        acc(j[..., 1], s, out=j[..., 1])
     return np.multiply(j, 2.0, out=j)
 
 
@@ -513,6 +517,9 @@ def branch_projection(field: MomentumField) -> MomentumField:
 
     The projector is (1 + H/E) / 2 (H^2 = E^2 per node); in the FW picture it
     keeps the upper component pair. The -E part is f - branch_projection(f).
+    A particle-labelled field must be its own +E part: ValueError when
+    |a_-|^2 > 1e-24 |a_+|^2, summed one (n, n, 4) lattice plane at a time, so a
+    mislabelled field fails and is never truncated.
     """
     if field.branch == "antiparticle":
         raise ValueError("antiparticle-labeled fields are already single-branch")
@@ -524,6 +531,14 @@ def branch_projection(field: MomentumField) -> MomentumField:
         vals *= (1.0 / field.grid.energies(field.mass))[..., None]
         vals += field.values
         vals *= 0.5
+    if field.branch == "particle":
+        minus_sq = plus_sq = 0.0
+        for v, a in zip(field.values, vals):
+            d = v - a
+            minus_sq += np.sum(pair(d, d))
+            plus_sq += np.sum(pair(a, a))
+        if minus_sq > 1e-24 * plus_sq:
+            raise ValueError("the -E branch of a particle-labelled field is populated")
     return replace(field, values=vals, branch="particle")
 
 

@@ -22,7 +22,9 @@ i eps_kjl Sigma^l the real part of the boost-frame term is the spin-orbit
 shift -(p x S)_k / (2m(E+m)) (_spin_orbit_shift), and that of the FW term is
 zero. S = f^dag Sigma f is unchanged by the free phase e^{-iEt}, so a track
 forms the shift once and each sample costs one phase and two in-place inverse
-FFTs per track, in two field buffers reused from sample to sample.
+FFTs per track, in two field buffers reused from sample to sample. A particle
+packet has no -E part, so its two tracks sample the same field and share one
+pair of transforms: they differ only by the shift.
 """
 from __future__ import annotations
 
@@ -137,26 +139,27 @@ def apply_xfw(field: MomentumField) -> tuple[MomentumField, ...]:
 
 
 def position_expectation(
-    grid: Grid, w: np.ndarray, sample: np.ndarray, weighted: np.ndarray, shift=0.0
-) -> np.ndarray:
-    """Re <f, X f> / <f, f> per axis for f = `sample`, without applying X: X
-    is the coordinate operator i d/dp_k plus a node-local term whose real
-    part, on the scale of the Parseval moments, is -`shift` (0 for the
-    coordinate operator, _spin_orbit_shift(f) for apply_xp). `w` is the
-    invariant measure with a trailing spinor axis. The two inverse FFTs run in
-    place: `sample` and the buffer `weighted` are overwritten.
+    grid: Grid, w: np.ndarray, sample: np.ndarray, weighted: np.ndarray
+) -> tuple[np.ndarray, float]:
+    """(moments, norm) of f = `sample`, with Re <f, X f> / <f, f> = (moments -
+    shift) / norm per axis, without applying X: X is the coordinate operator
+    i d/dp_k plus a node-local term whose real part, on the scale of the
+    Parseval moments, is -shift (0 for the coordinate operator,
+    _spin_orbit_shift(f) for apply_xp). `w` is the invariant measure with a
+    trailing spinor axis. The two inverse FFTs run in place: `sample` and the
+    buffer `weighted` are overwritten.
 
     Parseval: with psi = ifftn(f) and gamma = ifftn(w f),
     sum_p w f^dag F[x_k F^{-1} f] = N sum_x x_k gamma^dag psi and
     <f, f> = N sum_x gamma^dag psi, so the one density d(x) = Re gamma^dag psi
-    gives the norm and the three moments, each moment from the axis-k marginal
-    of d.
+    gives the norm sum_x d and the three moments, each moment from the axis-k
+    marginal of d.
     """
     np.multiply(w, sample, out=weighted)
     psi = _ifft3(sample, overwrite_x=True)
     d = pair(_ifft3(weighted, overwrite_x=True), psi)
     moments = np.array([np.sum(grid.x1d * d.sum(axis=axes)) for axes in ((1, 2), (0, 2), (0, 1))])
-    return (moments - shift) / np.sum(d)
+    return moments, np.sum(d)
 
 
 def _spin_orbit_shift(field: MomentumField) -> np.ndarray:
@@ -257,8 +260,14 @@ def zitterbewegung_experiment(
     under the phase e^{-iEt}. So each sample costs one phase and, per track,
     one position_expectation: two in-place inverse FFTs (psi and
     gamma = ifftn(w f)), one pairing and the axis marginals. Two field
-    buffers serve every sample. At n = 64 a sample of both tracks takes about
-    0.12 s on two x86 cores, most of it in the four transforms.
+    buffers serve every sample.
+
+    A particle packet is its own +E part (branch_projection raises, before
+    the buffers are allocated, if it is not), so both its tracks sample
+    e^{-iEt} a_+: one position_expectation per sample gives x-hat =
+    moments / norm and X_P = (moments - shift) / norm. A mixed packet makes
+    two. At n = 64 on two x86 cores a mixed sample takes about 0.15 s, most
+    of it in the four transforms, and a particle sample about 0.08 s.
     Preconditions: tremble_moments.
     """
     mean_energy, v_exp = tremble_moments(packet, duration, samples)
@@ -277,12 +286,15 @@ def zitterbewegung_experiment(
     for i, t in enumerate(times):
         phase = np.exp(-1j * e * t)[..., None]
         np.multiply(phase, plus.values, out=sample)
-        b_track[i] = position_expectation(grid, w, sample, weighted, shift)
-        # f(t) as e^{+iEt} f - 2i sin(Et) a_+: a_- = f - a_+ is never stored
-        np.multiply(phase.conj(), f, out=sample)
-        np.multiply((2j * np.sin(e * t))[..., None], plus.values, out=weighted)
-        sample -= weighted
-        x_track[i] = position_expectation(grid, w, sample, weighted)
+        moments, norm = position_expectation(grid, w, sample, weighted)
+        b_track[i] = (moments - shift) / norm
+        if packet.branch == "mixed":  # else f(t) = a_+(t), the sample just taken
+            # f(t) as e^{+iEt} f - 2i sin(Et) a_+: a_- = f - a_+ is never stored
+            np.multiply(phase.conj(), f, out=sample)
+            np.multiply((2j * np.sin(e * t))[..., None], plus.values, out=weighted)
+            sample -= weighted
+            moments, norm = position_expectation(grid, w, sample, weighted)
+        x_track[i] = moments / norm
 
     x_slopes = _linear_slopes(times, x_track)
     axis = int(np.argmax(np.var(x_track - times[:, None] * x_slopes, axis=0)))

@@ -6,7 +6,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from conftest import centred_rate, density, lattice_p, total_probability
+from conftest import centred_rate, density, lattice_p, peak_bytes, total_probability
 
 from rdlab.clifford import ALPHA, pair
 from rdlab.fields import (
@@ -84,6 +84,20 @@ def test_branch_projection_preconditions():
     ap = antiparticle_gaussian_packet(GRID, M, (0.3, 0.0, 0.0), sigma=2.2)
     with pytest.raises(ValueError):
         branch_projection(ap)
+
+
+@pytest.mark.parametrize("rep", ["dirac", "fw"])
+def test_branch_projection_rejects_populated_negative_branch(rep):
+    # a particle-labelled field must be its own +E part; the check runs one lattice
+    # plane at a time, with no field-sized -E part
+    f = _moving_packet()
+    mix = _moving_packet((1.0, 1e-5))
+    if rep == "fw":
+        f, mix = to_fw_picture(f), to_fw_picture(mix)
+    assert peak_bytes(lambda: branch_projection(f)) <= 1.25 * f.values.nbytes
+    with pytest.raises(ValueError, match="-E branch"):
+        branch_projection(replace(mix, branch="particle"))
+    assert branch_projection(mix).branch == "particle"
 
 
 def test_concentration_box_tracks_packet():
@@ -319,14 +333,77 @@ def test_spin_orbit_shift_is_constant_along_the_branch_track():
 
 def test_zitterbewegung_memory_does_not_grow_with_samples():
     # two sample buffers serve every sample: the peak is a few fields, whatever the count
-    packet = gaussian_packet(Grid(32, 4.0), M, (0.3, 0.0, 0.0), sigma=4.0, weights=(1.0, 1.0))
-    peaks = []
-    for samples in (16, 48):
-        tracemalloc.start()
-        try:
-            zitterbewegung_experiment(packet, duration=10.0, samples=samples)
-            peaks.append(tracemalloc.get_traced_memory()[1] / packet.values.nbytes)
-        finally:
-            tracemalloc.stop()
-    assert peaks[0] <= 4.5
-    assert abs(peaks[1] - peaks[0]) <= 0.01
+    for weights in ((1.0, 1.0), (1.0, 0.0)):
+        packet = gaussian_packet(Grid(32, 4.0), M, (0.3, 0.0, 0.0), sigma=4.0, weights=weights)
+        peaks = []
+        for samples in (16, 48):
+            tracemalloc.start()
+            try:
+                zitterbewegung_experiment(packet, duration=10.0, samples=samples)
+                peaks.append(tracemalloc.get_traced_memory()[1] / packet.values.nbytes)
+            finally:
+                tracemalloc.stop()
+        assert peaks[0] <= 4.5
+        assert abs(peaks[1] - peaks[0]) <= 0.01
+
+
+def _two_call_tracks(packet, duration, samples):
+    """The sampling loop with one position_expectation per track and sample,
+    whatever the packet's label: the coordinate track samples
+    e^{+iEt} f - 2i sin(Et) a_+, the branch track e^{-iEt} a_+."""
+    grid, f = packet.grid, packet.values
+    e = grid.energies(packet.mass)
+    w = _measure(packet)[..., None]
+    plus = branch_projection(packet)
+    shift = po._spin_orbit_shift(plus)
+    x_track = np.empty((samples, 3))
+    b_track = np.empty((samples, 3))
+    sample, weighted = np.empty_like(f), np.empty_like(f)
+    for i, t in enumerate(np.linspace(0.0, duration, samples)):
+        phase = np.exp(-1j * e * t)[..., None]
+        np.multiply(phase, plus.values, out=sample)
+        moments, norm = po.position_expectation(grid, w, sample, weighted)
+        b_track[i] = (moments - shift) / norm
+        np.multiply(phase.conj(), f, out=sample)
+        np.multiply((2j * np.sin(e * t))[..., None], plus.values, out=weighted)
+        sample -= weighted
+        moments, norm = po.position_expectation(grid, w, sample, weighted)
+        x_track[i] = moments / norm
+    return x_track, b_track
+
+
+@pytest.mark.parametrize("weights", [(1.0, 0.0), (1.0, 1.0)], ids=["particle", "mixed"])
+def test_zitterbewegung_tracks_match_two_call_loop(weights):
+    # a particle packet's coordinate track is its branch track's transform pair,
+    # equal to the second pair up to rounding; a mixed packet's tracks are unchanged
+    packet = gaussian_packet(Grid(32, 4.5), M, (0.4, 0.0, 0.2), sigma=4.0, weights=weights)
+    result = zitterbewegung_experiment(packet, duration=4.0, samples=16)
+    x_track, b_track = _two_call_tracks(packet, 4.0, 16)
+    for got, want in ((result.coordinate_track, x_track), (result.branch_position_track, b_track)):
+        if packet.branch == "mixed":
+            np.testing.assert_array_equal(got, want)
+        else:
+            assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+
+
+@pytest.mark.parametrize("weights, per_sample", [((1.0, 0.0), 1), ((1.0, 1.0), 2)], ids=["particle", "mixed"])
+def test_zitterbewegung_expectations_per_sample(monkeypatch, weights, per_sample):
+    # one transform pair per sample serves both tracks of a particle packet
+    calls = []
+    expectation = po.position_expectation
+
+    def counted(*args):
+        calls.append(args)
+        return expectation(*args)
+
+    monkeypatch.setattr(po, "position_expectation", counted)
+    packet = gaussian_packet(Grid(16, 4.0), M, (0.3, 0.0, 0.0), sigma=2.0, weights=weights)
+    zitterbewegung_experiment(packet, duration=4.0, samples=16)
+    assert len(calls) == per_sample * 16
+
+
+def test_zitterbewegung_rejects_a_mislabelled_mixed_packet():
+    # a field labelled particle that carries -E content would lose its trembling
+    mixed = gaussian_packet(Grid(16, 4.0), M, (0.3, 0.0, 0.0), sigma=2.0, weights=(1.0, 1.0))
+    with pytest.raises(ValueError, match="-E branch"):
+        zitterbewegung_experiment(replace(mixed, branch="particle"), duration=4.0, samples=16)

@@ -419,6 +419,8 @@ def test_transport_peak_memory():
     assert peak_bytes(lambda: to_fw_picture(f)) <= 1.1 * size
     for t in (0.0, 0.3):
         assert peak_bytes(lambda: coordinate_density(f, t)) <= 0.5 * size
+    # three component buffers, j and one float scratch for every term of j
+    assert peak_bytes(lambda: coordinate_current(f)) <= 1.3 * size
     for g in (f, to_fw_picture(f)):
         continuity_residuals(g, [1e-3])  # fill the lattice caches (grid.x) first
         assert peak_bytes(lambda: continuity_residuals(g, [1e-3, 5e-4])) <= 2.0 * size
