@@ -9,13 +9,13 @@ Each run writes `<out>/<command>.report.json` (config echo, one entry per
 asserted check with its measured value, scalar results, warnings, runtime)
 plus the command's CSV/JSON tables. The exit code is 0 exactly when every
 asserted check passed. Every precondition derivable from the config (key
-values, lattice and packet hygiene, boost and quadrature reach) is checked
-before any work and exits 2 with one stderr line naming its keys, writing no
-report; any other library `ValueError` becomes a failed check named
-`completed`, and the report is still written (exit 1). Runs are deterministic
-for a fixed config and seed. `RDLAB_THREADS` caps numerical thread pools;
-when it is absent the linear-algebra backends keep their defaults (all cores).
-Any value other than a positive integer exits 2 before any work.
+values, lattice and packet hygiene, boost reach) is checked before any work
+and exits 2 with one stderr line naming its keys, writing no report; any
+other library `ValueError` becomes a failed check named `completed`, and the
+report is still written (exit 1). Runs are deterministic for a fixed config
+and seed. `RDLAB_THREADS` caps numerical thread pools; when it is absent the
+linear-algebra backends keep their defaults (all cores). Any value other than
+a positive integer exits 2 before any work.
 """
 from __future__ import annotations
 
@@ -42,7 +42,7 @@ import time
 
 import numpy as np
 
-from .clifford import ALPHA, BETA, GAMMA, GAMMA5, SIGMA, anticommutation_defect, anticommutator, commutator
+from .clifford import ALPHA, BETA, GAMMA, GAMMA5, SIGMA, anticommutation_defect, anticommutator, commutator, pair
 from .config import (
     ConfigError,
     check_band_hygiene,
@@ -72,8 +72,7 @@ from .positionops import (
     apply_xfw,
     apply_xp,
     localized_eigen_residuals,
-    locality_integral,
-    locality_lattice,
+    localized_state,
     mean_position_equivalence,
     tail_consistency_residual,
     tremble_moments,
@@ -269,97 +268,56 @@ def cmd_algebra_check(cfg: dict[str, str], record: ReportRecord, rng: np.random.
 # locality
 
 
+# the identity lattice: one fixed size, reaching e^{-eps p^2} = e^{-37} at the smallest regulator
+LOCALITY_N = 32
+
+
 def cmd_locality(cfg: dict[str, str], record: ReportRecord, rng: np.random.Generator, out_dir: str) -> None:
-    """Regulated localized-state overlap integrals vs displacement and regulator."""
+    """Newton-Wigner localized states: the per-node density identity and the overlap sweep.
+
+    The invariant weight times the density of a localized state is m/E psi^dag psi = 1
+    at every node, in both pictures and on both branches, so its regulated overlap
+    with the copy displaced by a is (2 pi)^-3 integral e^{-+i p.a - eps p^2} d^3p
+    = (4 pi eps)^(-3/2) e^{-a^2/(4 eps)}. The check reads the identity; the sweep
+    writes the ratio to the peak, e^{-d^2/(4 eps)} with a = d/m and eps in units of 1/m^2.
+    """
     mass = get_positive(cfg, "mass", 1.0)
     spin = get_float(cfg, "locality.spin", 0.5)
     displacements = get_floats(cfg, "locality.displacements", (0.0, 1.0, 2.0, 3.0, 5.0))
     epsilons = get_floats(cfg, "regulators.epsilon", (0.1, 0.03, 0.01))
     tol_far = _tol(cfg, "far_ratio", 1e-3)
-    tol_agree = _tol(cfg, "picture_agreement", 1e-12)
-    tol_peak = _tol(cfg, "peak_oracle", 0.02)
-    # overlaps this far out underflow to cancellation noise (~1e-16 of peak);
-    # ordering is only meaningful above the quadrature floor
-    floor = get_float(cfg, "locality.noise_floor", 1e-12)
+    tol_identity = _tol(cfg, "spinor", 1e-12)
 
-    if not 0.0 <= floor < 1.0:  # overlap ratios are at most 1
-        raise ConfigError(f"locality.noise_floor = {floor:g}: must lie in [0, 1)")
     if any(e <= 0.0 for e in epsilons):
         raise ConfigError("regulators.epsilon: all regulator values must be positive")
     if sorted(displacements) != list(displacements) or len(set(displacements)) != len(displacements):
         raise ConfigError("locality.displacements must be strictly increasing")
-    # the quadrature lattice grows as eps shrinks and |a| grows: one worst case
-    _precondition("regulators.epsilon, locality.displacements", locality_lattice,
-                  min(epsilons) / mass**2, max(abs(d) for d in displacements) / mass)
     _precondition("locality.spin", rest_spinor, "particle", spin)
-    if len(epsilons) == 1:
-        record.warnings.append(
-            "single regulator value: convergence in the regulator is unassessable"
-        )
     epsilons = tuple(sorted(epsilons, reverse=True))
 
-    rows = []
-    ratios: dict[float, list[float]] = {eps: [] for eps in epsilons}
-    agreement = 0.0
-    for eps in epsilons:
-        eps_phys = eps / mass**2
-        peak = locality_integral("dirac", "particle", spin, (0.0, 0.0, 0.0), eps_phys, mass)
-        peak_fw = locality_integral("fw", "particle", spin, (0.0, 0.0, 0.0), eps_phys, mass)
-        agreement = max(agreement, abs(peak - peak_fw) / abs(peak))
-        oracle = (4.0 * np.pi * eps_phys) ** -1.5
-        record.check(
-            f"peak_oracle[eps={eps:g}]",
-            float(abs(peak) / oracle - 1.0),
-            tol_peak,
-            note="zero-displacement value vs the analytic regulated-delta peak",
-        )
-        for d in displacements:
-            a = (0.0, 0.0, d / mass)
-            val = locality_integral("dirac", "particle", spin, a, eps_phys, mass)
-            val_fw = locality_integral("fw", "particle", spin, a, eps_phys, mass)
-            agreement = max(agreement, abs(val - val_fw) / abs(peak))
-            ratio = abs(val) / abs(peak)
-            ratios[eps].append(ratio)
-            rows.append((d, eps, ratio))
-        record.check(f"far_ratio[eps={eps:g}]", ratios[eps][-1], tol_far,
+    grid = Grid(LOCALITY_N, mass * np.sqrt(37.0 / epsilons[-1]))
+    record.results.setdefault("grids", {})["locality"] = {"n": grid.n, "pmax": grid.pmax}
+    weight = mass / grid.energies(mass)
+    worst = 0.0
+    for rep in ("dirac", "fw"):
+        for branch in ("particle", "antiparticle"):
+            psi = localized_state(grid, mass, spin=spin, branch=branch, rep=rep).values
+            worst = max(worst, float(np.max(np.abs(weight * pair(psi, psi) - 1.0))))
+    record.check("localized_density_identity", worst, tol_identity,
+                 note="max over nodes, pictures and branches of |m/E psi^dag psi - 1|")
+
+    rows = [(d, eps, float(np.exp(-d * d / (4.0 * eps)))) for eps in epsilons for d in displacements]
+    far_ratios = {eps: ratio for d, eps, ratio in rows if d == displacements[-1]}
+    for eps, ratio in far_ratios.items():
+        record.check(f"far_ratio[eps={eps:g}]", ratio, tol_far,
                      note=f"overlap ratio at displacement {displacements[-1]:g}/m")
-
-    def worst_increase(sequences) -> float:
-        worst = -1.0
-        for seq in sequences:
-            for prev, cur in zip(seq, seq[1:]):
-                if cur > floor:
-                    worst = max(worst, cur - prev)
-        return worst
-
-    worst_a = worst_increase(ratios.values())
-    record.check(
-        "monotone_in_displacement",
-        float(worst_a),
-        None,
-        passed=worst_a <= 0.0,
-        note=f"largest increase of the ratio along |a| above the {floor:g} floor; must be <= 0",
-    )
-    by_displacement = [
-        [ratios[eps][i] for eps in epsilons] for i in range(1, len(displacements))
-    ]
-    worst_eps = worst_increase(by_displacement)
-    record.check(
-        "monotone_in_regulator",
-        float(worst_eps),
-        None,
-        passed=worst_eps <= 0.0,
-        note=f"largest increase of the ratio as the regulator shrinks, above the {floor:g} floor; must be <= 0",
-    )
-    record.check("picture_agreement", agreement, tol_agree,
-                 note="max |Dirac - FW| over all integrals, relative to the peak")
 
     write_table(out_dir, record.command, "sweep", ["displacement", "epsilon", "ratio"], rows)
     record.results.update(
         {
             "displacements": list(displacements),
             "epsilons": list(epsilons),
-            "far_ratios": {f"{eps:g}": ratios[eps][-1] for eps in epsilons},
+            "far_ratios": {f"{eps:g}": ratio for eps, ratio in far_ratios.items()},
         }
     )
 
@@ -701,7 +659,7 @@ def cmd_covariance(cfg: dict[str, str], record: ReportRecord, rng: np.random.Gen
 
 COMMANDS = {
     "algebra-check": (cmd_algebra_check, "matrix algebra and randomized spinor/transformation suites"),
-    "locality": (cmd_locality, "regulated localized-state overlaps vs displacement and regulator"),
+    "locality": (cmd_locality, "localized-state density identity and regulated overlap decay"),
     "position": (cmd_position, "localized eigenstates, Hermiticity, equivalence, coordinate tail"),
     "zitterbewegung": (cmd_zitterbewegung, "branch-mixed trembling motion and pure-branch transport"),
     "continuity": (cmd_continuity, "discrete continuity residuals and nonlocality proxies"),

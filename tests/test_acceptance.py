@@ -7,7 +7,7 @@ floors behind those geometry choices are documented in the library modules.
 from __future__ import annotations
 
 import numpy as np
-from conftest import covariance_packet, density, total_probability
+from conftest import covariance_packet, density, locality_integral, total_probability
 from scipy.integrate import quad
 
 from rdlab import covlab
@@ -118,13 +118,15 @@ def test_criterion_4_localized_overlaps_decay_and_agree():
     ratios = {}
     agreement = 0.0
     for eps in epsilons:
-        peak = po.locality_integral("dirac", "particle", 0.5, (0, 0, 0), eps, M)
+        peak = locality_integral("dirac", "particle", 0.5, (0, 0, 0), eps, M)
         seq = []
         for d in displacements:
-            val = po.locality_integral("dirac", "particle", 0.5, (0, 0, d), eps, M)
-            val_fw = po.locality_integral("fw", "particle", 0.5, (0, 0, d), eps, M)
+            val = locality_integral("dirac", "particle", 0.5, (0, 0, d), eps, M)
+            val_fw = locality_integral("fw", "particle", 0.5, (0, 0, d), eps, M)
             agreement = max(agreement, abs(val - val_fw) / abs(peak))
             seq.append(abs(val) / abs(peak))
+            # the closed form `rdlab locality` writes, to the quadrature's rounding of the peak
+            np.testing.assert_allclose(seq[-1], np.exp(-d * d / (4.0 * eps)), rtol=1e-9, atol=1e-15)
         ratios[eps] = seq
         assert seq[-1] <= 1e-3  # |a| = 5/m
         for prev, cur in zip(seq, seq[1:]):  # monotone in displacement

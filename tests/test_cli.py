@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -127,7 +128,7 @@ def test_algebra_determinism_modulo_runtime(tmp_path):
 # locality
 
 
-LOCALITY_QUICK = "locality.displacements = 0, 1, 2\nregulators.epsilon = 0.1, 0.05\n"
+LOCALITY_QUICK = "locality.displacements = 0, 1, 2, 5\nregulators.epsilon = 0.1, 0.05\n"
 
 
 def test_locality_artifacts_and_checks(tmp_path):
@@ -136,24 +137,46 @@ def test_locality_artifacts_and_checks(tmp_path):
     assert report["config"]["regulators.epsilon"] == "0.1, 0.05"
     lines = (tmp_path / "locality.sweep.csv").read_text().splitlines()
     assert lines[0] == "displacement,epsilon,ratio"
-    assert len(lines) == 1 + 3 * 2
+    assert len(lines) == 1 + 4 * 2
     # full-precision cells round-trip to the report values
     far = report["results"]["far_ratios"]["0.05"]
-    cells = [line.split(",") for line in lines[1:]]
-    match = [float(c[2]) for c in cells if float(c[0]) == 2.0 and float(c[1]) == 0.05]
+    cells = [[float(x) for x in line.split(",")] for line in lines[1:]]
+    match = [c[2] for c in cells if c[0] == 5.0 and c[1] == 0.05]
     assert match and match[0] == far
-    names = {c["name"] for c in report["checks"]}
-    assert "monotone_in_displacement" in names and "picture_agreement" in names
-    assert "peak_oracle[eps=0.1]" in names
+    # every cell is the closed form: at d = 5, eps = 0.1 that is 7.19e-28, where a
+    # quadrature read its rounding, 1.7e-17
+    assert all(ratio == np.exp(-d * d / (4.0 * eps)) for d, eps, ratio in cells)
+    assert [c[2] for c in cells if c[0] == 5.0 and c[1] == 0.1] == [np.exp(-62.5)]
+    by_name = {c["name"]: c for c in report["checks"]}
+    identity = by_name["localized_density_identity"]
+    assert identity["tolerance"] == 1e-12 and identity["value"] <= 1e-15
+    assert {"far_ratio[eps=0.1]", "far_ratio[eps=0.05]"} <= set(by_name)
+    assert report["results"]["grids"]["locality"] == {"n": 32, "pmax": np.sqrt(37.0 / 0.05)}
 
 
-def test_locality_single_regulator_warns(tmp_path):
-    code, report = run(
-        tmp_path, "locality",
-        "locality.displacements = 0, 1\nregulators.epsilon = 0.1\ntolerances.far_ratio = 0.5\n",
-    )
+def test_locality_identity_fails_without_spinor_normalization(tmp_path, monkeypatch):
+    # drop the 1/sqrt(2m(E+m)) of the Dirac-picture localized state: m/E psi^dag psi != 1
+    original = cli.localized_state
+
+    def unnormalized(grid, mass, *args, **kwargs):
+        f = original(grid, mass, *args, **kwargs)
+        if f.rep != "dirac":
+            return f
+        e = grid.energies(mass)
+        return replace(f, values=f.values * np.sqrt(2.0 * mass * (e + mass))[..., None])
+
+    monkeypatch.setattr(cli, "localized_state", unnormalized)
+    code, report = run(tmp_path, "locality", LOCALITY_QUICK)
+    assert code == 1
+    failed = [c["name"] for c in report["checks"] if not c["passed"]]
+    assert failed == ["localized_density_identity"]
+
+
+def test_locality_small_regulator_runs(tmp_path):
+    # no lattice grows with the displacement: the old quadrature-reach bound is gone
+    code, report = run(tmp_path, "locality", "regulators.epsilon = 0.001\nlocality.displacements = 0, 5\n")
     assert code == 0
-    assert any("unassessable" in w for w in report["warnings"])
+    assert report["results"]["far_ratios"] == {"0.001": 0.0}  # e^{-6250} underflows
 
 
 def test_locality_rejects_bad_sweeps(tmp_path, capsys):
@@ -343,8 +366,6 @@ CONFIG_ERRORS = [
     ("algebra-check", "mass = -1\n", "mass = -1: must be positive"),
     ("algebra-check", "spinors.pmax = -5\n", "spinors.pmax = -5: must be positive"),
     ("algebra-check", "boosts.samples = 0\n", "boosts.samples = 0"),
-    ("locality", "regulators.epsilon = 0.001\nlocality.displacements = 0, 5\n",
-     "regulators.epsilon, locality.displacements"),
     ("locality", "locality.spin = 0.3\n", "locality.spin: spin projection"),
     ("continuity", "continuity.ratio_window = 4.0\n", "continuity.ratio_window"),
     ("zitterbewegung", "times.T = 0\n", "times.T = 0: must be positive"),
@@ -358,9 +379,6 @@ CONFIG_ERRORS = [
     ("covariance", "mass = inf\n", "config key 'mass': expected a finite number"),
     ("zitterbewegung", "packet.p0 = 0.3, nan, 0\n", "config key 'packet.p0': expected a finite number"),
     ("covariance", "boost.rapidity = 0, -inf\n", "config key 'boost.rapidity': expected a finite number"),
-    ("locality", "locality.noise_floor = nan\n", "config key 'locality.noise_floor': expected a finite"),
-    ("locality", "locality.noise_floor = inf\n", "config key 'locality.noise_floor': expected a finite"),
-    ("locality", "locality.noise_floor = 1\n", "locality.noise_floor = 1: must lie in [0, 1)"),
 ]
 
 
@@ -376,7 +394,7 @@ def test_config_errors_exit_before_any_work(tmp_path, capsys, command, config, m
 # one library call each command makes, on a config small enough to reach it quickly
 LIBRARY_ERRORS = {
     "algebra-check": ("fw_matrix", "spinors.samples = 4\nboosts.samples = 2\n"),
-    "locality": ("locality_integral", LOCALITY_QUICK),
+    "locality": ("localized_state", LOCALITY_QUICK),
     "position": ("localized_eigen_residuals", "grid.n = 64\n"),
     "zitterbewegung": ("zitterbewegung_experiment", ZITTER_QUICK),
     "continuity": ("continuity_residuals", "continuity.levels = 2\n"),
@@ -420,8 +438,10 @@ def test_out_directory_is_created(tmp_path):
     assert not list(out.glob("*.tmp"))
 
 
-# n = 64 is the smallest lattice whose packets pass hygiene for all three
+# locality at its defaults; n = 64 is the smallest lattice whose packets pass hygiene
+# for the other three
 THREAD_RUNS = {
+    "locality": (None, ("sweep.csv",)),
     "zitterbewegung": (ZITTER_QUICK, ("mixed.csv", "pure.csv")),
     "continuity": (None, ("refinement.csv",)),
     "covariance": ("boost.rapidity = 0, 0.5\n", ("sweep.json",)),

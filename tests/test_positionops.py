@@ -5,7 +5,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from conftest import coordinate_centroid, lattice_p
+from conftest import coordinate_centroid, lattice_p, locality_integral
 from scipy.integrate import quad
 
 from rdlab.clifford import ALPHA
@@ -391,12 +391,12 @@ def test_locality_matches_gaussian_profile():
     # spinor density times measure collapses to a pure Gaussian integral:
     # ratio = exp(-|a|^2 / (4 eps)), peak = (4 pi eps)^(-3/2)
     eps = 0.1
-    peak = po.locality_integral("dirac", "particle", 0.5, (0.0, 0.0, 0.0), eps)
+    peak = locality_integral("dirac", "particle", 0.5, (0.0, 0.0, 0.0), eps)
     np.testing.assert_allclose(peak.real, (4.0 * np.pi * eps) ** -1.5, rtol=1e-10)
     assert abs(peak.imag) <= 1e-12 * abs(peak.real)
     last = 1.0 + 1e-9
     for a1 in (0.5, 1.0, 2.0):
-        ratio = abs(po.locality_integral("dirac", "particle", 0.5, (a1, 0.0, 0.0), eps)) / abs(peak)
+        ratio = abs(locality_integral("dirac", "particle", 0.5, (a1, 0.0, 0.0), eps)) / abs(peak)
         np.testing.assert_allclose(ratio, np.exp(-a1 * a1 / (4.0 * eps)), rtol=1e-9)
         assert 0.0 <= ratio <= last
         last = ratio
@@ -404,8 +404,8 @@ def test_locality_matches_gaussian_profile():
 
 def test_locality_monotone_in_regulator():
     ratios = [
-        abs(po.locality_integral("dirac", "particle", 0.5, (1.0, 0.0, 0.0), eps))
-        / abs(po.locality_integral("dirac", "particle", 0.5, (0.0, 0.0, 0.0), eps))
+        abs(locality_integral("dirac", "particle", 0.5, (1.0, 0.0, 0.0), eps))
+        / abs(locality_integral("dirac", "particle", 0.5, (0.0, 0.0, 0.0), eps))
         for eps in (0.03, 0.1)
     ]
     assert ratios[0] < ratios[1]
@@ -414,8 +414,8 @@ def test_locality_monotone_in_regulator():
 
 def test_locality_far_displacement_vanishes():
     for eps in (0.1, 0.03, 0.01):
-        value = po.locality_integral("dirac", "particle", 0.5, (5.0, 0.0, 0.0), eps)
-        peak = po.locality_integral("dirac", "particle", 0.5, (0.0, 0.0, 0.0), eps)
+        value = locality_integral("dirac", "particle", 0.5, (5.0, 0.0, 0.0), eps)
+        peak = locality_integral("dirac", "particle", 0.5, (0.0, 0.0, 0.0), eps)
         assert abs(value) / abs(peak) < 1e-3
         assert abs(peak) > 0.0
 
@@ -423,7 +423,7 @@ def test_locality_far_displacement_vanishes():
 def test_locality_rep_and_branch_independent():
     # psi^dag psi = E/m for every branch and picture: identical integrals
     vals = [
-        po.locality_integral(rep, branch, 0.5, (1.0, 0.0, 0.0), 0.1)
+        locality_integral(rep, branch, 0.5, (1.0, 0.0, 0.0), 0.1)
         for rep in ("dirac", "fw")
         for branch in ("particle", "antiparticle")
     ]
@@ -433,9 +433,6 @@ def test_locality_rep_and_branch_independent():
 
 
 def test_locality_errors():
-    with pytest.raises(ValueError, match="regulator"):
-        po.locality_integral("dirac", "particle", 0.5, (1.0, 0.0, 0.0), 0.0)
-    with pytest.raises(ValueError, match="regulator"):
-        po.locality_integral("dirac", "particle", 0.5, (1.0, 0.0, 0.0), 1e-6)
-    with pytest.raises(ValueError):
-        po.locality_integral("weyl", "particle", 0.5, (1.0, 0.0, 0.0), 0.1)
+    # the regulator guards left with the quadrature; the picture guard is localized_state's
+    with pytest.raises(ValueError, match="rep must be"):
+        po.localized_state(Grid(16, 6.0), M, rep="weyl")
