@@ -45,6 +45,7 @@ import numpy as np
 from .clifford import ALPHA, BETA, GAMMA, GAMMA5, SIGMA, anticommutation_defect, anticommutator, commutator, pair
 from .config import (
     ConfigError,
+    TrackedConfig,
     check_band_hygiene,
     check_declared_tolerances,
     check_lattice_n,
@@ -697,6 +698,7 @@ def main(argv=None) -> int:
     except (OSError, ConfigError) as exc:
         print(f"rdlab: {exc}", file=sys.stderr)
         return 2
+    cfg = TrackedConfig(cfg)  # tracked after the tolerance check, which reads every tolerances.* key
 
     record = ReportRecord(command=args.command, config=cfg, seed=args.seed)
     rng = np.random.default_rng(args.seed)
@@ -708,6 +710,9 @@ def main(argv=None) -> int:
         return 2
     except ValueError as exc:  # any other library error is a failed check, reported
         record.check("completed", None, None, passed=False, note=f"{type(exc).__name__}: {exc}")
+    else:
+        for key in cfg.unread():
+            record.warnings.append(f"config key {key!r} is not read by {args.command}; it has no effect")
     record.runtime_seconds = time.perf_counter() - start
 
     path = write_report(args.out, record)

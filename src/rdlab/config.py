@@ -16,6 +16,26 @@ class ConfigError(ValueError):
     """Malformed config text or a violated config invariant."""
 
 
+class TrackedConfig(dict):
+    """A parsed config that records every key a getter looks up, present or not,
+    so the keys no command reads can be reported."""
+
+    def __init__(self, cfg: dict[str, str]):
+        super().__init__(cfg)
+        self.read: set[str] = set()
+
+    def __contains__(self, key: str) -> bool:
+        self.read.add(key)
+        return super().__contains__(key)
+
+    def __getitem__(self, key: str) -> str:
+        self.read.add(key)
+        return super().__getitem__(key)
+
+    def unread(self) -> list[str]:
+        return [key for key in self if key not in self.read]
+
+
 def parse_config(text: str) -> dict[str, str]:
     """Parse flat dotted-key config text into an ordered {key: raw value} map."""
     cfg: dict[str, str] = {}

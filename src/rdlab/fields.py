@@ -38,9 +38,12 @@ COORDINATE_EDGE_TOL = 5e-2
 
 
 def _workers() -> int:
-    """RDLAB_THREADS, which must be a positive integer, or every core when it is unset."""
+    """RDLAB_THREADS, which must be a positive integer, or, when it is unset, the
+    number of cores this process may run on."""
     value = os.environ.get("RDLAB_THREADS")
     if value is None:
+        if hasattr(os, "sched_getaffinity"):
+            return len(os.sched_getaffinity(0))
         return os.cpu_count() or 1
     if not (value.isdecimal() and int(value) > 0):
         raise ConfigError(f"RDLAB_THREADS = {value!r}: must be a positive integer")

@@ -21,21 +21,24 @@ gamma = ifftn(w f) (position_expectation); by alpha^k alpha^j = delta_kj +
 i eps_kjl Sigma^l the real part of the boost-frame term is the spin-orbit
 shift -(p x S)_k / (2m(E+m)) (_spin_orbit_shift), and that of the FW term is
 zero. S = f^dag Sigma f is unchanged by the free phase e^{-iEt}, so a track
-forms the shift once and each sample costs one phase and two in-place inverse
-FFTs per track, in two field buffers reused from sample to sample. A particle
-packet has no -E part, so its two tracks sample the same field and share one
-pair of transforms: they differ only by the shift.
+forms the shift once and each sample costs one phase and, per track and
+spinor component, two in-place inverse FFTs in the (n, n, n) buffers of its
+lane. Samples are independent and run on up to LANES threads. A particle
+packet has no -E part, so its two tracks sample the same field and share
+one set of transforms: they differ only by the shift.
 """
 from __future__ import annotations
 
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
+import scipy.fft as sfft
 from scipy.special import erfc
 
 from .clifford import AXES, alpha_dot, pair
 from .fields import (
-    CoordinateField, MomentumField, _fft3, _ifft3, _measure, branch_projection, momentum_norm,
+    CoordinateField, MomentumField, _fft3, _ifft3, _measure, _workers, branch_projection, momentum_norm,
     to_dirac_picture, to_fw_picture,
 )
 from .grids import Grid
@@ -48,6 +51,10 @@ WINDOW_PLATEAU = 0.40
 WINDOW_EDGE = 0.975
 WINDOW_STEEPNESS = 7.0
 PROBE_FRACTION = 0.30
+
+# trembling-motion samples run on at most this many threads, each with its own
+# buffers: more lanes would make the memory grow with the core count
+LANES = 2
 
 
 def spectral_momentum_derivative(field: MomentumField) -> list[np.ndarray]:
@@ -138,26 +145,61 @@ def apply_xfw(field: MomentumField) -> tuple[MomentumField, ...]:
     return _axis_fields(field, out)
 
 
-def position_expectation(
-    grid: Grid, w: np.ndarray, sample: np.ndarray, weighted: np.ndarray
-) -> tuple[np.ndarray, float]:
-    """(moments, norm) of f = `sample`, with Re <f, X f> / <f, f> = (moments -
-    shift) / norm per axis, without applying X: X is the coordinate operator
-    i d/dp_k plus a node-local term whose real part, on the scale of the
-    Parseval moments, is -shift (0 for the coordinate operator,
-    _spin_orbit_shift(f) for apply_xp). `w` is the invariant measure with a
-    trailing spinor axis. The two inverse FFTs run in place: `sample` and the
-    buffer `weighted` are overwritten.
+class _Lane:
+    """Buffers of one sampling lane, allocated up front and reused by every
+    sample it takes: the complex (n, n, n) sample component `a`, its weighted
+    copy `b` and two phase factors `u`, `v`, and the real density `d`
+    (1.125 fields in all). `workers` is its FFT pool size."""
 
-    Parseval: with psi = ifftn(f) and gamma = ifftn(w f),
-    sum_p w f^dag F[x_k F^{-1} f] = N sum_x x_k gamma^dag psi and
-    <f, f> = N sum_x gamma^dag psi, so the one density d(x) = Re gamma^dag psi
+    def __init__(self, n: int, workers: int):
+        self.a, self.b, self.u, self.v = (np.empty((n, n, n), dtype=complex) for _ in range(4))
+        self.d = np.empty((n, n, n))
+        self.workers = workers
+
+    def set_time(self, e: np.ndarray, t: float) -> None:
+        """u = e^{-iEt}, formed as cos(Et) - i sin(Et), with Et in d."""
+        np.multiply(e, t, out=self.d)
+        np.cos(self.d, out=self.u.real)
+        np.sin(self.d, out=self.u.imag)
+        np.negative(self.u.imag, out=self.u.imag)
+
+
+def position_expectation(
+    grid: Grid, w: np.ndarray, lane: _Lane, terms: list[tuple[np.ndarray, np.ndarray]]
+) -> tuple[np.ndarray, float]:
+    """(moments, norm) of the sample s = sum of factor * field over the
+    (factor, field) `terms`, with Re <s, X s> / <s, s> = (moments - shift) /
+    norm per axis, without applying X: X is the coordinate operator i d/dp_k
+    plus a node-local term whose real part, on the scale of the Parseval
+    moments, is -shift (0 for the coordinate operator, _spin_orbit_shift(s)
+    for apply_xp). Each factor is (n, n, n) and each field (n, n, n, 4); `w`
+    is the invariant measure as a complex array. Nothing but the lane's
+    buffers a, b and d is written.
+
+    Parseval: with psi = ifftn(s) and gamma = ifftn(w s),
+    sum_p w s^dag F[x_k F^{-1} s] = N sum_x x_k gamma^dag psi and
+    <s, s> = N sum_x gamma^dag psi, so the one density d(x) = Re gamma^dag psi
     gives the norm sum_x d and the three moments, each moment from the axis-k
-    marginal of d.
+    marginal of d. d is summed one spinor component at a time: the component
+    is formed in the lane's buffer `a`, weighted into `b`, and both are
+    transformed in place.
     """
-    np.multiply(w, sample, out=weighted)
-    psi = _ifft3(sample, overwrite_x=True)
-    d = pair(_ifft3(weighted, overwrite_x=True), psi)
+    a, b, d = lane.a, lane.b, lane.d
+    (factor, field), *rest = terms
+    for c in range(4):
+        np.multiply(factor, field[..., c], out=a)
+        for x, g in rest:
+            np.multiply(x, g[..., c], out=b)
+            a += b
+        np.multiply(w, a, out=b)
+        psi = sfft.ifftn(a, workers=lane.workers, overwrite_x=True)
+        gamma = sfft.ifftn(b, workers=lane.workers, overwrite_x=True)
+        np.conjugate(gamma, out=gamma)
+        gamma *= psi  # its real part is Re gamma^dag psi
+        if c == 0:
+            np.copyto(d, gamma.real)
+        else:
+            d += gamma.real
     moments = np.array([np.sum(grid.x1d * d.sum(axis=axes)) for axes in ((1, 2), (0, 2), (0, 1))])
     return moments, np.sum(d)
 
@@ -258,43 +300,51 @@ def zitterbewegung_experiment(
     coordinate moment minus the spin-orbit shift (_spin_orbit_shift), and the
     shift is formed once, from a_+: S = f^dag Sigma f per node does not change
     under the phase e^{-iEt}. So each sample costs one phase and, per track,
-    one position_expectation: two in-place inverse FFTs (psi and
-    gamma = ifftn(w f)), one pairing and the axis marginals. Two field
-    buffers serve every sample.
+    one position_expectation: per spinor component, two in-place inverse
+    FFTs (psi and gamma = ifftn(w f)) and a pairing; then the axis marginals.
 
     A particle packet is its own +E part (branch_projection raises, before
     the buffers are allocated, if it is not), so both its tracks sample
     e^{-iEt} a_+: one position_expectation per sample gives x-hat =
     moments / norm and X_P = (moments - shift) / norm. A mixed packet makes
-    two. At n = 64 on two x86 cores a mixed sample takes about 0.15 s, most
-    of it in the four transforms, and a particle sample about 0.08 s.
+    two.
+
+    The samples are independent, so they run on min(RDLAB_THREADS, LANES)
+    lanes, each taking every lanes-th sample through its own buffers
+    (_Lane, allocated here before any sample) with FFT pools of
+    RDLAB_THREADS // lanes workers. Each sample writes only its own track
+    rows, so the tracks do not depend on the thread count.
     Preconditions: tremble_moments.
     """
     mean_energy, v_exp = tremble_moments(packet, duration, samples)
     grid, f = packet.grid, packet.values
     e = grid.energies(packet.mass)
-    w = _measure(packet)[..., None]
+    w = _measure(packet).astype(complex)  # a real factor would be cast through a buffer per call
 
     plus = branch_projection(packet)
     shift = _spin_orbit_shift(plus)
     times = np.linspace(0.0, duration, samples)
     x_track = np.empty((samples, 3))
     b_track = np.empty((samples, 3))
-    sample = np.empty_like(f)
-    weighted = np.empty_like(f)
+    threads = _workers()
+    count = min(threads, LANES)
+    lanes = [_Lane(grid.n, threads // count) for _ in range(count)]
 
-    for i, t in enumerate(times):
-        phase = np.exp(-1j * e * t)[..., None]
-        np.multiply(phase, plus.values, out=sample)
-        moments, norm = position_expectation(grid, w, sample, weighted)
-        b_track[i] = (moments - shift) / norm
-        if packet.branch == "mixed":  # else f(t) = a_+(t), the sample just taken
-            # f(t) as e^{+iEt} f - 2i sin(Et) a_+: a_- = f - a_+ is never stored
-            np.multiply(phase.conj(), f, out=sample)
-            np.multiply((2j * np.sin(e * t))[..., None], plus.values, out=weighted)
-            sample -= weighted
-            moments, norm = position_expectation(grid, w, sample, weighted)
-        x_track[i] = moments / norm
+    def run_lane(k: int) -> None:
+        lane = lanes[k]
+        for i in range(k, samples, count):
+            lane.set_time(e, times[i])
+            moments, norm = position_expectation(grid, w, lane, [(lane.u, plus.values)])
+            b_track[i] = (moments - shift) / norm
+            if packet.branch == "mixed":  # else f(t) = a_+(t), the sample just taken
+                # f(t) = e^{+iEt} f + (e^{-iEt} - e^{+iEt}) a_+: a_- = f - a_+ is never stored
+                np.conjugate(lane.u, out=lane.v)
+                lane.u -= lane.v
+                moments, norm = position_expectation(grid, w, lane, [(lane.v, f), (lane.u, plus.values)])
+            x_track[i] = moments / norm
+
+    with ThreadPoolExecutor(count) as pool:
+        list(pool.map(run_lane, range(count)))
 
     x_slopes = _linear_slopes(times, x_track)
     axis = int(np.argmax(np.var(x_track - times[:, None] * x_slopes, axis=0)))

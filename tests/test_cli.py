@@ -3,7 +3,11 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -177,6 +181,25 @@ def test_locality_small_regulator_runs(tmp_path):
     code, report = run(tmp_path, "locality", "regulators.epsilon = 0.001\nlocality.displacements = 0, 5\n")
     assert code == 0
     assert report["results"]["far_ratios"] == {"0.001": 0.0}  # e^{-6250} underflows
+
+
+def test_unread_config_keys_are_warned(tmp_path, capsys):
+    # a misspelt key, and a tolerance only the up-front parse of tolerances.* reads
+    code, report = run(tmp_path, "locality", LOCALITY_QUICK + "locality.spn = 0.3\ntolerances.peak_oracle = 0.02\n")
+    assert code == 0
+    assert report["warnings"] == [
+        "config key 'locality.spn' is not read by locality; it has no effect",
+        "config key 'tolerances.peak_oracle' is not read by locality; it has no effect",
+    ]
+    out = capsys.readouterr().out
+    assert out.count("[WARN]") == 2 and "'locality.spn'" in out and "'tolerances.peak_oracle'" in out
+
+
+def test_read_config_keys_add_no_warning(tmp_path, capsys):
+    config = LOCALITY_QUICK + "locality.spin = -0.5\ntolerances.far_ratio = 0.01\ntolerances.spinor = 1e-12\n"
+    code, report = run(tmp_path, "locality", config)
+    assert code == 0 and report["warnings"] == []
+    assert "[WARN]" not in capsys.readouterr().out
 
 
 def test_locality_rejects_bad_sweeps(tmp_path, capsys):
@@ -439,27 +462,29 @@ def test_out_directory_is_created(tmp_path):
 
 
 # locality at its defaults; n = 64 is the smallest lattice whose packets pass hygiene
-# for the other three
+# for the other three; zitterbewegung samples on min(threads, 2) lanes, so 3 threads
+# give two lanes of one FFT worker each
 THREAD_RUNS = {
-    "locality": (None, ("sweep.csv",)),
-    "zitterbewegung": (ZITTER_QUICK, ("mixed.csv", "pure.csv")),
-    "continuity": (None, ("refinement.csv",)),
-    "covariance": ("boost.rapidity = 0, 0.5\n", ("sweep.json",)),
+    "locality": (None, ("sweep.csv",), ("1", "2")),
+    "zitterbewegung": (ZITTER_QUICK, ("mixed.csv", "pure.csv"), ("1", "2", "3")),
+    "continuity": (None, ("refinement.csv",), ("1", "2")),
+    "covariance": ("boost.rapidity = 0, 0.5\n", ("sweep.json",), ("1", "2")),
 }
 
 
 @pytest.mark.parametrize("command", list(THREAD_RUNS))
 def test_tables_identical_across_thread_counts(tmp_path, monkeypatch, command):
-    config, tables = THREAD_RUNS[command]
+    config, tables, thread_counts = THREAD_RUNS[command]
     outputs = {}
-    for threads in ("1", "2"):
+    for threads in thread_counts:
         monkeypatch.setenv("RDLAB_THREADS", threads)
         out = tmp_path / threads
         code, report = run(out, command, config)
         assert code == 0
         report.pop("runtime_seconds")
         outputs[threads] = (report, [(out / f"{command}.{t}").read_bytes() for t in tables])
-    assert outputs["1"] == outputs["2"]
+    for threads in thread_counts[1:]:
+        assert outputs[threads] == outputs["1"], threads
 
 
 @pytest.mark.parametrize("value", ["0", "abc", "-1"])
@@ -476,3 +501,41 @@ def test_invalid_thread_count_exits_before_any_work(tmp_path, monkeypatch, capsy
     assert err.count("\n") == 1 and "RDLAB_THREADS" in err and "packet" not in err
     with pytest.raises(ConfigError, match="RDLAB_THREADS"):
         fields._workers()
+
+
+def test_unset_thread_count_is_the_cores_this_process_may_use(monkeypatch):
+    monkeypatch.delenv("RDLAB_THREADS", raising=False)
+    monkeypatch.setattr(fields.os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    assert fields._workers() == 1
+
+
+def _artifacts(out):
+    """Every table a run wrote, and its report without the runtime."""
+    found = {path.name: path.read_bytes() for path in out.glob("*.csv")}
+    for path in out.glob("*.report.json"):
+        report = json.loads(path.read_text())
+        report.pop("runtime_seconds")
+        found[path.name] = report
+    return found
+
+
+def test_traced_benchmark_child_matches_an_untraced_one(tmp_path):
+    # the benchmark's traced run rebinds every public positionops function while the
+    # trembling-motion lanes call position_expectation from worker threads
+    root = Path(__file__).resolve().parent.parent
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text(ZITTER_QUICK)
+    env = dict(os.environ, RDLAB_THREADS="2",
+               PYTHONPATH=os.pathsep.join(filter(None, [str(root / "src"), os.environ.get("PYTHONPATH")])))
+    spans_path = tmp_path / "spans.json"
+    artifacts = {}
+    for mode, trace in (("plain", []), ("traced", ["--trace", str(spans_path)])):
+        out = tmp_path / mode
+        args = [sys.executable, str(root / "perfbench" / "child.py"), str(tmp_path / f"{mode}.json"), *trace,
+                "--", "zitterbewegung", "--config", str(cfg), "--out", str(out)]
+        subprocess.run(args, env=env, cwd=root, check=True, timeout=600, capture_output=True)
+        assert json.loads((tmp_path / f"{mode}.json").read_text())["rc"] == 0
+        artifacts[mode] = _artifacts(out)
+    names = [span[0] for span in json.loads(spans_path.read_text())]
+    assert names.count("positionops.position_expectation") == 16 * 2 + 16  # mixed, then pure
+    assert artifacts["traced"] == artifacts["plain"] and len(artifacts["plain"]) == 3

@@ -1,6 +1,8 @@
 """Evolution, branch projections, continuity audits and trembling motion."""
 from __future__ import annotations
 
+import itertools
+import sys
 import tracemalloc
 from dataclasses import replace
 
@@ -10,6 +12,7 @@ from conftest import centred_rate, density, lattice_p, peak_bytes, total_probabi
 
 from rdlab.clifford import ALPHA, pair
 from rdlab.fields import (
+    _ifft3,
     _measure,
     branch_projection,
     concentration_box,
@@ -331,9 +334,11 @@ def test_spin_orbit_shift_is_constant_along_the_branch_track():
             assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
 
-def test_zitterbewegung_memory_does_not_grow_with_samples():
-    # two sample buffers serve every sample: the peak is a few fields, whatever the count
-    for weights in ((1.0, 1.0), (1.0, 0.0)):
+def test_zitterbewegung_memory_does_not_grow_with_samples(monkeypatch):
+    # each lane's buffers serve every sample it takes: the peak is a few fields,
+    # whatever the count, and no lane allocates per sample (one lane, then two)
+    for threads, weights in itertools.product(("1", "2"), ((1.0, 1.0), (1.0, 0.0))):
+        monkeypatch.setenv("RDLAB_THREADS", threads)
         packet = gaussian_packet(Grid(32, 4.0), M, (0.3, 0.0, 0.0), sigma=4.0, weights=weights)
         peaks = []
         for samples in (16, 48):
@@ -347,9 +352,19 @@ def test_zitterbewegung_memory_does_not_grow_with_samples():
         assert abs(peaks[1] - peaks[0]) <= 0.01
 
 
+def _four_component_expectation(grid, w, sample, weighted):
+    """position_expectation as it was before it formed one spinor component at a
+    time: `sample` and `weighted` are (n, n, n, 4), `w` has a trailing spinor axis."""
+    np.multiply(w, sample, out=weighted)
+    psi = _ifft3(sample, overwrite_x=True)
+    d = pair(_ifft3(weighted, overwrite_x=True), psi)
+    moments = np.array([np.sum(grid.x1d * d.sum(axis=axes)) for axes in ((1, 2), (0, 2), (0, 1))])
+    return moments, np.sum(d)
+
+
 def _two_call_tracks(packet, duration, samples):
-    """The sampling loop with one position_expectation per track and sample,
-    whatever the packet's label: the coordinate track samples
+    """The sampling loop with one four-component expectation per track and
+    sample, whatever the packet's label: the coordinate track samples
     e^{+iEt} f - 2i sin(Et) a_+, the branch track e^{-iEt} a_+."""
     grid, f = packet.grid, packet.values
     e = grid.energies(packet.mass)
@@ -362,44 +377,75 @@ def _two_call_tracks(packet, duration, samples):
     for i, t in enumerate(np.linspace(0.0, duration, samples)):
         phase = np.exp(-1j * e * t)[..., None]
         np.multiply(phase, plus.values, out=sample)
-        moments, norm = po.position_expectation(grid, w, sample, weighted)
+        moments, norm = _four_component_expectation(grid, w, sample, weighted)
         b_track[i] = (moments - shift) / norm
         np.multiply(phase.conj(), f, out=sample)
         np.multiply((2j * np.sin(e * t))[..., None], plus.values, out=weighted)
         sample -= weighted
-        moments, norm = po.position_expectation(grid, w, sample, weighted)
+        moments, norm = _four_component_expectation(grid, w, sample, weighted)
         x_track[i] = moments / norm
     return x_track, b_track
 
 
 @pytest.mark.parametrize("weights", [(1.0, 0.0), (1.0, 1.0)], ids=["particle", "mixed"])
 def test_zitterbewegung_tracks_match_two_call_loop(weights):
-    # a particle packet's coordinate track is its branch track's transform pair,
-    # equal to the second pair up to rounding; a mixed packet's tracks are unchanged
+    # a particle packet's coordinate track is its branch track's transforms, equal to
+    # the second sample up to rounding; per-component sums move only the last bits
     packet = gaussian_packet(Grid(32, 4.5), M, (0.4, 0.0, 0.2), sigma=4.0, weights=weights)
     result = zitterbewegung_experiment(packet, duration=4.0, samples=16)
     x_track, b_track = _two_call_tracks(packet, 4.0, 16)
     for got, want in ((result.coordinate_track, x_track), (result.branch_position_track, b_track)):
-        if packet.branch == "mixed":
-            np.testing.assert_array_equal(got, want)
-        else:
-            assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+        assert np.abs(got - want).max() <= 1e-15 * np.abs(want).max()
+
+
+def test_zitterbewegung_tracks_do_not_depend_on_the_thread_count(monkeypatch):
+    # 17 samples: two lanes take 9 and 8
+    packets = [gaussian_packet(Grid(32, 4.5), M, (0.4, 0.0, 0.2), sigma=4.0, weights=weights)
+               for weights in ((1.0, 1.0), (1.0, 0.0))]
+
+    def tracks(threads):
+        monkeypatch.setenv("RDLAB_THREADS", threads)
+        results = [zitterbewegung_experiment(p, duration=4.0, samples=17) for p in packets]
+        return [(r.coordinate_track, r.branch_position_track) for r in results]
+
+    def equal(got, want):
+        return all(np.array_equal(g, w) for pair_got, pair_want in zip(got, want)
+                   for g, w in zip(pair_got, pair_want))
+
+    want = tracks("1")
+    assert equal(tracks("2"), want) and equal(tracks("3"), want)
+    # four lanes on at most two cores, switching often: a sample written into another's
+    # row, or a buffer shared between lanes, would change the tracks
+    monkeypatch.setattr(po, "LANES", 4)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        assert equal(tracks("4"), want)
+    finally:
+        sys.setswitchinterval(interval)
 
 
 @pytest.mark.parametrize("weights, per_sample", [((1.0, 0.0), 1), ((1.0, 1.0), 2)], ids=["particle", "mixed"])
 def test_zitterbewegung_expectations_per_sample(monkeypatch, weights, per_sample):
-    # one transform pair per sample serves both tracks of a particle packet
-    calls = []
-    expectation = po.position_expectation
+    # one expectation per sample serves both tracks of a particle packet; each is
+    # two inverse transforms per spinor component, of one (n, n, n) component each
+    calls, transforms = [], []
+    expectation, ifftn = po.position_expectation, po.sfft.ifftn
 
     def counted(*args):
         calls.append(args)
         return expectation(*args)
 
-    monkeypatch.setattr(po, "position_expectation", counted)
+    def counted_ifftn(x, *args, **kwargs):
+        transforms.append(x.shape)
+        return ifftn(x, *args, **kwargs)
+
     packet = gaussian_packet(Grid(16, 4.0), M, (0.3, 0.0, 0.0), sigma=2.0, weights=weights)
+    monkeypatch.setattr(po, "position_expectation", counted)
+    monkeypatch.setattr(po.sfft, "ifftn", counted_ifftn)
     zitterbewegung_experiment(packet, duration=4.0, samples=16)
     assert len(calls) == per_sample * 16
+    assert transforms == [(16, 16, 16)] * (8 * len(calls))
 
 
 def test_zitterbewegung_rejects_a_mislabelled_mixed_packet():

@@ -199,8 +199,8 @@ def role_expectation(field, role):
         raise ValueError(f"role must be 'coordinate' or 'branch', got {role!r}")
     shift = po._spin_orbit_shift(field) if role == "branch" and field.rep == "dirac" else 0.0
     sign = -1.0 if field.branch == "antiparticle" else 1.0
-    w = _measure(field)[..., None]
-    moments, norm = po.position_expectation(field.grid, w, field.values.copy(), np.empty_like(field.values))
+    w = _measure(field).astype(complex)
+    moments, norm = po.position_expectation(field.grid, w, po._Lane(field.grid.n, 1), [(1.0, field.values)])
     return sign * (moments - shift) / norm
 
 
