@@ -58,6 +58,7 @@ from .config import (
 )
 from .covlab import check_boost_reach, covariance_sweep, rotate_field, rotate_scalar_lattice
 from .fields import (
+    _l2,
     _workers,
     continuity_residuals,
     coordinate_density,
@@ -69,7 +70,6 @@ from .fields import (
 from .grids import Grid
 from .lorentz import boost, energy, rotation
 from .positionops import (
-    apply_xap,
     apply_xfw,
     apply_xp,
     localized_eigen_residuals,
@@ -366,10 +366,8 @@ def cmd_position(cfg: dict[str, str], record: ReportRecord, rng: np.random.Gener
     record.check("eigen_residual_xfw", eigen_worst("fw", "particle", mirror_points), tol_eigen)
 
     def adjoint_defect(op, f, g2) -> float:
-        return max(
-            abs(momentum_inner(g2, xf) - momentum_inner(xg, f))
-            for xf, xg in zip(op(f), op(g2))
-        )
+        # map, unlike a loop variable, drops each pair of axis fields before the next
+        return max(map(lambda xf, xg: abs(momentum_inner(g2, xf) - momentum_inner(xg, f)), op(f), op(g2)))
 
     fw = to_fw_picture(f)
 
@@ -380,7 +378,7 @@ def cmd_position(cfg: dict[str, str], record: ReportRecord, rng: np.random.Gener
         worst = max(worst, adjoint_defect(apply_xfw, fw, to_fw_picture(g2)))
         fa = antiparticle_gaussian_packet(grid, mass, p0, x0, sigma=sigma, spin=0.5)
         ga = antiparticle_gaussian_packet(grid, mass, -0.6 * p0, -x0, sigma=sigma, spin=-0.5)
-        return max(worst, adjoint_defect(apply_xap, fa, ga))
+        return max(worst, adjoint_defect(apply_xp, fa, ga))
 
     record.check("hermiticity", hermiticity(), tol_herm,
                  note="worst adjoint defect of X_P, X_FW, X_AP on packet pairs")
@@ -628,10 +626,10 @@ def cmd_covariance(cfg: dict[str, str], record: ReportRecord, rng: np.random.Gen
 
     rho_rot = coordinate_density(rotate_field(packet, rot_axis, quarter_turns))
     perm = rotate_scalar_lattice(rho_rest, rot_axis, quarter_turns)
-    scale = float(np.linalg.norm(rho_rest))
+    scale = _l2(rho_rest)
     record.check(
         "rotation_consistency_dirac",
-        float(np.linalg.norm(rho_rot - perm) / scale),
+        _l2(rho_rot - perm) / scale,
         tol_rot,
         note="density of the rotated field vs the permuted rest density",
     )
@@ -639,7 +637,7 @@ def cmd_covariance(cfg: dict[str, str], record: ReportRecord, rng: np.random.Gen
     perm_fw = rotate_scalar_lattice(rho_fw, rot_axis, quarter_turns)
     record.check(
         "rotation_consistency_fw",
-        float(np.linalg.norm(rho_fw_rot - perm_fw) / np.linalg.norm(rho_fw)),
+        _l2(rho_fw_rot - perm_fw) / _l2(rho_fw),
         tol_rot,
     )
 
@@ -695,6 +693,10 @@ def main(argv=None) -> int:
         _workers()  # the RDLAB_THREADS check
         cfg = load_config(args.config) if args.config else {}
         check_declared_tolerances(cfg)
+        try:
+            os.makedirs(args.out, exist_ok=True)  # an --out that cannot hold the report fails here
+        except OSError as exc:
+            raise ConfigError(f"--out {args.out}: {exc.strerror}") from None
     except (OSError, ConfigError) as exc:
         print(f"rdlab: {exc}", file=sys.stderr)
         return 2

@@ -58,7 +58,10 @@ def parse_config(text: str) -> dict[str, str]:
 
 def load_config(path: str) -> dict[str, str]:
     with open(path, "r", encoding="utf-8") as fh:
-        return parse_config(fh.read())
+        try:
+            return parse_config(fh.read())
+        except UnicodeDecodeError as exc:
+            raise ConfigError(f"{path}: not UTF-8 text ({exc.reason})") from None
 
 
 def _convert(cfg: dict[str, str], key: str, conv, default):

@@ -124,6 +124,12 @@ def momentum_norm(a: MomentumField) -> float:
     return float(np.sqrt(np.sum(_measure(a) * pair(a.values, a.values)) * a.grid.dp**3))
 
 
+def _l2(a: np.ndarray) -> float:
+    """sqrt(sum |a|^2) by numpy's pairwise sum, as in momentum_norm: the BLAS dot of
+    np.linalg.norm splits its sum by thread, so its last bits follow the pool size."""
+    return float(np.sqrt(np.sum(pair(a, a) if np.iscomplexobj(a) else a * a)))
+
+
 def to_coordinate(field: MomentumField) -> CoordinateField:
     """Unitary transform to the coordinate lattice (rejects antiparticle labeling)."""
     if field.branch == "antiparticle":

@@ -2,17 +2,14 @@
 Yukawa tail.
 
 Operators act on MomentumField values (invariant-measure amplitudes) and are
-vector-valued: each returns a 3-tuple of fields, one per axis. The momentum
-derivative i d/dp_k is computed spectrally (multiplication by the conjugate
-coordinate between FFTs); the derivative of the standard-boost spinor matrix
-is applied in closed form.
-
-Operator dictionary (geometric position operators, one per branch/picture):
-  - apply_dirac_coordinate: +-i d/dp_k, the naive coordinate operator.
-  - apply_xp / apply_xap:   M(L_p) (+-i d/dp_k) M(L_p)^{-1}, particle /
-                            antiparticle labeling in the Dirac picture.
-  - apply_xfw:              i d/dp_k - i p_k / (2 E^2) in the FW picture
-                            (mirrored signs for antiparticle labeling).
+vector-valued: each yields X_k f = sign (i d/dp_k f + N_k f) for k = 0, 1, 2,
+one axis field at a time, with sign -1 on antiparticle labels. The momentum
+derivative is spectral (multiplication by the conjugate coordinate between
+FFTs); the node-local term N_k is added one lattice plane at a time:
+  - apply_dirac_coordinate: N = 0, the naive coordinate operator.
+  - apply_xp:  N_k = i M(L_p) [d/dp_k M(L_p)^{-1}], the derivative of the
+               standard-boost spinor matrix in closed form (Dirac picture).
+  - apply_xfw: N_k = -i p_k / (2 E^2) (FW picture).
 
 The trembling-motion tracks (zitterbewegung_experiment) build no operator
 fields: the spectral part of an expectation is one Parseval pairing,
@@ -29,6 +26,7 @@ one set of transforms: they differ only by the shift.
 """
 from __future__ import annotations
 
+from collections.abc import Iterator
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
@@ -38,7 +36,7 @@ from scipy.special import erfc
 
 from .clifford import AXES, alpha_dot, pair
 from .fields import (
-    CoordinateField, MomentumField, _fft3, _ifft3, _measure, _workers, branch_projection, momentum_norm,
+    CoordinateField, MomentumField, _fft3, _ifft3, _l2, _measure, _workers, branch_projection, momentum_norm,
     to_dirac_picture, to_fw_picture,
 )
 from .grids import Grid
@@ -57,92 +55,82 @@ PROBE_FRACTION = 0.30
 LANES = 2
 
 
-def spectral_momentum_derivative(field: MomentumField) -> list[np.ndarray]:
-    """i d(values)/dp_k for k = 0, 1, 2 via the conjugate-coordinate multiplier:
-    one inverse FFT shared by the three axes, then one forward FFT per axis."""
+def spectral_momentum_derivative(field: MomentumField) -> Iterator[np.ndarray]:
+    """Yield i d(values)/dp_k for k = 0, 1, 2 via the conjugate-coordinate
+    multiplier: one inverse FFT shared by the axes, then one in-place forward
+    FFT per axis (the last one in the shared buffer)."""
     psi = _ifft3(field.values)
-    out = []
     for k in range(3):
-        shape = [1, 1, 1, 1]
-        shape[k] = field.grid.n
-        x = field.grid.x1d.reshape(shape)
-        # the last axis reuses psi's buffer; each forward FFT runs in place
-        xpsi = np.multiply(x, psi, out=psi if k == 2 else None)
-        out.append(_fft3(xpsi, overwrite_x=True))
-    return out
+        x = field.grid.x1d.reshape([field.grid.n if j == k else 1 for j in range(4)])
+        yield _fft3(np.multiply(x, psi, out=psi if k == 2 else None), overwrite_x=True)
 
 
-def _axis_fields(field: MomentumField, per_axis_values) -> tuple[MomentumField, ...]:
-    return tuple(replace(field, values=v) for v in per_axis_values)
+def _position_axes(field: MomentumField, node_term=None) -> Iterator[MomentumField]:
+    """Yield sign * (i d/dp_k f + N_k f) for k = 0, 1, 2; node_term(k, i, d)
+    adds N_k f on lattice plane i into d, that (n, n, 4) plane of the axis
+    values. Each axis field is released here before the next is formed (no
+    enumerate, whose reused result tuple would hold it), so a caller that
+    maps over the axes holds one at a time."""
+    derivatives = spectral_momentum_derivative(field)
+    for k in range(3):
+        d = next(derivatives)
+        if node_term is not None:
+            for i in range(field.grid.n):
+                node_term(k, i, d[i])
+        if field.branch == "antiparticle":
+            np.negative(d, out=d)
+        yield replace(field, values=d)
+        del d
 
 
-def apply_dirac_coordinate(field: MomentumField) -> tuple[MomentumField, ...]:
+def apply_dirac_coordinate(field: MomentumField) -> Iterator[MomentumField]:
     """Coordinate operator: +i d/dp per axis (-i for antiparticle labeling)."""
     if field.rep != "dirac":
         raise ValueError("the coordinate operator is defined on Dirac-picture fields")
-    out = spectral_momentum_derivative(field)
-    if field.branch == "antiparticle":
-        for d in out:
-            np.negative(d, out=d)
-    return _axis_fields(field, out)
+    return _position_axes(field)
 
 
-def _boost_frame_position(field: MomentumField, sign: float) -> tuple[MomentumField, ...]:
-    """sign * (i d/dp_k + i A_k) with A_k = M(L_p) [d/dp_k M(L_p)^{-1}].
+def apply_xp(field: MomentumField) -> Iterator[MomentumField]:
+    """Position operator i d/dp_k + i A_k, A_k = M(L_p) [d/dp_k M(L_p)^{-1}], on
+    particle labels; on antiparticle ones -i d/dp_k + i [d/dp_k M(L_p)] M(L_p)^{-1},
+    the same expression with sign -1, as M [d M^{-1}] = -[d M] M^{-1}.
 
     With u = alpha.p phi and s^2 = 1/(2m(E+m)), the identity
     alpha.p alpha^k = 2 p_k - alpha^k alpha.p reduces the node-local term to
-    A_k phi = s^2 [p_k (u/E - phi) + alpha^k (u - (E+m) phi)]. The antiparticle
-    operator -i d/dp_k + i [d/dp_k M(L_p)] M(L_p)^{-1} is the same expression
-    with sign = -1, since M [d M^{-1}] = -[d M] M^{-1}. The terms are added into
-    the derivative arrays in place, which keeps the peak memory of an apply low.
+    A_k phi = s^2 [p_k (u/E - phi) + alpha^k (u - (E+m) phi)].
     """
+    if field.rep != "dirac" or field.branch == "mixed":
+        raise ValueError("defined on single-branch Dirac-picture fields")
     g, m, vals = field.grid, field.mass, field.values
-    e = g.energies(m)
-    is2 = 1j / (2.0 * m * (e + m))
-    out = spectral_momentum_derivative(field)
-    p = g.p_axes
-    u = alpha_dot((g.q, p[2]), vals)
-    r = u * (is2 / e)[..., None]
-    r -= is2[..., None] * vals
-    u -= (e + m)[..., None] * vals
-    u *= is2[..., None]
-    for k, d in enumerate(out):
+    e, p = g.energies(m), g.p_axes
+
+    def boost_frame_term(k: int, i: int, d: np.ndarray) -> None:
+        v, ei = vals[i], e[i]
+        is2 = 1j / (2.0 * m * (ei + m))
+        u = alpha_dot((g.q[i], p[2][0]), v)
+        r = u * (is2 / ei)[..., None]
+        r -= is2[..., None] * v
+        u -= (ei + m)[..., None] * v
+        u *= is2[..., None]
         d += alpha_dot(AXES[k], u)
-        d += p[k][..., None] * r
-        if sign < 0:
-            np.negative(d, out=d)
-    return _axis_fields(field, out)
+        d += np.broadcast_to(p[k], e.shape)[i, ..., None] * r
+
+    return _position_axes(field, boost_frame_term)
 
 
-def apply_xp(field: MomentumField) -> tuple[MomentumField, ...]:
-    """Particle position operator i d/dp_k + i M(L_p) [d/dp_k M(L_p)^{-1}]."""
-    if field.rep != "dirac" or field.branch != "particle":
-        raise ValueError("defined on particle-branch Dirac-picture fields")
-    return _boost_frame_position(field, 1.0)
-
-
-def apply_xap(field: MomentumField) -> tuple[MomentumField, ...]:
-    """Antiparticle position operator -i d/dp_k + i [d/dp_k M(L_p)] M(L_p)^{-1}."""
-    if field.rep != "dirac" or field.branch != "antiparticle":
-        raise ValueError("defined on antiparticle-labeled Dirac-picture fields")
-    return _boost_frame_position(field, -1.0)
-
-
-def apply_xfw(field: MomentumField) -> tuple[MomentumField, ...]:
+def apply_xfw(field: MomentumField) -> Iterator[MomentumField]:
     """FW position operator i d/dp_k - i p_k/(2 E^2) (signs mirrored for
     antiparticle labeling); Hermitian under the invariant-measure product."""
     if field.rep != "fw":
         raise ValueError("defined on FW-picture fields")
     if field.branch == "mixed":
         raise ValueError("per-branch operator; project the field first")
-    e2 = field.grid.energies(field.mass) ** 2
-    out = spectral_momentum_derivative(field)
-    for k, d in enumerate(out):
-        d -= (1j * field.grid.p_axes[k] / (2.0 * e2))[..., None] * field.values
-        if field.branch == "antiparticle":
-            np.negative(d, out=d)
-    return _axis_fields(field, out)
+    vals, e, p = field.values, field.grid.energies(field.mass), field.grid.p_axes
+
+    def fw_term(k: int, i: int, d: np.ndarray) -> None:
+        d -= (1j * np.broadcast_to(p[k], e.shape)[i] / (2.0 * e[i] ** 2))[..., None] * vals[i]
+
+    return _position_axes(field, fw_term)
 
 
 class _Lane:
@@ -415,30 +403,23 @@ def probe_mask(grid: Grid) -> np.ndarray:
     return inside[:, None, None] & inside[None, :, None] & inside[None, None, :]
 
 
-OPERATORS = {
-    ("dirac", "particle"): apply_xp,
-    ("dirac", "antiparticle"): apply_xap,
-    ("fw", "particle"): apply_xfw,
-    ("fw", "antiparticle"): apply_xfw,
-}
-
-
 def localized_eigen_residuals(
     grid: Grid, mass: float, x0=(0.0, 0.0, 0.0), spin=0.5, branch: str = "particle",
     rep: str = "dirac",
 ) -> np.ndarray:
     """Per-axis relative residual of X(windowed localized state) = x0 * state,
-    measured on the interior probe region."""
+    measured on the interior probe region, with X = apply_xp in the Dirac
+    picture and apply_xfw in the FW picture."""
     f = windowed_localized_state(grid, mass, x0, spin, branch, rep)
-    op = OPERATORS[(rep, branch)]
     mask = probe_mask(grid)
-    ref = np.linalg.norm(f.values[mask])
+    inner = f.values[mask]
+    ref = _l2(inner)
     x0 = np.asarray(x0, dtype=float)
-    out = []
-    for k, xf in enumerate(op(f)):
-        resid = xf.values - x0[k] * f.values
-        out.append(np.linalg.norm(resid[mask]) / ref)
-    return np.array(out)
+
+    def residual(k: int, xf: MomentumField) -> float:
+        return _l2(xf.values[mask] - x0[k] * inner) / ref
+
+    return np.array(list(map(residual, range(3), (apply_xp if rep == "dirac" else apply_xfw)(f))))
 
 
 def mean_position_equivalence(field: MomentumField) -> np.ndarray:
@@ -446,31 +427,29 @@ def mean_position_equivalence(field: MomentumField) -> np.ndarray:
     || U^dag X_FW U f - X_P f || / || f || under the invariant measure."""
     if field.rep != "dirac" or field.branch != "particle":
         raise ValueError("equivalence is stated on particle-branch Dirac-picture fields")
-    fw = to_fw_picture(field)
     nn = momentum_norm(field)
-    out = []
-    for xp_f, xfw_f in zip(apply_xp(field), apply_xfw(fw)):
-        diff = to_dirac_picture(xfw_f).values - xp_f.values
-        out.append(momentum_norm(replace(field, values=diff)) / nn)
-    return np.array(out)
+
+    def residual(xp_f: MomentumField, xfw_f: MomentumField) -> float:
+        diff = to_dirac_picture(xfw_f).values
+        diff -= xp_f.values
+        return momentum_norm(replace(field, values=diff)) / nn
+
+    return np.array(list(map(residual, apply_xp(field), apply_xfw(to_fw_picture(field)))))
 
 
 # ---------------------------------------------------------------------------
 # Yukawa tail and the FW position operator in coordinate space
 
 
-def yukawa_tail(g: CoordinateField) -> tuple[CoordinateField, ...]:
-    """Nonlocal tail of the FW position operator in coordinate space, per axis:
-    convolution with the Yukawa-kernel gradient, evaluated spectrally with the
-    multiplier i p_k / (2 (p^2 + m^2))."""
+def yukawa_tail(g: CoordinateField) -> Iterator[CoordinateField]:
+    """Yield the nonlocal tail of the FW position operator in coordinate space,
+    one axis at a time: convolution with the Yukawa-kernel gradient, evaluated
+    spectrally with the multiplier i p_k / (2 (p^2 + m^2))."""
     ghat = _fft3(g.values)
     p = g.grid.p_axes
     denom = 2.0 * (p[0] * p[0] + p[1] * p[1] + p[2] * p[2] + g.mass**2)
-    out = []
     for k in range(3):
-        mult = (1j * p[k] / denom)[..., None]
-        out.append(replace(g, values=_ifft3(mult * ghat)))
-    return tuple(out)
+        yield replace(g, values=_ifft3((1j * p[k] / denom)[..., None] * ghat, overwrite_x=True))
 
 
 def full_weight_realization(field: MomentumField) -> np.ndarray:
@@ -481,7 +460,9 @@ def full_weight_realization(field: MomentumField) -> np.ndarray:
     if field.branch == "antiparticle":
         raise ValueError("antiparticle-labeled fields are momentum-space-only")
     w = field.mass / field.grid.energies(field.mass)
-    return _ifft3(w[..., None] * field.values) / field.grid.dx**3
+    out = _ifft3(w[..., None] * field.values, overwrite_x=True)
+    out /= field.grid.dx**3
+    return out
 
 
 def tail_consistency_residual(field: MomentumField) -> float:
@@ -492,10 +473,11 @@ def tail_consistency_residual(field: MomentumField) -> float:
         raise ValueError("defined for FW-picture fields")
     psi = full_weight_realization(field)
     cf = CoordinateField(field.grid, psi, field.mass, "fw", field.branch)
-    tails = yukawa_tail(cf)
-    worst = 0.0
-    for k, xf in enumerate(apply_xfw(field)):
-        lhs = field.grid.x[..., k, None] * psi + tails[k].values
-        rhs = full_weight_realization(xf)
-        worst = max(worst, float(np.linalg.norm(lhs - rhs) / np.linalg.norm(rhs)))
-    return worst
+
+    def residual(k: int, tail: CoordinateField, xf: MomentumField) -> float:
+        lhs, rhs = tail.values, full_weight_realization(xf)
+        lhs += field.grid.x1d.reshape([field.grid.n if j == k else 1 for j in range(4)]) * psi
+        lhs -= rhs
+        return _l2(lhs) / _l2(rhs)
+
+    return max(map(residual, range(3), yukawa_tail(cf), apply_xfw(field)))

@@ -14,7 +14,7 @@ import pytest
 
 from rdlab import cli, covlab, fields
 from rdlab.cli import main
-from rdlab.config import ConfigError, get_bool, get_floats, get_int, parse_config
+from rdlab.config import ConfigError, get_bool, get_floats, get_int, load_config, parse_config
 from rdlab.report import format_value
 
 
@@ -75,6 +75,17 @@ def test_invariant_positive_tolerances_rejected(tmp_path, capsys):
 def test_missing_config_file(tmp_path, capsys):
     code = main(["algebra-check", "--config", str(tmp_path / "nope.cfg"), "--out", str(tmp_path)])
     assert code == 2
+
+
+def test_config_that_is_not_utf8_exits_2(tmp_path, capsys):
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_bytes(b"mass = 1.0\n\xff\xfe spinors.samples = 4\n")
+    with pytest.raises(ConfigError, match="not UTF-8"):
+        load_config(str(cfg))
+    code = main(["algebra-check", "--config", str(cfg), "--out", str(tmp_path)])
+    assert code == 2 and not (tmp_path / "algebra-check.report.json").exists()
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "exp.cfg: not UTF-8" in err and "Traceback" not in err
 
 
 def test_seed_must_fit_u64():
@@ -461,26 +472,63 @@ def test_out_directory_is_created(tmp_path):
     assert not list(out.glob("*.tmp"))
 
 
+@pytest.mark.parametrize("below", ["", "sub"])
+def test_out_that_cannot_be_a_directory_exits_before_any_work(tmp_path, monkeypatch, capsys, below):
+    def untouched(*args, **kwargs):
+        raise AssertionError("no work runs when --out cannot hold the report")
+
+    monkeypatch.setattr(cli, "localized_state", untouched)
+    blocker = tmp_path / "report.txt"
+    blocker.write_text("kept\n")
+    out = blocker / below if below else blocker
+    code = main(["locality", "--out", str(out)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "--out" in err and "Traceback" not in err
+    assert blocker.read_text() == "kept\n" and sorted(tmp_path.iterdir()) == [blocker]
+
+
 # locality at its defaults; n = 64 is the smallest lattice whose packets pass hygiene
-# for the other three; zitterbewegung samples on min(threads, 2) lanes, so 3 threads
-# give two lanes of one FFT worker each
+# for the other four; zitterbewegung samples on min(threads, 2) lanes, so 3 threads
+# give two lanes of one FFT worker each; position at n = 64 with an n = 32 eigen
+# lattice, whose spectral floor the eigen, equivalence and tail tolerances allow
 THREAD_RUNS = {
     "locality": (None, ("sweep.csv",), ("1", "2")),
     "zitterbewegung": (ZITTER_QUICK, ("mixed.csv", "pure.csv"), ("1", "2", "3")),
     "continuity": (None, ("refinement.csv",), ("1", "2")),
     "covariance": ("boost.rapidity = 0, 0.5\n", ("sweep.json",), ("1", "2")),
+    "position": ("grid.n = 64\neigen.n = 32\ntolerances.eigen = 0.05\n"
+                 "tolerances.equivalence = 1e-4\ntolerances.tail = 1e-4\n", (), ("1", "2")),
 }
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def _env(**extra):
+    """This environment with rdlab's source on the path, without the BLAS and
+    OpenMP pool sizes: a child sizes them from RDLAB_THREADS."""
+    env = {key: value for key, value in os.environ.items() if key not in (
+        "OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "NUMEXPR_NUM_THREADS")}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+    return {**env, **extra}
 
 
 @pytest.mark.parametrize("command", list(THREAD_RUNS))
-def test_tables_identical_across_thread_counts(tmp_path, monkeypatch, command):
+def test_tables_identical_across_thread_counts(tmp_path, command):
+    # each run is its own process: the BLAS pools take their size from
+    # RDLAB_THREADS when numpy is first imported, and keep it
     config, tables, thread_counts = THREAD_RUNS[command]
+    argv = [sys.executable, "-m", "rdlab.cli", command]
+    if config is not None:
+        (tmp_path / "exp.cfg").write_text(config)
+        argv += ["--config", str(tmp_path / "exp.cfg")]
     outputs = {}
     for threads in thread_counts:
-        monkeypatch.setenv("RDLAB_THREADS", threads)
         out = tmp_path / threads
-        code, report = run(out, command, config)
-        assert code == 0
+        proc = subprocess.run([*argv, "--out", str(out)], env=_env(RDLAB_THREADS=threads),
+                              capture_output=True, text=True, timeout=600)
+        assert proc.returncode == 0, proc.stderr
+        report = json.loads((out / f"{command}.report.json").read_text())
         report.pop("runtime_seconds")
         outputs[threads] = (report, [(out / f"{command}.{t}").read_bytes() for t in tables])
     for threads in thread_counts[1:]:
@@ -522,18 +570,16 @@ def _artifacts(out):
 def test_traced_benchmark_child_matches_an_untraced_one(tmp_path):
     # the benchmark's traced run rebinds every public positionops function while the
     # trembling-motion lanes call position_expectation from worker threads
-    root = Path(__file__).resolve().parent.parent
     cfg = tmp_path / "exp.cfg"
     cfg.write_text(ZITTER_QUICK)
-    env = dict(os.environ, RDLAB_THREADS="2",
-               PYTHONPATH=os.pathsep.join(filter(None, [str(root / "src"), os.environ.get("PYTHONPATH")])))
+    env = _env(RDLAB_THREADS="2")
     spans_path = tmp_path / "spans.json"
     artifacts = {}
     for mode, trace in (("plain", []), ("traced", ["--trace", str(spans_path)])):
         out = tmp_path / mode
-        args = [sys.executable, str(root / "perfbench" / "child.py"), str(tmp_path / f"{mode}.json"), *trace,
+        args = [sys.executable, str(ROOT / "perfbench" / "child.py"), str(tmp_path / f"{mode}.json"), *trace,
                 "--", "zitterbewegung", "--config", str(cfg), "--out", str(out)]
-        subprocess.run(args, env=env, cwd=root, check=True, timeout=600, capture_output=True)
+        subprocess.run(args, env=env, cwd=ROOT, check=True, timeout=600, capture_output=True)
         assert json.loads((tmp_path / f"{mode}.json").read_text())["rc"] == 0
         artifacts[mode] = _artifacts(out)
     names = [span[0] for span in json.loads(spans_path.read_text())]

@@ -1,16 +1,15 @@
 """Position operators: eigenstates, Hermiticity, equivalence, tails, locality."""
 from __future__ import annotations
 
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
 import pytest
 from conftest import coordinate_centroid, lattice_p, locality_integral
-from scipy.integrate import quad
 
 from rdlab.clifford import ALPHA
 from rdlab.fields import (
-    CoordinateField,
     MomentumField,
     _fft3,
     _ifft3,
@@ -19,6 +18,7 @@ from rdlab.fields import (
     gaussian_packet,
     hamiltonian_apply,
     momentum_inner,
+    momentum_norm,
     to_coordinate,
     to_fw_picture,
 )
@@ -85,12 +85,10 @@ def test_operator_preconditions():
     part = po.localized_state(g, M, branch="particle", rep="dirac")
     anti = po.localized_state(g, M, branch="antiparticle", rep="dirac")
     fw = po.localized_state(g, M, branch="particle", rep="fw")
-    with pytest.raises(ValueError):
-        po.apply_xp(anti)
+    # X_P takes both Dirac labelings: the antiparticle one is the mirrored operator
+    assert len(list(po.apply_xp(anti))) == 3
     with pytest.raises(ValueError):
         po.apply_xp(fw)
-    with pytest.raises(ValueError):
-        po.apply_xap(part)
     with pytest.raises(ValueError):
         po.apply_xfw(part)
     mixed = gaussian_packet(Grid(32, 8.0), M, (0.2, 0.0, 0.0), (0.0, 0.0, 0.0),
@@ -99,6 +97,48 @@ def test_operator_preconditions():
         po.apply_xp(mixed)
     with pytest.raises(ValueError):
         po.mean_position_equivalence(mixed)
+
+
+@pytest.mark.parametrize(
+    "op, rep, branch",
+    [
+        (po.apply_dirac_coordinate, "fw", "particle"),
+        (po.apply_xp, "fw", "particle"),
+        (po.apply_xp, "fw", "antiparticle"),
+        (po.apply_xp, "dirac", "mixed"),
+        (po.apply_xfw, "dirac", "particle"),
+        (po.apply_xfw, "fw", "mixed"),
+    ],
+)
+def test_operators_raise_at_call_time(op, rep, branch):
+    # the axes are yielded lazily, but an undefined (picture, labeling) pair is
+    # rejected by the call itself, before any axis is asked for
+    f = MomentumField(Grid(8, 4.0), np.ones((8, 8, 8, 4)), M, rep, branch)
+    with pytest.raises(ValueError):
+        op(f)
+
+
+@pytest.mark.parametrize("op, rep", [(po.apply_xp, "dirac"), (po.apply_xfw, "fw")])
+def test_operator_holds_one_axis_at_a_time(op, rep):
+    # consumed and dropped axis by axis, an application holds the shared inverse
+    # transform, the axis field and one plane of node-term scratch, not three
+    # axis fields and field-sized node-term scratch
+    g = Grid(32, 4.0)
+    f = gaussian_packet(g, M, (0.4, 0.0, -0.3), (0.5, -1.0, 0.0), sigma=2.2, spin=0.5)
+    if rep == "fw":
+        f = to_fw_picture(f)
+    norms = []
+    tracemalloc.start()
+    try:
+        for xf in op(f):
+            norms.append(momentum_norm(xf))
+            del xf
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(norms) == 3
+    # 2.25 fields measured; 6.50 (X_P) and 4.44 (X_FW) when the three axes are built at once
+    assert peak / f.values.nbytes < 3.0
 
 
 def _axis_derivative(field, k):
@@ -158,7 +198,7 @@ def _oracle_xfw(field):
         (po.apply_dirac_coordinate, _oracle_dirac_coordinate, "dirac", "particle"),
         (po.apply_dirac_coordinate, _oracle_dirac_coordinate, "dirac", "antiparticle"),
         (po.apply_xp, _oracle_xp, "dirac", "particle"),
-        (po.apply_xap, _oracle_xap, "dirac", "antiparticle"),
+        (po.apply_xp, _oracle_xap, "dirac", "antiparticle"),
         (po.apply_xfw, _oracle_xfw, "fw", "particle"),
         (po.apply_xfw, _oracle_xfw, "fw", "antiparticle"),
     ],
@@ -184,7 +224,7 @@ def role_expectation(field, role):
     trembling-motion tracks' position_expectation and spin-orbit shift.
 
     `role` picks X: "coordinate" is apply_dirac_coordinate, "branch" the
-    field's own branch operator OPERATORS[(rep, branch)]; each keeps the
+    field's own branch operator, apply_xp or apply_xfw; each keeps the
     preconditions of its apply function. The FW branch term -i p_k/(2 E^2)
     has no real part; antiparticle labelings flip the overall sign, as the
     operators do.
@@ -193,7 +233,7 @@ def role_expectation(field, role):
         if field.rep != "dirac":
             raise ValueError("the coordinate operator is defined on Dirac-picture fields")
     elif role == "branch":
-        if (field.rep, field.branch) not in po.OPERATORS:
+        if field.branch == "mixed":
             raise ValueError("per-branch operator; project the field first")
     else:
         raise ValueError(f"role must be 'coordinate' or 'branch', got {role!r}")
@@ -211,7 +251,7 @@ def role_expectation(field, role):
         (po.apply_dirac_coordinate, "coordinate", "dirac", "mixed"),
         (po.apply_dirac_coordinate, "coordinate", "dirac", "antiparticle"),
         (po.apply_xp, "branch", "dirac", "particle"),
-        (po.apply_xap, "branch", "dirac", "antiparticle"),
+        (po.apply_xp, "branch", "dirac", "antiparticle"),
         (po.apply_xfw, "branch", "fw", "particle"),
         (po.apply_xfw, "branch", "fw", "antiparticle"),
     ],
@@ -230,13 +270,12 @@ def test_position_expectation_matches_applied_operator(op, role, rep, branch):
 
 @pytest.mark.parametrize("branch", ["particle", "antiparticle"])
 def test_position_expectation_spin_orbit_term(branch):
-    # the boost-frame term alone: X_P (or X_AP) minus the coordinate operator
+    # the boost-frame term alone: X_P (on either labeling) minus the coordinate operator
     g = Grid(16, 4.0)
     rng = np.random.default_rng(12)
     vals = rng.normal(size=(16, 16, 16, 4)) + 1j * rng.normal(size=(16, 16, 16, 4))
     f = MomentumField(g, vals, 1.3, "dirac", branch)
-    op = po.apply_xp if branch == "particle" else po.apply_xap
-    want = _applied_expectation(f, op) - _applied_expectation(f, po.apply_dirac_coordinate)
+    want = _applied_expectation(f, po.apply_xp) - _applied_expectation(f, po.apply_dirac_coordinate)
     got = role_expectation(f, "branch") - role_expectation(f, "coordinate")
     assert np.abs(want).max() > 1e-4
     assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
@@ -282,7 +321,7 @@ def test_position_operators_hermitian():
                                       sigma=2.2, spin=0.5)
     ga = antiparticle_gaussian_packet(g, M, (-0.2, 0.5, 0.1), (0.0, 0.8, -0.5),
                                       sigma=2.2, spin=-0.5)
-    assert _adjoint_defect(po.apply_xap, fa, ga) <= 1e-10
+    assert _adjoint_defect(po.apply_xp, fa, ga) <= 1e-10
 
 
 def test_mean_position_equivalence_on_packets():
@@ -339,36 +378,6 @@ def test_velocity_commutator_heisenberg():
 def test_tail_two_sided_consistency():
     f = to_fw_picture(gaussian_packet(Grid(64, 4.0), M, (0.3, 0.0, -0.2), (0.5, 0.0, 0.0), sigma=2.0))
     assert po.tail_consistency_residual(f) <= 1e-8
-
-
-def test_yukawa_tail_matches_radial_quadrature():
-    # analytic Gaussian input; oracle = 1D radial quadrature of the defining
-    # convolution; compared on the interior where box images are negligible
-    g = Grid(16, 2.5)
-    s = 2.0
-    spinor = np.array([0.6, -0.3 + 0.4j, 0.2j, 0.5])
-    psi = np.exp(-np.einsum("xyzk,xyzk->xyz", g.x, g.x) / (2.0 * s * s))
-    cf = CoordinateField(g, psi[..., None] * spinor, M, "fw", "particle")
-    tails = po.yukawa_tail(cf)
-
-    amp = (2.0 * np.pi) ** 1.5 * s**3
-
-    def radial_factor(r):
-        def integrand(p):
-            return (p * amp * np.exp(-0.5 * s * s * p * p) / (p * p + M * M)
-                    * (p * np.cos(p * r) / r - np.sin(p * r) / r**2))
-        val, _ = quad(integrand, 0.0, 9.0, limit=200, epsabs=1e-13, epsrel=1e-11)
-        return val / (2.0 * r) / (2.0 * np.pi**2)
-
-    r = np.sqrt(np.einsum("xyzk,xyzk->xyz", g.x, g.x))
-    mask = (r > 1e-12) & (r <= 6.0)
-    keys = np.round(r[mask], 12)
-    factor = {rv: radial_factor(rv) for rv in np.unique(keys)}
-    facs = np.array([factor[rv] for rv in keys])
-    for k in range(3):
-        oracle = (g.x[..., k][mask] * facs)[:, None] * spinor
-        got = tails[k].values[mask]
-        assert np.linalg.norm(oracle - got) <= 1e-3 * np.linalg.norm(got)
 
 
 def test_yukawa_tail_wide_packet_scaling():
