@@ -60,6 +60,7 @@ from .covlab import check_boost_reach, covariance_sweep, rotate_field, rotate_sc
 from .fields import (
     _l2,
     _workers,
+    branch_projection,
     continuity_residuals,
     coordinate_density,
     gaussian_packet,
@@ -132,6 +133,12 @@ def _precondition(keys: str, fn, *args, **kwargs):
         raise ConfigError(f"{keys}: {exc}") from None
 
 
+def _worst(values) -> float:
+    """The largest of `values`, by np.max, which keeps a NaN: a check value that is not a
+    number fails its check, where max() would pass over it."""
+    return float(np.max(list(values)))
+
+
 def _random_momentum(rng: np.random.Generator, pmax: float) -> np.ndarray:
     direction = rng.normal(size=3)
     direction /= np.linalg.norm(direction)
@@ -177,29 +184,29 @@ def cmd_algebra_check(cfg: dict[str, str], record: ReportRecord, rng: np.random.
             )
 
     eye = np.eye(4)
-    d5 = np.abs(GAMMA5 @ GAMMA5 - eye).max()
-    for mu in range(4):
-        d5 = max(d5, np.abs(anticommutator(GAMMA5, GAMMA[mu])).max())
-    record.check("gamma5_identities", float(d5), None, passed=d5 == 0.0, note="exact")
+    d5 = _worst([np.abs(GAMMA5 @ GAMMA5 - eye).max(),
+                 *(np.abs(anticommutator(GAMMA5, GAMMA[mu])).max() for mu in range(4))])
+    record.check("gamma5_identities", d5, None, passed=d5 == 0.0, note="exact")
 
-    dab = np.abs(BETA @ BETA - eye).max()
-    dab = max(dab, np.abs(BETA.conj().T - BETA).max())
+    dab = [np.abs(BETA @ BETA - eye).max(), np.abs(BETA.conj().T - BETA).max()]
     for j in range(3):
-        dab = max(dab, np.abs(ALPHA[j] @ ALPHA[j] - eye).max())
-        dab = max(dab, np.abs(ALPHA[j].conj().T - ALPHA[j]).max())
-        dab = max(dab, np.abs(anticommutator(ALPHA[j], BETA)).max())
+        dab.append(np.abs(ALPHA[j] @ ALPHA[j] - eye).max())
+        dab.append(np.abs(ALPHA[j].conj().T - ALPHA[j]).max())
+        dab.append(np.abs(anticommutator(ALPHA[j], BETA)).max())
         for k in range(j + 1, 3):
-            dab = max(dab, np.abs(anticommutator(ALPHA[j], ALPHA[k])).max())
-    record.check("alpha_beta_identities", float(dab), None, passed=dab == 0.0, note="exact")
+            dab.append(np.abs(anticommutator(ALPHA[j], ALPHA[k])).max())
+    dab = _worst(dab)
+    record.check("alpha_beta_identities", dab, None, passed=dab == 0.0, note="exact")
 
-    dsu = 0.0
+    dsu = []
     for j, k, l in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
-        dsu = max(dsu, np.abs(commutator(SIGMA[j], SIGMA[k]) - 2j * SIGMA[l]).max())
-        dsu = max(dsu, np.abs(SIGMA[j] @ SIGMA[j] - eye).max())
-    record.check("spin_block_identities", float(dsu), None, passed=dsu == 0.0, note="exact")
+        dsu.append(np.abs(commutator(SIGMA[j], SIGMA[k]) - 2j * SIGMA[l]).max())
+        dsu.append(np.abs(SIGMA[j] @ SIGMA[j] - eye).max())
+    dsu = _worst(dsu)
+    record.check("spin_block_identities", dsu, None, passed=dsu == 0.0, note="exact")
 
     # randomized plane-wave spinor suite
-    worst_eigen = worst_norm = worst_adjoint = worst_fw = worst_opposite = 0.0
+    eigen, norm, adjoint, fw, opposite = [], [], [], [], []
     for _ in range(samples):
         p = _random_momentum(rng, pmax)
         e = energy(p, mass)
@@ -207,22 +214,22 @@ def cmd_algebra_check(cfg: dict[str, str], record: ReportRecord, rng: np.random.
             h = hamiltonian(p, mass, branch)
             for lam in (0.5, -0.5):
                 psi = dirac_spinor(p, mass, branch, lam)
-                worst_eigen = max(worst_eigen, np.linalg.norm(h @ psi - e * psi) / e)
-                worst_norm = max(worst_norm, abs(psi.conj() @ psi - e / mass) * mass / e)
-                worst_adjoint = max(worst_adjoint, abs(dirac_adjoint(psi) @ psi - sgn))
+                eigen.append(np.linalg.norm(h @ psi - e * psi) / e)
+                norm.append(abs(psi.conj() @ psi - e / mass) * mass / e)
+                adjoint.append(abs(dirac_adjoint(psi) @ psi - sgn))
         hp = hamiltonian(p, mass, "particle")
         psi_op = dirac_spinor(-p, mass, "antiparticle", 0.5)
-        worst_opposite = max(worst_opposite, np.linalg.norm(hp @ psi_op + e * psi_op) / e)
+        opposite.append(np.linalg.norm(hp @ psi_op + e * psi_op) / e)
         u = fw_matrix(p, mass)
-        worst_fw = max(worst_fw, np.abs(u @ hp @ u.conj().T - e * BETA).max() / e)
-    record.check("spinor_eigen_residual", worst_eigen, tol_spinor)
-    record.check("spinor_normalization", worst_norm, tol_spinor)
-    record.check("spinor_adjoint_normalization", worst_adjoint, tol_spinor)
-    record.check("opposite_node_negative_energy", worst_opposite, tol_spinor)
-    record.check("fw_diagonalization", worst_fw, tol_spinor)
+        fw.append(np.abs(u @ hp @ u.conj().T - e * BETA).max() / e)
+    record.check("spinor_eigen_residual", _worst(eigen), tol_spinor)
+    record.check("spinor_normalization", _worst(norm), tol_spinor)
+    record.check("spinor_adjoint_normalization", _worst(adjoint), tol_spinor)
+    record.check("opposite_node_negative_energy", _worst(opposite), tol_spinor)
+    record.check("fw_diagonalization", _worst(fw), tol_spinor)
 
     # randomized boost/rotation representation suite
-    worst_pseudo = worst_vector = worst_wigner = 0.0
+    pseudo, vector, wigner = [], [], []
     for _ in range(boost_samples):
         chi = _random_momentum(rng, chi_max)
         ax = rng.normal(size=3)
@@ -233,27 +240,26 @@ def cmd_algebra_check(cfg: dict[str, str], record: ReportRecord, rng: np.random.
             (spinor_boost(chi) @ spinor_rotation(ax, an), boost(chi) @ rotation(ax, an)),
         ]
         for s, lam in reps:
-            worst_pseudo = max(worst_pseudo, np.abs(GAMMA[0] @ s.conj().T @ GAMMA[0] @ s - eye).max())
+            pseudo.append(np.abs(GAMMA[0] @ s.conj().T @ GAMMA[0] @ s - eye).max())
             s_inv = GAMMA[0] @ s.conj().T @ GAMMA[0]
             scale = max(1.0, np.abs(lam).max())
             for mu in range(4):
                 expect = np.einsum("n,nab->ab", lam[mu], GAMMA)
-                worst_vector = max(worst_vector, np.abs(s_inv @ GAMMA[mu] @ s - expect).max() / scale)
+                vector.append(np.abs(s_inv @ GAMMA[mu] @ s - expect).max() / scale)
         s, lam = reps[2]
         p = _random_momentum(rng, 0.3 * pmax)
         w = wigner_spinor_matrix(s, lam, p, mass)
-        worst_wigner = max(worst_wigner, np.abs(w[:2, 2:]).max(), np.abs(w[2:, :2]).max())
         w2 = w[:2, :2]
-        worst_wigner = max(worst_wigner, np.abs(w[2:, 2:] - w2).max())
-        worst_wigner = max(worst_wigner, np.abs(w2.conj().T @ w2 - np.eye(2)).max())
+        wigner += [np.abs(w[:2, 2:]).max(), np.abs(w[2:, :2]).max(), np.abs(w[2:, 2:] - w2).max(),
+                   np.abs(w2.conj().T @ w2 - np.eye(2)).max()]
         q = (lam @ np.concatenate(([energy(p, mass)], p)))[1:]
         for j, lamval in enumerate((0.5, -0.5)):
             lhs = s @ dirac_spinor(p, mass, "particle", lamval)
             rhs = sum(w2[i, j] * dirac_spinor(q, mass, "particle", lv) for i, lv in enumerate((0.5, -0.5)))
-            worst_wigner = max(worst_wigner, np.abs(lhs - rhs).max())
-    record.check("pseudo_unitarity", worst_pseudo, tol_lorentz)
-    record.check("vector_conjugation", worst_vector, tol_lorentz)
-    record.check("wigner_transport", worst_wigner, tol_wigner)
+            wigner.append(np.abs(lhs - rhs).max())
+    record.check("pseudo_unitarity", _worst(pseudo), tol_lorentz)
+    record.check("vector_conjugation", _worst(vector), tol_lorentz)
+    record.check("wigner_transport", _worst(wigner), tol_wigner)
 
     record.results.update(
         {
@@ -299,11 +305,12 @@ def cmd_locality(cfg: dict[str, str], record: ReportRecord, rng: np.random.Gener
     grid = Grid(LOCALITY_N, mass * np.sqrt(37.0 / epsilons[-1]))
     record.results.setdefault("grids", {})["locality"] = {"n": grid.n, "pmax": grid.pmax}
     weight = mass / grid.energies(mass)
-    worst = 0.0
+    worst = []
     for rep in ("dirac", "fw"):
         for branch in ("particle", "antiparticle"):
             psi = localized_state(grid, mass, spin=spin, branch=branch, rep=rep).values
-            worst = max(worst, float(np.max(np.abs(weight * pair(psi, psi) - 1.0))))
+            worst.append(np.max(np.abs(weight * pair(psi, psi) - 1.0)))
+    worst = _worst(worst)
     record.check("localized_density_identity", worst, tol_identity,
                  note="max over nodes, pictures and branches of |m/E psi^dag psi - 1|")
 
@@ -346,11 +353,7 @@ def cmd_position(cfg: dict[str, str], record: ReportRecord, rng: np.random.Gener
     g2 = _precondition(keys, gaussian_packet, grid, mass, -0.6 * p0, -x0, sigma=sigma, spin=-0.5)
 
     def eigen_worst(rep: str, branch: str, points) -> float:
-        worst = 0.0
-        for pt in points:
-            res = localized_eigen_residuals(eigen_grid, mass, pt, 0.5, branch, rep)
-            worst = max(worst, float(res.max()))
-        return worst
+        return _worst(localized_eigen_residuals(eigen_grid, mass, pt, 0.5, branch, rep).max() for pt in points)
 
     lattice = [
         (i * offset, j * offset, k * offset)
@@ -366,24 +369,28 @@ def cmd_position(cfg: dict[str, str], record: ReportRecord, rng: np.random.Gener
     record.check("eigen_residual_xfw", eigen_worst("fw", "particle", mirror_points), tol_eigen)
 
     def adjoint_defect(op, f, g2) -> float:
-        # map, unlike a loop variable, drops each pair of axis fields before the next
-        return max(map(lambda xf, xg: abs(momentum_inner(g2, xf) - momentum_inner(xg, f)), op(f), op(g2)))
+        # <g2|X_k f> for every axis, then <X_k g2|f>: one operator's axis fields at a time;
+        # map, unlike a loop variable, drops each axis field before the next is formed
+        left = list(map(lambda xf: momentum_inner(g2, xf), op(f)))
+        return _worst(map(lambda a, xg: abs(a - momentum_inner(xg, f)), left, op(g2)))
 
-    fw = to_fw_picture(f)
-
-    def hermiticity() -> float:
+    def antiparticle_defect() -> float:
         # fa and ga share the |envelope| of f and g2, so they pass the same
-        # hygiene; built here, they are freed before the later checks
-        worst = adjoint_defect(apply_xp, f, g2)
-        worst = max(worst, adjoint_defect(apply_xfw, fw, to_fw_picture(g2)))
+        # hygiene; built here, they are freed on return
         fa = antiparticle_gaussian_packet(grid, mass, p0, x0, sigma=sigma, spin=0.5)
         ga = antiparticle_gaussian_packet(grid, mass, -0.6 * p0, -x0, sigma=sigma, spin=-0.5)
-        return max(worst, adjoint_defect(apply_xp, fa, ga))
+        return adjoint_defect(apply_xp, fa, ga)
 
-    record.check("hermiticity", hermiticity(), tol_herm,
+    # X_P, then X_AP before fw exists: four packets and one operator's axis field at most
+    defects = [adjoint_defect(apply_xp, f, g2), antiparticle_defect()]
+    fw = to_fw_picture(f)
+    defects.append(adjoint_defect(apply_xfw, fw, to_fw_picture(g2)))
+    del g2
+    record.check("hermiticity", _worst(defects), tol_herm,
                  note="worst adjoint defect of X_P, X_FW, X_AP on packet pairs")
     record.check("equivalence", mean_position_equivalence(f).max(), tol_equiv,
                  note="U^dag X_FW U vs X_P on a particle packet")
+    del f  # the tail check reads fw alone
     record.check("tail_consistency", tail_consistency_residual(fw), tol_tail,
                  note="coordinate form of X_FW: multiplication plus Yukawa-gradient tail")
 
@@ -495,9 +502,14 @@ def cmd_continuity(cfg: dict[str, str], record: ReportRecord, rng: np.random.Gen
     if len(window) != 2 or not window[0] < window[1]:
         raise ConfigError("continuity.ratio_window must be two increasing numbers: low, high")
 
-    # both packets pass the lattice hygiene checks before any work starts
+    # both packets pass the lattice hygiene checks before any work starts. The pure packet
+    # becomes its FW particle pair before the mixed packet is built, and the FW stage runs
+    # and is freed before the mixed one: one four-component field and the pair at a time
+    pure_fw = branch_projection(to_fw_picture(_precondition(keys, gaussian_packet, grid, mass, p0, sigma=sigma)))
     mixed = _precondition(f"{keys}, packet.mix", gaussian_packet, grid, mass, p0, sigma=sigma, weights=mix)
-    pure_fw = to_fw_picture(_precondition(keys, gaussian_packet, grid, mass, p0, sigma=sigma))
+    fw_rep = continuity_residuals(pure_fw, [fw_dt])[0]
+    del pure_fw
+
     reports = continuity_residuals(mixed, [dt / 2.0**level for level in range(levels)])
     residuals = [rep.residual_l2 for rep in reports]
     base_report = reports[0]
@@ -526,7 +538,6 @@ def cmd_continuity(cfg: dict[str, str], record: ReportRecord, rng: np.random.Gen
     record.check("norm_drift", abs(norm_t - norm0), tol_norm,
                  note=f"coordinate-space probability drift over T = {horizon:g}")
 
-    fw_rep = continuity_residuals(pure_fw, [fw_dt])[0]
     record.check("fw_defining_residual", fw_rep.residual_l2, tol_fw,
                  note="FW density against the divergence of its own current")
 
@@ -594,7 +605,7 @@ def cmd_covariance(cfg: dict[str, str], record: ReportRecord, rng: np.random.Gen
 
     violations = [report.fw_violation for report in sweep]
     if len(violations) > 1:
-        increase = float(min(np.diff(violations)))
+        increase = float(np.min(np.diff(violations)))
         record.check(
             "fw_violation_increasing",
             increase,

@@ -33,6 +33,7 @@ from .clifford import AXES, pair, sigma_dot
 from .fields import (
     MomentumField,
     _flux,
+    _four_components,
     _rate_planes,
     _workers,
     branch_projection,
@@ -173,6 +174,7 @@ def rotate_field(field: MomentumField, axis: int, quarter_turns: int) -> Momentu
         raise ValueError(f"axis must be 0, 1 or 2, got {axis!r}")
     if field.branch == "antiparticle":
         raise ValueError("antiparticle-labeled fields are momentum-space-only")
+    _four_components(field)
     k = int(quarter_turns) % 8
     if k == 0:
         return field
@@ -209,13 +211,12 @@ def _slice_departures(grid: Grid, rho_boosted: np.ndarray, predicted: np.ndarray
 
 
 def _particle_amplitude(field: MomentumField, axis: int) -> np.ndarray:
-    """sqrt(m/E) a_+ with the boost axis first, a_+ = (phi + H phi / E) / 2 the
-    +E part that evolves as exp(-iEt) a_+: shape (n, n, n, 4), or in the FW
-    picture the upper component pair, (n, n, n, 2). branch_projection raises
-    ValueError when |a_-| > 1e-12 |a_+|: a mislabelled field fails, it is never
-    truncated."""
+    """sqrt(m/E) a_+ with the boost axis first, a_+ = branch_projection(field) the
+    +E part that evolves as exp(-iEt) a_+: shape (n, n, n, 4) in the Dirac
+    picture, (phi + H phi / E) / 2, and (n, n, n, 2) in the FW picture, the
+    upper component pair. branch_projection raises ValueError when
+    |a_-| > 1e-12 |a_+|: a mislabelled field fails, it is never truncated."""
     plus = branch_projection(field).values
-    plus = plus[..., :2] if field.rep == "fw" else plus  # the FW lower pair is a_-
     return np.moveaxis(plus * np.sqrt(field.mass / field.grid.energies(field.mass))[..., None], axis, 0)
 
 

@@ -13,6 +13,10 @@ node p (negative-energy content at node p lies along the -E_p eigenvectors
 of alpha.p + beta m); "antiparticle" fields use the antiparticle's own
 momentum labeling and are momentum-space-only (no coordinate realization,
 no evolution) — they exist for the mirrored position-operator checks.
+
+An FW particle field may store its upper pair alone (the branch_projection of
+an FW field): the continuity kernels read the components that are stored, and
+functions that need all four raise ValueError on it.
 """
 from __future__ import annotations
 
@@ -60,7 +64,8 @@ def _ifft3(a: np.ndarray, overwrite_x: bool = False) -> np.ndarray:
 
 @dataclass
 class MomentumField:
-    """Spinor amplitudes phi(p), shape (n, n, n, 4), invariant-measure convention."""
+    """Spinor amplitudes phi(p), shape (n, n, n, 4), invariant-measure convention; an FW
+    particle field may hold its upper pair alone, shape (n, n, n, 2)."""
 
     grid: Grid
     values: np.ndarray
@@ -71,8 +76,10 @@ class MomentumField:
     def __post_init__(self):
         self.values = np.asarray(self.values, dtype=complex)
         n = self.grid.n
-        if self.values.shape != (n, n, n, 4):
-            raise ValueError(f"values must have shape {(n, n, n, 4)}, got {self.values.shape}")
+        pair_ok = self.rep == "fw" and self.branch == "particle"
+        if self.values.shape != (n, n, n, 4) and not (pair_ok and self.values.shape == (n, n, n, 2)):
+            raise ValueError(f"values must have shape {(n, n, n, 4)}, or {(n, n, n, 2)} for an "
+                             f"FW particle field, got {self.values.shape}")
         if self.rep not in REPS:
             raise ValueError(f"rep must be one of {REPS}, got {self.rep!r}")
         if self.branch not in BRANCHES:
@@ -96,6 +103,12 @@ class CoordinateField:
         n = self.grid.n
         if self.values.shape != (n, n, n, 4):
             raise ValueError(f"values must have shape {(n, n, n, 4)}, got {self.values.shape}")
+
+
+def _four_components(field: MomentumField) -> None:
+    """ValueError for an FW particle pair, where an operation needs both component pairs."""
+    if field.values.shape[-1] != 4:
+        raise ValueError("this operation needs all four spinor components, not the FW particle pair")
 
 
 def _measure(field: MomentumField) -> np.ndarray:
@@ -134,6 +147,7 @@ def to_coordinate(field: MomentumField) -> CoordinateField:
     """Unitary transform to the coordinate lattice (rejects antiparticle labeling)."""
     if field.branch == "antiparticle":
         raise ValueError("antiparticle-labeled fields are momentum-space-only")
+    _four_components(field)
     scale = np.sqrt(field.mass / field.grid.energies(field.mass)) / field.grid.dx**3
     psi = _ifft3(scale[..., None] * field.values, overwrite_x=True)
     return CoordinateField(field.grid, psi, field.mass, field.rep, field.branch)
@@ -213,11 +227,11 @@ def _add_square(rho: np.ndarray, v: np.ndarray) -> None:
 
 
 def coordinate_density(field: MomentumField, t: float = 0.0) -> np.ndarray:
-    """density(to_coordinate(evolve(field, t))), one component at a time in one reused buffer:
-    no evolved field is formed."""
+    """density(to_coordinate(evolve(field, t))), one stored component at a time in one reused
+    buffer: no evolved field is formed."""
     buf = np.empty(field.values.shape[:3], dtype=complex)
     rho = np.zeros(buf.shape)
-    for c in range(4):
+    for c in range(field.values.shape[-1]):
         _add_square(rho, _component(field, c, buf, t))
     return rho
 
@@ -263,6 +277,7 @@ def hamiltonian_apply(field: MomentumField) -> np.ndarray:
 
 def evolve(field: MomentumField, t: float) -> MomentumField:
     """Advance by duration t (exact per-node propagator; H^2 = E^2 in both pictures)."""
+    _four_components(field)
     e = field.grid.energies(field.mass)
     vals = hamiltonian_apply(field)  # becomes cos(Et) phi - i sin(Et) / E H phi in place
     et = e * t
@@ -307,6 +322,7 @@ def to_dirac_picture(field: MomentumField) -> MomentumField:
     """Switch FW -> Dirac picture."""
     if field.rep != "fw":
         raise ValueError("field is already in the Dirac picture")
+    _four_components(field)
     return replace(field, values=_fw_rotate(field, -1), rep="dirac")
 
 
@@ -355,10 +371,10 @@ def density_rate(field: MomentumField, t: float = 0.0) -> np.ndarray:
     (rho(t) - rho(-t)) / 2t, formed as 2 Re a^dag o from the even part a and the odd part
     over t, o, of psi(+-t) = a +- t o (_evolved_spectrum): no two densities are subtracted,
     so its rounding does not grow as the step shrinks. One batched inverse FFT of (a_c, o_c)
-    per component."""
+    per stored component."""
     planes = np.empty((2, *field.values.shape[:3]), dtype=complex)
     rate = np.zeros(planes.shape[1:])
-    for c in range(4):
+    for c in range(field.values.shape[-1]):
         _evolved_spectrum(field, c, t, planes[0], planes[1])
         rate += _rate_planes(planes)
     return np.multiply(rate, 2.0, out=rate)  # the spectra carry 1 / dx^3 each
@@ -388,16 +404,20 @@ def fw_current_density(field: MomentumField) -> np.ndarray:
 def _edge_fraction(planes, n: int) -> float:
     """Max |v| over the three boundary planes of each axis, over max |v|, from the lattice
     planes (i, v), v = values[i] of shape (n, n[, ...]), of one or more (n, n, n[, ...]) arrays:
-    |v| of one plane at a time, and exactly the whole-array value (a max of maxes). Boundary
-    planes along axis 0 are whole planes, along axes 1 and 2 slices of each plane."""
+    |v| of one plane at a time, and exactly the whole-array value (a max of maxes, which keeps
+    a NaN). Boundary planes along axis 0 are whole planes, along axes 1 and 2 slices of each
+    plane. Raises ValueError when the peak is zero or not finite."""
     edges = [n // 2 - 1, n // 2, (n // 2 + 1) % n]
-    edge = peak = 0.0
+    edge, peak = [], []
     for i, v in planes:
         mags = np.abs(v)
         top = mags.max()
-        peak = max(peak, top)
-        edge = max(edge, top if i in edges else max(mags[edges].max(), mags[:, edges].max()))
-    return float(edge / peak)
+        peak.append(top)
+        edge.append(top if i in edges else np.maximum(mags[edges].max(), mags[:, edges].max()))
+    peak = np.max(peak)
+    if not (np.isfinite(peak) and peak > 0.0):
+        raise ValueError(f"peak amplitude {peak:g} is zero or not finite")
+    return float(np.max(edge) / peak)
 
 
 def boundary_fraction(field: MomentumField | CoordinateField) -> float:
@@ -427,20 +447,27 @@ def _packet(grid, mass, p0, x0, sigma, spin, branch, upper, lower) -> MomentumFi
     """Unit-norm packet: amp g(p) e^{-+i p.x0} times the per-node spinor
     (a (E+m) chi + b sigma.p chi, c (E+m) chi + d sigma.p chi) / sqrt(2m(E+m)),
     with (a, b) = upper, (c, d) = lower and the + sign for the antiparticle
-    labeling. Raises if sigma, p0 or x0 is not finite, or if the packet fails
-    the lattice boundary-decay preconditions.
+    labeling. Raises if sigma, p0 or x0 is not finite, if the envelope's
+    normalisation is zero or not finite (the Gaussian misses the lattice, or
+    overflows on it), or if the packet fails the lattice boundary-decay
+    preconditions.
     """
     p0 = np.asarray(p0, dtype=float)
     x0 = np.asarray(x0, dtype=float)
     if not (np.isfinite(sigma) and np.isfinite(p0).all() and np.isfinite(x0).all()):
         raise ValueError("packet sigma, p0 and x0 must be finite")
     chi = _spin_vector(spin)
-    e = grid.energies(mass)
     px, py, pz = grid.p_axes
-    g = np.add((px - p0[0]) ** 2 + (py - p0[1]) ** 2, (pz - p0[2]) ** 2)
-    g *= -0.5 * sigma**2
-    g = np.exp(g, out=g)
-    amp = 1.0 / np.sqrt(np.sum(g * g) * grid.dp**3 / (2.0 * np.pi) ** 3)
+    with np.errstate(all="ignore"):  # an envelope that over- or underflows fails just below
+        e = grid.energies(mass)
+        g = np.add((px - p0[0]) ** 2 + (py - p0[1]) ** 2, (pz - p0[2]) ** 2)
+        g *= -0.5 * np.float64(sigma) ** 2
+        g = np.exp(g, out=g)
+        norm = np.sum(g * g) * np.float64(grid.dp) ** 3 / (2.0 * np.pi) ** 3
+    if not (np.isfinite(norm) and norm > 0.0):
+        raise ValueError(f"packet normalisation {norm:g} is zero or not finite: "
+                         "the Gaussian envelope misses the momentum lattice or overflows on it")
+    amp = 1.0 / np.sqrt(norm)
     sign = 1.0 if branch == "antiparticle" else -1.0
     yz = (py * x0[1] + pz * x0[2])[0]  # p.x0 on plane k is p1d[k] x0_x + yz
     vals = np.empty((*e.shape, 4), dtype=complex)
@@ -524,17 +551,17 @@ def antiparticle_gaussian_packet(
 def branch_projection(field: MomentumField) -> MomentumField:
     """Node-wise orthogonal projection onto the +E eigenspace of H(p), a particle field.
 
-    The projector is (1 + H/E) / 2 (H^2 = E^2 per node); in the FW picture it
-    keeps the upper component pair. The -E part is f - branch_projection(f).
-    A particle-labelled field must be its own +E part: ValueError when
-    |a_-|^2 > 1e-24 |a_+|^2, summed one (n, n, 4) lattice plane at a time, so a
-    mislabelled field fails and is never truncated.
+    The projector is (1 + H/E) / 2 (H^2 = E^2 per node). In the Dirac picture
+    the result has four components, and the -E part is f - branch_projection(f).
+    In the FW picture the +E part is the upper component pair, returned alone,
+    shape (n, n, n, 2); the -E part is the lower pair. A particle-labelled field
+    must be its own +E part: ValueError when |a_-|^2 > 1e-24 |a_+|^2, summed one
+    lattice plane at a time, so a mislabelled field fails and is never truncated.
     """
     if field.branch == "antiparticle":
         raise ValueError("antiparticle-labeled fields are already single-branch")
     if field.rep == "fw":
-        vals = field.values.copy()
-        vals[..., 2:] = 0.0
+        vals = field.values[..., :2].copy()
     else:
         vals = hamiltonian_apply(field)
         vals *= (1.0 / field.grid.energies(field.mass))[..., None]
@@ -543,7 +570,7 @@ def branch_projection(field: MomentumField) -> MomentumField:
     if field.branch == "particle":
         minus_sq = plus_sq = 0.0
         for v, a in zip(field.values, vals):
-            d = v - a
+            d = v[..., 2:] if field.rep == "fw" else v - a
             minus_sq += np.sum(pair(d, d))
             plus_sq += np.sum(pair(a, a))
         if minus_sq > 1e-24 * plus_sq:
@@ -570,7 +597,11 @@ def concentration_box(grid: Grid, rho: np.ndarray, fraction: float = 0.999):
     128, packet.p0 = 0.289353, -0.029246, 0.046677) from 0.611281 to 0.605302.
     """
     total = np.sum(rho)
-    center = np.einsum("xyz,xyzk->k", rho, grid.x) / total
+    # the stacked (n, n, n, 3) lattice lives for this einsum only; its sum order is the one
+    # that decides the face ties above
+    lattice = np.stack(np.meshgrid(grid.x1d, grid.x1d, grid.x1d, indexing="ij", copy=False), axis=-1)
+    center = np.einsum("xyz,xyzk->k", rho, lattice) / total
+    del lattice
     # the cube of half-width h holds, on each axis, a prefix of that axis's nodes sorted by
     # distance: sort each axis once, and the prefix sums of rho gathered into that order
     # give the mass of every cube

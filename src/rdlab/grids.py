@@ -56,12 +56,6 @@ class Grid:
         q.flags.writeable = False
         return q
 
-    @cached_property
-    def x(self) -> np.ndarray:
-        """Coordinate components, shape (n, n, n, 3)."""
-        xx, yy, zz = np.meshgrid(self.x1d, self.x1d, self.x1d, indexing="ij")
-        return np.stack([xx, yy, zz], axis=-1)
-
     def energies(self, mass: float) -> np.ndarray:
         """On-shell energies per node, shape (n, n, n).
 

@@ -480,4 +480,4 @@ def tail_consistency_residual(field: MomentumField) -> float:
         lhs -= rhs
         return _l2(lhs) / _l2(rhs)
 
-    return max(map(residual, range(3), yukawa_tail(cf), apply_xfw(field)))
+    return float(np.max(list(map(residual, range(3), yukawa_tail(cf), apply_xfw(field)))))  # keeps a NaN

@@ -77,6 +77,11 @@ def lattice_p(grid: Grid) -> np.ndarray:
     return np.stack(np.meshgrid(grid.p1d, grid.p1d, grid.p1d, indexing="ij"), axis=-1)
 
 
+def lattice_x(grid: Grid) -> np.ndarray:
+    """The stacked coordinate lattice, shape (n, n, n, 3): the oracles' form of x."""
+    return np.stack(np.meshgrid(grid.x1d, grid.x1d, grid.x1d, indexing="ij"), axis=-1)
+
+
 def momentum_pair(p) -> tuple[np.ndarray, np.ndarray]:
     """The block kernel's (q, p_z) of a stacked momentum p (..., 3), q = p_x - i p_y."""
     p = np.asarray(p, dtype=float)
@@ -93,7 +98,7 @@ def momentum_expectation(field: MomentumField) -> np.ndarray:
 def coordinate_centroid(field: CoordinateField) -> np.ndarray:
     """<x> under psi^dag psi (3-vector)."""
     rho = density(field)
-    return np.einsum("xyz,xyzk->k", rho, field.grid.x) / np.sum(rho)
+    return np.einsum("xyz,xyzk->k", rho, lattice_x(field.grid)) / np.sum(rho)
 
 
 def lorentz_defect(lam: np.ndarray) -> float:

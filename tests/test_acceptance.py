@@ -7,7 +7,7 @@ floors behind those geometry choices are documented in the library modules.
 from __future__ import annotations
 
 import numpy as np
-from conftest import covariance_packet, density, locality_integral, total_probability
+from conftest import covariance_packet, density, lattice_x, locality_integral, total_probability
 from scipy.integrate import quad
 
 from rdlab import covlab
@@ -170,9 +170,10 @@ def test_criterion_5_position_eigenstates_hermiticity_equivalence():
 def test_criterion_6_yukawa_tail_oracle_and_two_sided_consistency():
     # spectral tail vs brute-force radial quadrature of the defining convolution
     g = Grid(16, 2.5)
+    x = lattice_x(g)
     s = 2.0
     spinor = np.array([0.6, -0.3 + 0.4j, 0.2j, 0.5])
-    psi = np.exp(-np.einsum("xyzk,xyzk->xyz", g.x, g.x) / (2.0 * s * s))
+    psi = np.exp(-np.einsum("xyzk,xyzk->xyz", x, x) / (2.0 * s * s))
     cf = CoordinateField(g, psi[..., None] * spinor, M, "fw", "particle")
     amp = (2.0 * np.pi) ** 1.5 * s**3
 
@@ -183,13 +184,13 @@ def test_criterion_6_yukawa_tail_oracle_and_two_sided_consistency():
         val, _ = quad(integrand, 0.0, 9.0, limit=200, epsabs=1e-13, epsrel=1e-11)
         return val / (2.0 * r) / (2.0 * np.pi**2)
 
-    r = np.sqrt(np.einsum("xyzk,xyzk->xyz", g.x, g.x))
+    r = np.sqrt(np.einsum("xyzk,xyzk->xyz", x, x))
     mask = (r > 1e-12) & (r <= 6.0)
     keys = np.round(r[mask], 12)
     factor = {rv: radial_factor(rv) for rv in np.unique(keys)}
     facs = np.array([factor[rv] for rv in keys])
     for k, tail in enumerate(po.yukawa_tail(cf)):
-        oracle = (g.x[..., k][mask] * facs)[:, None] * spinor
+        oracle = (x[..., k][mask] * facs)[:, None] * spinor
         got = tail.values[mask]
         assert np.linalg.norm(oracle - got) <= 1e-3 * np.linalg.norm(got)
 

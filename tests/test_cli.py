@@ -11,6 +11,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from conftest import peak_bytes
 
 from rdlab import cli, covlab, fields
 from rdlab.cli import main
@@ -128,6 +129,17 @@ def test_algebra_negative_control_names_the_failure(tmp_path):
     assert "anticommutator[1][1]" in failed
     assert all(name.startswith("anticommutator[") for name in failed)
     assert any("corrupted" in w for w in report["warnings"])
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_non_finite_check_value_fails_its_check(tmp_path):
+    # the energies overflow at this momentum bound, so the randomized residuals are NaN: a
+    # worst case that passed over them would read 0 and pass
+    code, report = run(tmp_path, "algebra-check", "spinors.pmax = 1e300\n")
+    assert code == 1
+    failed = {c["name"]: c["value"] for c in report["checks"] if not c["passed"]}
+    assert "spinor_eigen_residual" in failed and "wigner_transport" in failed
+    assert all(np.isnan(value) for value in failed.values())
 
 
 def test_algebra_determinism_modulo_runtime(tmp_path):
@@ -296,6 +308,15 @@ def test_continuity_defaults_pass(tmp_path):
     assert by_name["norm_drift"]["value"] <= 1e-12
 
 
+def test_continuity_holds_one_field_and_the_fw_pair(tmp_path):
+    # the pure packet is its FW particle pair (half a field) before the mixed packet is
+    # built, and the FW stage is freed before the mixed one; holding both four-component
+    # packets through the run would peak at 3.4 fields
+    size = 64 * 64**3  # one (64, 64, 64, 4) complex field
+    peak = peak_bytes(lambda: run(tmp_path, "continuity", "continuity.levels = 2\n"))
+    assert peak <= 2.75 * size
+
+
 def test_continuity_rejects_packets_failing_hygiene(tmp_path, capsys):
     # both packets are checked before any work: a config error, not a traceback
     code, report = run(tmp_path, "continuity", "grid.n = 16\n")
@@ -413,6 +434,11 @@ CONFIG_ERRORS = [
     ("covariance", "mass = inf\n", "config key 'mass': expected a finite number"),
     ("zitterbewegung", "packet.p0 = 0.3, nan, 0\n", "config key 'packet.p0': expected a finite number"),
     ("covariance", "boost.rapidity = 0, -inf\n", "config key 'boost.rapidity': expected a finite number"),
+    # a packet envelope that overflows on the lattice, or misses it, is a config error
+    ("continuity", "mass = 1e300\n", "grid.n, grid.pmax, packet.sigma, packet.p0: packet normalisation nan"),
+    ("zitterbewegung", "packet.p0 = 1e300, 0, 0\n", "packet.p0, packet.mix: packet normalisation 0 "),
+    ("position", "mass = 1e-8\n", "packet.p0, packet.x0: packet normalisation 0 "),
+    ("continuity", "packet.sigma = 1e200\n", "packet.sigma, packet.p0: packet normalisation 0 "),
 ]
 
 

@@ -8,7 +8,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from conftest import centred_rate, density, lattice_p, peak_bytes, total_probability
+from conftest import centred_rate, density, lattice_p, lattice_x, peak_bytes, total_probability
 
 from rdlab.clifford import ALPHA, pair
 from rdlab.fields import (
@@ -54,7 +54,8 @@ def test_total_probability_rejects_momentum_fields():
 
 
 def test_branch_projection_decomposition():
-    # a particle packet is its own +E part; the -E part of a field is f - branch_projection(f)
+    # a particle packet is its own +E part; in the Dirac picture the -E part of a field is
+    # f - branch_projection(f)
     f = _moving_packet()
     np.testing.assert_allclose(
         branch_projection(f).values, f.values, rtol=0, atol=1e-13
@@ -70,15 +71,13 @@ def test_branch_projection_decomposition():
     assert abs(momentum_inner(plus, minus)) <= 1e-13
     assert np.abs(branch_projection(minus).values).max() <= 1e-13
 
-    fw = to_fw_picture(mix)
-    fw_plus = branch_projection(fw)
-    assert np.abs(fw_plus.values[..., 2:]).max() == 0.0
-    np.testing.assert_allclose(
-        fw_plus.values,
-        to_fw_picture(plus).values,
-        rtol=0,
-        atol=1e-13,
-    )
+    # in the FW picture the +E part is the upper pair alone, that of the rotated +E part,
+    # whose lower pair is zero to rounding
+    fw_plus = branch_projection(to_fw_picture(mix))
+    assert fw_plus.values.shape == (*mix.values.shape[:3], 2) and fw_plus.branch == "particle"
+    plus_fw = to_fw_picture(plus).values
+    assert np.abs(plus_fw[..., 2:]).max() <= 1e-13
+    np.testing.assert_allclose(fw_plus.values, plus_fw[..., :2], rtol=0, atol=1e-13)
 
 
 def test_branch_projection_preconditions():
@@ -116,8 +115,9 @@ def _lattice_box(grid, rho, fraction):
     """concentration_box from the (n, n, n, 3) coordinate lattice (reference), with its
     sup-distance lattice."""
     total = np.sum(rho)
-    center = np.einsum("xyz,xyzk->k", rho, grid.x) / total
-    dist = np.max(np.abs(grid.x - center), axis=-1)
+    x = lattice_x(grid)
+    center = np.einsum("xyz,xyzk->k", rho, x) / total
+    dist = np.max(np.abs(x - center), axis=-1)
     order = np.argsort(dist, axis=None)
     cum = np.cumsum(rho.ravel()[order])
     stop = min(int(np.searchsorted(cum, fraction * total)), cum.size - 1)

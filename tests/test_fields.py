@@ -19,6 +19,7 @@ from rdlab.fields import (
     _fw_rotate,
     antiparticle_gaussian_packet,
     boundary_fraction,
+    branch_projection,
     continuity_residuals,
     coordinate_current,
     coordinate_density,
@@ -35,6 +36,7 @@ from rdlab.fields import (
     to_dirac_picture,
     to_fw_picture,
 )
+from rdlab.covlab import rotate_field
 from rdlab.grids import Grid
 from rdlab.spinors import fw_matrix, hamiltonian
 
@@ -422,5 +424,31 @@ def test_transport_peak_memory():
     # three component buffers, j and one float scratch for every term of j
     assert peak_bytes(lambda: coordinate_current(f)) <= 1.3 * size
     for g in (f, to_fw_picture(f)):
-        continuity_residuals(g, [1e-3])  # fill the lattice caches (grid.x) first
         assert peak_bytes(lambda: continuity_residuals(g, [1e-3, 5e-4])) <= 2.0 * size
+
+
+def test_fw_particle_pair_shape():
+    # an FW particle field may store its upper pair alone; no other labeling may
+    upper = np.zeros((32, 32, 32, 2))
+    assert MomentumField(GRID, upper, M, rep="fw").values.shape == (32, 32, 32, 2)
+    for labels in (dict(rep="dirac"), dict(rep="fw", branch="mixed"), dict(rep="fw", branch="antiparticle")):
+        with pytest.raises(ValueError, match="FW particle field"):
+            MomentumField(GRID, upper, M, **labels)
+
+
+@pytest.mark.parametrize("fn", [
+    to_dirac_picture, to_coordinate, lambda f: evolve(f, 0.3), lambda f: rotate_field(f, 2, 1),
+], ids=["to_dirac_picture", "to_coordinate", "evolve", "rotate_field"])
+def test_four_component_functions_reject_the_fw_pair(fn):
+    upper = branch_projection(packet("fw"))
+    with pytest.raises(ValueError, match="all four spinor components"):
+        fn(upper)
+
+
+def test_continuity_on_the_fw_pair_matches_four_components():
+    # the lower pair of an FW particle packet is zero to rounding: dropping it moves no
+    # field of any report
+    fw = to_fw_picture(gaussian_packet(Grid(64, 8.0), M, P0, sigma=2.5))
+    upper = branch_projection(fw)
+    assert upper.values.shape == (64, 64, 64, 2)
+    assert continuity_residuals(upper, [1e-5, 2e-3]) == continuity_residuals(fw, [1e-5, 2e-3])

@@ -18,7 +18,6 @@ def test_layout():
     assert g.p1d[g.n // 2] == pytest.approx(-g.pmax)
     assert g.x1d[g.n // 2] == pytest.approx(-g.n * g.dx / 2)
     assert [a.shape for a in g.p_axes] == [(16, 1, 1), (1, 16, 1), (1, 1, 16)]
-    assert g.x.shape == (16, 16, 16, 3)
     px, py, pz = g.p_axes
     np.testing.assert_array_equal([px[3, 0, 0], py[0, 5, 0], pz[0, 0, 7]], [g.p1d[3], g.p1d[5], g.p1d[7]])
 

@@ -6,7 +6,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from conftest import coordinate_centroid, lattice_p, locality_integral
+from conftest import coordinate_centroid, lattice_p, lattice_x, locality_integral
 
 from rdlab.clifford import ALPHA
 from rdlab.fields import (
@@ -383,13 +383,14 @@ def test_tail_two_sided_consistency():
 def test_yukawa_tail_wide_packet_scaling():
     # the nonlocal correction shrinks quadratically with packet width
     g = Grid(64, 4.0)
+    x = lattice_x(g)
     ratios = []
     for sigma in (2.0, 4.0, 8.0):
         f = to_fw_picture(gaussian_packet(g, M, (0.0, 0.0, 0.0), (0.0, 0.0, 0.0), sigma=sigma))
         cf = to_coordinate(f)
         tails = po.yukawa_tail(cf)
         tn = np.sqrt(sum(np.linalg.norm(t.values) ** 2 for t in tails))
-        xn = np.sqrt(sum(np.linalg.norm(g.x[..., k, None] * cf.values) ** 2 for k in range(3)))
+        xn = np.sqrt(sum(np.linalg.norm(x[..., k, None] * cf.values) ** 2 for k in range(3)))
         ratios.append(tn / xn)
         assert tn / xn < 1.0 / (M * sigma) ** 2
     assert ratios[1] < 0.4 * ratios[0]
