@@ -644,7 +644,7 @@ def cmd_covariance(cfg: dict[str, str], record: ReportRecord, rng: np.random.Gen
         tol_rot,
         note="density of the rotated field vs the permuted rest density",
     )
-    rho_fw_rot = coordinate_density(rotate_field(to_fw_picture(packet), rot_axis, quarter_turns))
+    rho_fw_rot = coordinate_density(rotate_field(branch_projection(to_fw_picture(packet)), rot_axis, quarter_turns))
     perm_fw = rotate_scalar_lattice(rho_fw, rot_axis, quarter_turns)
     record.check(
         "rotation_consistency_fw",

@@ -16,11 +16,15 @@ products along one axis, one per transverse line. The tilted slice transforms
 only the +E part of the rest (particle) field, whose evolution is a phase, and
 raises if the -E part is not negligible; every plane comes from that one
 transform plus one transverse inverse FFT, and only the nonlocal FW current
-still needs a 3D density rate (one batched inverse FFT of psi, psi_dot) per plane.
+still needs a 3D density rate per plane. In the FW picture the +E part is the
+upper component pair: the slice reads it as one contiguous component-first
+copy, and each plane's rate is formed one spinor component at a time from one
+batched inverse FFT of (psi_c, psi_dot_c).
 
 covariance_sweep runs the whole boost sweep of one packet and returns one
 BoostExperimentReport per rapidity; BoostExperimentReport.as_dict is the
-serialized record.
+serialized record. Its FW slices and the FW rotation check run on the FW
+particle pair, so no four-component FW field is alive while they work.
 """
 from __future__ import annotations
 
@@ -33,8 +37,6 @@ from .clifford import AXES, pair, sigma_dot
 from .fields import (
     MomentumField,
     _flux,
-    _four_components,
-    _rate_planes,
     _workers,
     branch_projection,
     coordinate_density,
@@ -168,18 +170,19 @@ def rotate_field(field: MomentumField, axis: int, quarter_turns: int) -> Momentu
     Quarter turns permute the periodic momentum lattice exactly, so the only
     operation besides reindexing is the spinor rotation (identical block
     structure in both pictures; period eight quarter turns, with a sign after
-    four).
+    four). The rotation is block diagonal, so an FW particle pair turns by its
+    upper 2x2 block.
     """
     if axis not in (0, 1, 2):
         raise ValueError(f"axis must be 0, 1 or 2, got {axis!r}")
     if field.branch == "antiparticle":
         raise ValueError("antiparticle-labeled fields are momentum-space-only")
-    _four_components(field)
     k = int(quarter_turns) % 8
     if k == 0:
         return field
-    vals = _quarter_turns(field.values, axis, k) @ spinor_rotation(np.eye(3)[axis], k * np.pi / 2.0).T
-    return replace(field, values=vals)
+    s = field.values.shape[-1]
+    rot = spinor_rotation(np.eye(3)[axis], k * np.pi / 2.0)[:s, :s]
+    return replace(field, values=_quarter_turns(field.values, axis, k) @ rot.T)
 
 
 def rotate_scalar_lattice(values: np.ndarray, axis: int, quarter_turns: int) -> np.ndarray:
@@ -211,37 +214,56 @@ def _slice_departures(grid: Grid, rho_boosted: np.ndarray, predicted: np.ndarray
 
 
 def _particle_amplitude(field: MomentumField, axis: int) -> np.ndarray:
-    """sqrt(m/E) a_+ with the boost axis first, a_+ = branch_projection(field) the
-    +E part that evolves as exp(-iEt) a_+: shape (n, n, n, 4) in the Dirac
-    picture, (phi + H phi / E) / 2, and (n, n, n, 2) in the FW picture, the
-    upper component pair. branch_projection raises ValueError when
-    |a_-| > 1e-12 |a_+|: a mislabelled field fails, it is never truncated."""
+    """sqrt(m/E) a_+, a_+ = branch_projection(field) the +E part that evolves as
+    exp(-iEt) a_+. In the Dirac picture, (phi + H phi / E) / 2 with the boost
+    axis first, shape (n, n, n, 4). In the FW picture, the upper component pair
+    (stored, or projected from four components) as one contiguous
+    component-first array with the boost axis next, shape (2, n, n, n):
+    _fw_flux_planes reads its components as contiguous slabs. branch_projection
+    raises ValueError when |a_-| > 1e-12 |a_+|: a mislabelled field fails, it is
+    never truncated."""
     plus = branch_projection(field).values
-    return np.moveaxis(plus * np.sqrt(field.mass / field.grid.energies(field.mass))[..., None], axis, 0)
+    scale = np.moveaxis(np.sqrt(field.mass / field.grid.energies(field.mass)), axis, 0)
+    if field.rep == "dirac":
+        plus = np.moveaxis(plus, axis, 0)
+        plus *= scale[..., None]
+        return plus
+    amp = np.empty((2, *scale.shape), dtype=complex)
+    for c in range(2):
+        np.multiply(np.moveaxis(plus[..., c], axis, 0), scale, out=amp[c])
+    return amp
 
 
-def _fw_flux_planes(field: MomentumField, plus: np.ndarray, rapidity: float, axis: int) -> np.ndarray:
+def _fw_flux_planes(field: MomentumField, amp: np.ndarray, rapidity: float, axis: int) -> np.ndarray:
     """Boost-axis FW current on every tilted plane, boost axis first, from the
-    populated branch plus = sqrt(m/E) a_+ of _particle_amplitude. The current is
-    nonlocal: each plane needs the density rate 2 Re psi^dag psi_dot, psi_dot =
-    -iE psi, on the whole lattice at t = -sinh(chi) x', from one batched inverse
-    FFT of (psi, psi_dot). Its spectrum times i p_ax / p^2 is the current's,
-    summed along the axis at cosh(chi) x' and inverted over the transverse axes."""
+    populated pair amp = sqrt(m/E) a_+ of _particle_amplitude, shape (2, n, n, n).
+    The current is nonlocal: each plane needs the density rate
+    2 Re psi^dag psi_dot, psi_dot = -iE psi, on the whole lattice at
+    t = -sinh(chi) x', formed one spinor component c at a time from one batched
+    inverse FFT of (psi_c, psi_dot_c) in one (2, n, n, n) buffer. Its spectrum
+    times i p_ax / p^2 is the current's, summed along the axis at cosh(chi) x'
+    and inverted over the transverse axes."""
     grid, n = field.grid, field.grid.n
     ch, sh = np.cosh(rapidity), np.sinh(rapidity)
     e = np.moveaxis(grid.energies(field.mass), axis, 0)
     flux = _flux(grid, 0) * (2.0 / grid.dx**6)  # boost axis first; 2 Re, psi has no 1/dx^3
     weights = _lattice_powers(np.exp(1j * grid.dx * ch * grid.p1d), n, 0) / n
-    amp, step, rate_factor = np.moveaxis(plus, -1, 0).copy(), np.exp(1j * sh * grid.dx * e), -1j * e
+    step, rate_factor = np.exp(1j * sh * grid.dx * e), -1j * e
     phase = np.ones_like(step)  # exp(-iEt)
-    buf = np.empty((4, n, n, n), dtype=complex)
+    buf = np.empty((2, n, n, n), dtype=complex)
+    rate, scratch = np.empty((n, n, n)), np.empty((n, n, n))
     out = np.empty((n, n, n))
     for i in range(n):
         if i == n // 2:
             np.conjugate(phase, out=phase)  # x' = k dx jumps from k = n/2 - 1 to k = -n/2
-        np.multiply(amp, phase, out=buf[:2])
-        np.multiply(buf[:2], rate_factor, out=buf[2:])
-        spectrum = sfft.rfftn(_rate_planes(buf), workers=_workers()) * flux
+        for c, dest in enumerate((rate, scratch)):
+            np.multiply(amp[c], phase, out=buf[0])
+            np.multiply(buf[0], rate_factor, out=buf[1])
+            v = sfft.ifftn(buf, axes=(1, 2, 3), workers=_workers(), overwrite_x=True)
+            v = v.view(float).reshape(2, n, n, n, 2)
+            np.einsum("xyzk,xyzk->xyz", v[0], v[1], out=dest)
+        rate += scratch
+        spectrum = sfft.rfftn(rate, workers=_workers()) * flux
         out[i] = sfft.irfftn(np.einsum("p,pab->ab", weights[i], spectrum), s=(n, n), workers=_workers())
         phase *= step
     return out
@@ -253,7 +275,8 @@ def slice_prediction(field: MomentumField, rapidity: float, axis: int = 0) -> np
     The plane x'_ax is the rest state at t = -sinh(chi) x'_ax read at
     x_ax = cosh(chi) x'_ax, predicting rho' = cosh(chi) rho + sinh(chi) j_ax.
     A particle field is its +E part a_+ alone (ValueError if the -E part
-    exceeds 1e-12 of it), so the state on all planes is
+    exceeds 1e-12 of it; an FW field may be given as that part, its upper
+    pair), so the state on all planes is
 
         sum_{p_ax} exp(i x' (cosh(chi) p_ax + sinh(chi) E_p)) a_+(p):
 
@@ -267,8 +290,8 @@ def slice_prediction(field: MomentumField, rapidity: float, axis: int = 0) -> np
     grid = field.grid
     ch, sh = np.cosh(rapidity), np.sinh(rapidity)
     e = np.moveaxis(grid.energies(field.mass), axis, 0)
-    plus = _particle_amplitude(field, axis)
-    psi = _axis_dft(plus, lambda y: _lattice_powers(
+    amp = _particle_amplitude(field, axis)
+    psi = _axis_dft(amp if field.rep == "dirac" else np.moveaxis(amp, 0, -1), lambda y: _lattice_powers(
         np.exp(1j * grid.dx * (ch * grid.p1d[:, None] + sh * e[:, y])).T, grid.n, 1))
     psi = sfft.ifftn(psi, axes=(1, 2), workers=_workers(), overwrite_x=True)
     psi /= grid.n * grid.dx**3
@@ -277,7 +300,7 @@ def slice_prediction(field: MomentumField, rapidity: float, axis: int = 0) -> np
         j_ax = 2.0 * pair(psi[..., :2], sigma_dot(AXES[axis], psi[..., 2:]))
     else:
         del psi  # lower peak memory
-        j_ax = _fw_flux_planes(field, plus, rapidity, axis)
+        j_ax = _fw_flux_planes(field, amp, rapidity, axis)
     return np.moveaxis(ch * rho + sh * j_ax, 0, axis)
 
 
@@ -340,7 +363,7 @@ def covariance_sweep(
             rho_bf = coordinate_density(to_fw_picture(boosted))
             del boosted  # lower peak memory
             pred = slice_prediction(field, chi, axis)
-            pred_fw = slice_prediction(to_fw_picture(field), chi, axis)
+            pred_fw = slice_prediction(branch_projection(to_fw_picture(field)), chi, axis)
         dirac_residual, dirac_tv = _slice_departures(grid, rho_boosted, pred)
         fw_violation, fw_tv = _slice_departures(grid, rho_bf, pred_fw)
         reports.append(BoostExperimentReport(

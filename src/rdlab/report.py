@@ -5,11 +5,14 @@ Every command emits `<out>/<command>.report.json` plus zero or more
 bit-exact echo of the parsed config, one entry per asserted check with its
 measured value, scalar results, warnings, runtime, and the artifact version.
 Files are written to a temporary sibling and renamed into place so readers
-never observe partial artifacts.
+never observe partial artifacts. JSON artifacts are strict JSON (RFC 8259): a
+float that is not finite is written as the string "NaN", "Infinity" or
+"-Infinity".
 """
 from __future__ import annotations
 
 import json
+import math
 import os
 import tempfile
 from dataclasses import dataclass, field
@@ -103,8 +106,21 @@ def write_text_atomic(path: str, text: str) -> None:
         raise
 
 
+def _strict(value):
+    """value with each non-finite float, at any depth of its dicts and lists, replaced
+    by the string "NaN", "Infinity" or "-Infinity"."""
+    if isinstance(value, float) and not math.isfinite(value):
+        return "NaN" if math.isnan(value) else ("Infinity" if value > 0 else "-Infinity")
+    if isinstance(value, dict):
+        return {k: _strict(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_strict(v) for v in value]
+    return value
+
+
 def write_json(path: str, payload) -> None:
-    write_text_atomic(path, json.dumps(payload, indent=2, sort_keys=False) + "\n")
+    text = json.dumps(_strict(payload), indent=2, sort_keys=False, allow_nan=False)
+    write_text_atomic(path, text + "\n")
 
 
 def write_report(out_dir: str, record: ReportRecord) -> str:

@@ -16,7 +16,7 @@ from conftest import peak_bytes
 from rdlab import cli, covlab, fields
 from rdlab.cli import main
 from rdlab.config import ConfigError, get_bool, get_floats, get_int, load_config, parse_config
-from rdlab.report import format_value
+from rdlab.report import format_value, write_json
 
 
 def run(tmp_path, command, config_text=None, seed=None):
@@ -30,8 +30,16 @@ def run(tmp_path, command, config_text=None, seed=None):
         argv += ["--seed", str(seed)]
     code = main(argv)
     report_path = tmp_path / f"{command}.report.json"
-    report = json.loads(report_path.read_text()) if report_path.exists() else None
+    report = strict_json(report_path.read_text()) if report_path.exists() else None
     return code, report
+
+
+def strict_json(text):
+    """json.loads that rejects the non-standard tokens NaN, Infinity and -Infinity."""
+    def reject(token):
+        raise ValueError(f"{token} is not JSON")
+
+    return json.loads(text, parse_constant=reject)
 
 
 # ---------------------------------------------------------------------------
@@ -137,9 +145,16 @@ def test_non_finite_check_value_fails_its_check(tmp_path):
     # worst case that passed over them would read 0 and pass
     code, report = run(tmp_path, "algebra-check", "spinors.pmax = 1e300\n")
     assert code == 1
+    # the report is strict JSON: each NaN value is written as the string "NaN"
     failed = {c["name"]: c["value"] for c in report["checks"] if not c["passed"]}
     assert "spinor_eigen_residual" in failed and "wigner_transport" in failed
-    assert all(np.isnan(value) for value in failed.values())
+    assert all(value == "NaN" for value in failed.values())
+
+
+def test_json_artifacts_write_non_finite_floats_as_strings(tmp_path):
+    path = tmp_path / "a.json"
+    write_json(str(path), {"v": [float("nan"), np.inf, -np.inf, 0.5], "t": (np.float64(np.nan),)})
+    assert strict_json(path.read_text()) == {"v": ["NaN", "Infinity", "-Infinity", 0.5], "t": ["NaN"]}
 
 
 def test_algebra_determinism_modulo_runtime(tmp_path):
@@ -363,7 +378,7 @@ def test_covariance_rotation_only(tmp_path, monkeypatch):
     assert by_name["chi_zero_identity"]["value"] == 0.0
     assert by_name["rotation_consistency_dirac"]["value"] <= 1e-6
     assert by_name["rotation_consistency_fw"]["value"] <= 1e-6
-    sweep = json.loads((tmp_path / "covariance.sweep.json").read_text())
+    sweep = strict_json((tmp_path / "covariance.sweep.json").read_text())
     assert len(sweep) == 1
     assert sweep[0]["rapidity"] == 0.0
     assert sweep[0]["dirac_tv"] == sweep[0]["fw_tv"] == 0.0
@@ -554,7 +569,7 @@ def test_tables_identical_across_thread_counts(tmp_path, command):
         proc = subprocess.run([*argv, "--out", str(out)], env=_env(RDLAB_THREADS=threads),
                               capture_output=True, text=True, timeout=600)
         assert proc.returncode == 0, proc.stderr
-        report = json.loads((out / f"{command}.report.json").read_text())
+        report = strict_json((out / f"{command}.report.json").read_text())
         report.pop("runtime_seconds")
         outputs[threads] = (report, [(out / f"{command}.{t}").read_bytes() for t in tables])
     for threads in thread_counts[1:]:
@@ -587,7 +602,7 @@ def _artifacts(out):
     """Every table a run wrote, and its report without the runtime."""
     found = {path.name: path.read_bytes() for path in out.glob("*.csv")}
     for path in out.glob("*.report.json"):
-        report = json.loads(path.read_text())
+        report = strict_json(path.read_text())
         report.pop("runtime_seconds")
         found[path.name] = report
     return found

@@ -18,6 +18,7 @@ from rdlab.covlab import (
     slice_prediction,
 )
 from rdlab.fields import (
+    branch_projection,
     coordinate_density,
     evolve,
     fw_current_density,
@@ -254,14 +255,24 @@ def _per_plane_slice(field, rapidity, axis):
 
 @pytest.mark.parametrize("chi", [0.0, CHI])
 @pytest.mark.parametrize("axis", [0, 1, 2])
-@pytest.mark.parametrize("rep", ["dirac", "fw"])
+@pytest.mark.parametrize("rep", ["dirac", "fw", "fw-pair"])
 def test_slice_prediction_matches_per_plane_oracle(rep, axis, chi):
+    # the oracle evolves four components; the FW pair is the upper half of that field
     f = covariance_packet(Grid(20, 4.0))  # smallest lattice passing the packet hygiene
-    if rep == "fw":
+    if rep != "dirac":
         f = to_fw_picture(f)
     expected = _per_plane_slice(f, chi, axis)
-    got = slice_prediction(f, chi, axis)
+    got = slice_prediction(branch_projection(f) if rep == "fw-pair" else f, chi, axis)
     assert np.abs(got - expected).max() <= 1e-12 * np.abs(expected).max()
+
+
+@pytest.mark.parametrize("axis", [0, 1, 2])
+def test_slice_prediction_on_the_fw_pair_matches_four_components(axis):
+    # the slice reads only the +E part, the upper pair: dropping the lower pair moves no bit
+    fw = to_fw_picture(covariance_packet(Grid(24, 4.5)))
+    upper = branch_projection(fw)
+    assert upper.values.shape == (24, 24, 24, 2)
+    assert np.array_equal(slice_prediction(upper, CHI, axis), slice_prediction(fw, CHI, axis))
 
 
 @pytest.mark.parametrize("rep", ["dirac", "fw"])
@@ -282,6 +293,14 @@ def test_slice_prediction_peak_memory(rep):
     if rep == "fw":
         f = to_fw_picture(f)
     assert peak_bytes(lambda: slice_prediction(f, CHI, AXIS)) <= 4.0 * f.values.nbytes
+
+
+def test_covariance_sweep_peak_memory():
+    # the FW slice runs on the pair with one (2, n, n, n) FFT buffer, so the sweep holds
+    # about 3.8 fields at its peak (5.2 when it sliced the four-component FW field); the
+    # bound is that value with an 11% margin
+    f = covariance_packet(Grid(32, 4.5))
+    assert peak_bytes(lambda: covariance_sweep(f, (CHI,), axis=AXIS)) <= 4.2 * f.values.nbytes
 
 
 def test_dirac_covariance_residual_small_and_refining():
@@ -319,6 +338,21 @@ def test_fw_violation_vanishes_with_rapidity():
     v_full = _experiment(48).fw_violation
     assert v_small < v_mid < v_full
     assert v_small <= 0.25 * v_full
+
+
+@pytest.mark.parametrize("k", [1, 2, 5])
+def test_rotate_field_turns_the_fw_pair_by_the_upper_block(k):
+    # the spinor rotation is block diagonal: the rotated pair is the upper pair of the
+    # rotated four-component field, and its density co-rotates
+    fw = to_fw_picture(covariance_packet(Grid(24, 4.5)))
+    upper = branch_projection(fw)
+    turned = rotate_field(upper, 2, k)
+    assert turned.values.shape == upper.values.shape and turned.rep == "fw"
+    np.testing.assert_allclose(turned.values, rotate_field(fw, 2, k).values[..., :2], rtol=0,
+                               atol=1e-15 * np.abs(fw.values).max())
+    rho = coordinate_density(upper)
+    expected = rotate_scalar_lattice(rho, 2, k)
+    assert np.abs(coordinate_density(turned) - expected).max() <= 1e-13 * rho.max()
 
 
 def test_fw_density_rotation_consistent():

@@ -36,7 +36,6 @@ from rdlab.fields import (
     to_dirac_picture,
     to_fw_picture,
 )
-from rdlab.covlab import rotate_field
 from rdlab.grids import Grid
 from rdlab.spinors import fw_matrix, hamiltonian
 
@@ -437,8 +436,8 @@ def test_fw_particle_pair_shape():
 
 
 @pytest.mark.parametrize("fn", [
-    to_dirac_picture, to_coordinate, lambda f: evolve(f, 0.3), lambda f: rotate_field(f, 2, 1),
-], ids=["to_dirac_picture", "to_coordinate", "evolve", "rotate_field"])
+    to_dirac_picture, to_coordinate, lambda f: evolve(f, 0.3),
+], ids=["to_dirac_picture", "to_coordinate", "evolve"])
 def test_four_component_functions_reject_the_fw_pair(fn):
     upper = branch_projection(packet("fw"))
     with pytest.raises(ValueError, match="all four spinor components"):
