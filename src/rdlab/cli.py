@@ -424,15 +424,16 @@ def cmd_zitterbewegung(cfg: dict[str, str], record: ReportRecord, rng: np.random
     tol_freq = _tol(cfg, "frequency", 0.05)
     tol_slope = _tol(cfg, "slope", 1e-3)
 
-    # both packets pass the lattice hygiene checks, and both tracks their sampling
-    # preconditions, before any sampling starts; only the mixed track must resolve
-    # its trembling frequency 2<E>, the pure track checks slopes
+    # both packets pass the lattice hygiene checks, and both tracks their
+    # preconditions, before any work starts; only the mixed track must resolve its
+    # trembling frequency 2<E> and hold both branches, the pure track checks slopes
     packet = _precondition(f"{keys}, packet.mix", gaussian_packet, grid, mass, p0, sigma=sigma, weights=mix)
     pure_packet = _precondition(pure_keys, gaussian_packet, pure_grid, mass, pure_p0, sigma=pure_sigma)
-    _precondition("times.T, times.samples", tremble_moments, packet, duration, samples)
+    _precondition("packet.mix, times.T, times.samples", tremble_moments, packet, duration, samples)
     _precondition("pure.T, pure.samples", tremble_moments, pure_packet, pure_duration, pure_samples)
 
     mixed = zitterbewegung_experiment(packet, duration, samples)
+    del packet  # the pure track's lanes need not sit on the mixed field
     freq_err = abs(mixed.dominant_frequency / (2.0 * mixed.mean_energy) - 1.0)
     record.check(
         "mixed_frequency_vs_two_mean_energy",

@@ -12,17 +12,24 @@ FFTs); the node-local term N_k is added one lattice plane at a time:
   - apply_xfw: N_k = -i p_k / (2 E^2) (FW picture).
 
 The trembling-motion tracks (zitterbewegung_experiment) build no operator
-fields: the spectral part of an expectation is one Parseval pairing,
-sum_p w f^dag F[x_k F^{-1} f] = N sum_x x_k gamma^dag psi with psi = ifftn(f),
-gamma = ifftn(w f) (position_expectation); by alpha^k alpha^j = delta_kj +
-i eps_kjl Sigma^l the real part of the boost-frame term is the spin-orbit
-shift -(p x S)_k / (2m(E+m)) (_spin_orbit_shift), and that of the FW term is
-zero. S = f^dag Sigma f is unchanged by the free phase e^{-iEt}, so a track
-forms the shift once and each sample costs one phase and, per track and
-spinor component, two in-place inverse FFTs in the (n, n, n) buffers of its
-lane. Samples are independent and run on up to LANES threads. A particle
-packet has no -E part, so its two tracks sample the same field and share
-one set of transforms: they differ only by the shift.
+fields. By alpha^k alpha^j = delta_kj + i eps_kjl Sigma^l the real part of
+the boost-frame term is the spin-orbit shift -(p x S)_k / (2m(E+m))
+(_spin_orbit_shift), and that of the FW term is zero; S = f^dag Sigma f is
+unchanged by the free phase e^{-iEt}, so a track forms the shift once.
+  - A branch-mixed packet's tracks are in closed form (_closed_form_tracks):
+    N <x_k>(t) = C_k + t V_k + sum_p w [cos(2Et) A_k - sin(2Et) B_k], from
+    the branch amplitudes a_+- and their spectral derivatives at t = 0
+    (Schroedinger's split of x(t)). That is 32 FFTs, one spinor component
+    at a time, at any sample count; A and B are summed per energy shell, so
+    a sample costs O(shells).
+  - A particle packet's tracks are sampled on the lattice (_sampled_tracks):
+    the spectral part of each expectation is one Parseval pairing,
+    sum_p w f^dag F[x_k F^{-1} f] = N sum_x x_k gamma^dag psi with
+    psi = ifftn(f), gamma = ifftn(w f) (position_expectation), two in-place
+    inverse FFTs per spinor component in the (n, n, n) buffers of a lane.
+    Samples are independent and run on up to LANES threads. The packet has
+    no -E part, so its two tracks share one set of transforms and differ
+    only by the shift.
 """
 from __future__ import annotations
 
@@ -53,6 +60,9 @@ PROBE_FRACTION = 0.30
 # trembling-motion samples run on at most this many threads, each with its own
 # buffers: more lanes would make the memory grow with the core count
 LANES = 2
+
+# axes summed away for the marginal along axis 0, 1, 2
+_MARGINALS = ((1, 2), (0, 2), (0, 1))
 
 
 def spectral_momentum_derivative(field: MomentumField) -> Iterator[np.ndarray]:
@@ -136,11 +146,11 @@ def apply_xfw(field: MomentumField) -> Iterator[MomentumField]:
 class _Lane:
     """Buffers of one sampling lane, allocated up front and reused by every
     sample it takes: the complex (n, n, n) sample component `a`, its weighted
-    copy `b` and two phase factors `u`, `v`, and the real density `d`
-    (1.125 fields in all). `workers` is its FFT pool size."""
+    copy `b` and the phase factor `u`, and the real density `d` (0.875 fields
+    in all). `workers` is its FFT pool size."""
 
     def __init__(self, n: int, workers: int):
-        self.a, self.b, self.u, self.v = (np.empty((n, n, n), dtype=complex) for _ in range(4))
+        self.a, self.b, self.u = (np.empty((n, n, n), dtype=complex) for _ in range(3))
         self.d = np.empty((n, n, n))
         self.workers = workers
 
@@ -153,16 +163,16 @@ class _Lane:
 
 
 def position_expectation(
-    grid: Grid, w: np.ndarray, lane: _Lane, terms: list[tuple[np.ndarray, np.ndarray]]
+    grid: Grid, w: np.ndarray, lane: _Lane, factor: np.ndarray, field: np.ndarray
 ) -> tuple[np.ndarray, float]:
-    """(moments, norm) of the sample s = sum of factor * field over the
-    (factor, field) `terms`, with Re <s, X s> / <s, s> = (moments - shift) /
-    norm per axis, without applying X: X is the coordinate operator i d/dp_k
-    plus a node-local term whose real part, on the scale of the Parseval
-    moments, is -shift (0 for the coordinate operator, _spin_orbit_shift(s)
-    for apply_xp). Each factor is (n, n, n) and each field (n, n, n, 4); `w`
-    is the invariant measure as a complex array. Nothing but the lane's
-    buffers a, b and d is written.
+    """(moments, norm) of the sample s = factor * field, with
+    Re <s, X s> / <s, s> = (moments - shift) / norm per axis, without applying
+    X: X is the coordinate operator i d/dp_k plus a node-local term whose real
+    part, on the scale of the Parseval moments, is -shift (0 for the
+    coordinate operator, _spin_orbit_shift(s) for apply_xp). `factor` is
+    (n, n, n) or a scalar and `field` (n, n, n, 4); `w` is the invariant
+    measure as a complex array. Nothing but the lane's buffers a, b and d is
+    written.
 
     Parseval: with psi = ifftn(s) and gamma = ifftn(w s),
     sum_p w s^dag F[x_k F^{-1} s] = N sum_x x_k gamma^dag psi and
@@ -173,12 +183,8 @@ def position_expectation(
     transformed in place.
     """
     a, b, d = lane.a, lane.b, lane.d
-    (factor, field), *rest = terms
     for c in range(4):
         np.multiply(factor, field[..., c], out=a)
-        for x, g in rest:
-            np.multiply(x, g[..., c], out=b)
-            a += b
         np.multiply(w, a, out=b)
         psi = sfft.ifftn(a, workers=lane.workers, overwrite_x=True)
         gamma = sfft.ifftn(b, workers=lane.workers, overwrite_x=True)
@@ -188,7 +194,7 @@ def position_expectation(
             np.copyto(d, gamma.real)
         else:
             d += gamma.real
-    moments = np.array([np.sum(grid.x1d * d.sum(axis=axes)) for axes in ((1, 2), (0, 2), (0, 1))])
+    moments = np.array([np.sum(grid.x1d * d.sum(axis=axes)) for axes in _MARGINALS])
     return moments, np.sum(d)
 
 
@@ -210,31 +216,158 @@ def _spin_orbit_shift(field: MomentumField) -> np.ndarray:
     return out
 
 
-def tremble_moments(packet: MomentumField, duration: float, samples: int) -> tuple[float, np.ndarray]:
+def tremble_moments(
+    packet: MomentumField, duration: float, samples: int, plus: MomentumField | None = None
+) -> tuple[float, np.ndarray]:
     """<E> and <p/E> of a packet under the invariant measure, after the
     preconditions of its trembling-motion tracks over `samples` points in
     `duration`: at least 16 samples, a finite positive duration, a
     Dirac-picture packet and, for a branch-mixed one, a Nyquist frequency
-    pi (samples - 1) / duration of at least the trembling frequency 2<E>.
-    A single-branch track has no trembling frequency to resolve."""
+    pi (samples - 1) / duration of at least the trembling frequency 2<E>,
+    and each branch holding at least 1e-24 of sum w |f|^2 (the
+    branch_projection threshold): an empty branch's track would be
+    normalised from rounding noise. `plus` is branch_projection(packet) when
+    the caller holds it. A single-branch track has no trembling frequency to
+    resolve."""
     if samples < 16:
         raise ValueError("need at least 16 samples to resolve a trembling frequency")
     if not 0.0 < duration < np.inf:
         raise ValueError(f"duration must be finite and positive, got {duration!r}")
     if packet.rep != "dirac":
         raise ValueError("the trembling-motion tracks are taken in the Dirac picture")
-    grid = packet.grid
-    dens = _measure(packet) * pair(packet.values, packet.values)
+    grid, w = packet.grid, _measure(packet)
+    dens = w * pair(packet.values, packet.values)
     total = np.sum(dens)
     e = grid.energies(packet.mass)
     mean_energy = float(np.sum(dens * e) / total)
-    nyquist = np.pi * (samples - 1) / duration
-    if packet.branch == "mixed" and nyquist < 2.0 * mean_energy:
-        raise ValueError(f"the Nyquist frequency pi (samples - 1) / duration = {nyquist:g} is below "
-                         f"the trembling frequency 2<E> = {2.0 * mean_energy:g} of the mixed packet")
+    if packet.branch == "mixed":
+        nyquist = np.pi * (samples - 1) / duration
+        if nyquist < 2.0 * mean_energy:
+            raise ValueError(f"the Nyquist frequency pi (samples - 1) / duration = {nyquist:g} is below "
+                             f"the trembling frequency 2<E> = {2.0 * mean_energy:g} of the mixed packet")
+        if plus is None:
+            plus = branch_projection(packet)
+        held = np.zeros(2)  # sum w |a_+|^2, sum w |a_-|^2, one lattice plane at a time
+        for q, v, a in zip(w, packet.values, plus.values):
+            held[0] += np.sum(q * pair(a, a))
+            v = v - a
+            held[1] += np.sum(q * pair(v, v))
+        for name, share in zip(("+E", "-E"), held / total):
+            if not share >= 1e-24:
+                raise ValueError(f"the {name} branch of the mixed packet holds {share:.3g} of its norm, "
+                                 "below 1e-24: it has no track")
     slow = dens / e
-    moments = [grid.p1d @ slow.sum(axis=axes) for axes in ((1, 2), (0, 2), (0, 1))]  # axis marginals
+    moments = [grid.p1d @ slow.sum(axis=axes) for axes in _MARGINALS]
     return mean_energy, np.array(moments) / total
+
+
+def _closed_form_tracks(
+    packet: MomentumField, plus: MomentumField, shift: np.ndarray, times: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Both tracks of a branch-mixed packet from its branch amplitudes at t = 0.
+
+    With a_+ = plus, a_- = f - a_+, D_+- = i d/dp_k a_+- (spectral) and
+    a_+^dag a_- = 0 per node, the product rule
+    i d/dp_k (e^{-+iEt} a) = e^{-+iEt} (D +- t (p_k/E) a) gives, on the scale
+    of the Parseval moments (weights w = measure / n^3),
+        N <x_k>(t) = C_k + t V_k + sum_p w [cos(2Et) A_k - sin(2Et) B_k],
+        C_k = sum_p w Re(a_+^dag D_+ + a_-^dag D_-),
+        V_k = sum_p w (p_k/E) (|a_+|^2 - |a_-|^2),
+        A_k = Re(a_+^dag D_- + a_-^dag D_+),  B_k = Im(a_+^dag D_- - a_-^dag D_+),
+        N = sum_p w (|a_+|^2 + |a_-|^2),
+    and the branch track is (C_+ + t V_+ - shift) / N_+ from the a_+ terms.
+    E takes one value on each shell of nodes, so A and B are summed per
+    distinct value of grid.energies (np.bincount) and a sample costs O(shells).
+
+    One spinor component c at a time, in five (n, n, n) buffers: a_+,c and
+    a_-,c, one inverse FFT of each and one forward FFT of x_k psi per axis,
+    8 transforms per component and 32 in all, at any sample count; each
+    D_+-,k,c is reduced before the next is formed. Sums are numpy reductions
+    (no BLAS), so the tracks do not depend on the thread count.
+    """
+    grid, f, pv = packet.grid, packet.values, plus.values
+    e = grid.energies(packet.mass)
+    w = _measure(packet) / grid.n**3
+    energies, shell = np.unique(e, return_inverse=True)
+    # bin of each float of a complex node array: real parts to even bins, imaginary to odd
+    bins = np.empty(2 * e.size, dtype=np.intp)
+    np.multiply(shell.ravel(), 2, out=bins[0::2])
+    np.add(bins[0::2], 1, out=bins[1::2])
+    del shell
+    x = [grid.x1d.reshape([grid.n if j == k else 1 for j in range(3)]) for k in range(3)]
+    norm, drift, own = np.zeros(2), np.zeros((2, 3)), np.zeros((2, 3))  # per branch, + then -
+    cos_terms, sin_terms = np.zeros((3, len(energies))), np.zeros((3, len(energies)))  # A, B per shell
+    # a_+,c and a_-,c, then w conj(a) of each; psi, D and a product
+    ap, am, psi, d, g = (np.empty(e.shape, dtype=complex) for _ in range(5))
+    for c in range(4):
+        np.copyto(ap, pv[..., c])
+        np.subtract(f[..., c], ap, out=am)
+        for b, a in enumerate((ap, am)):
+            sq = a.real * a.real
+            sq += a.imag * a.imag
+            sq *= w
+            norm[b] += np.sum(sq)
+            sq /= e
+            drift[b] += [np.sum(grid.p1d * sq.sum(axis=axes)) for axes in _MARGINALS]
+        np.copyto(psi, ap)
+        for a in (ap, am):
+            np.multiply(a, w, out=a)
+            np.conjugate(a, out=a)
+        for b, (mine, other) in enumerate(((ap, am), (am, ap))):
+            if b == 1:  # a_-,c again: am holds w conj(a_-,c) by now
+                np.subtract(f[..., c], pv[..., c], out=psi)
+            psi = _ifft3(psi, overwrite_x=True)
+            for k in range(3):
+                np.multiply(x[k], psi, out=d)
+                d = _fft3(d, overwrite_x=True)  # D_k of branch b, component c
+                np.multiply(mine, d, out=g)
+                own[b, k] += np.sum(g.real)
+                d *= other  # w a_-^dag D_+ (b = 0) or w a_+^dag D_- (b = 1), per node
+                binned = np.bincount(bins, d.view(float).ravel(), 2 * len(energies))
+                cos_terms[k] += binned[0::2]
+                sin_terms[k] += (-1.0, 1.0)[b] * binned[1::2]
+    swing = np.empty((len(times), 3))  # sum_p w [cos(2Et) A_k - sin(2Et) B_k], one sample at a time
+    for i, t in enumerate(times):
+        phase = 2.0 * t * energies
+        swing[i] = np.sum(np.cos(phase) * cos_terms - np.sin(phase) * sin_terms, axis=1)
+    x_track = (own.sum(axis=0) + times[:, None] * (drift[0] - drift[1]) + swing) / norm.sum()
+    b_track = (own[0] + times[:, None] * drift[0] - shift) / norm[0]
+    return x_track, b_track
+
+
+def _sampled_tracks(
+    plus: MomentumField, shift: np.ndarray, times: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Both tracks of a particle packet, one position_expectation per sample.
+
+    The packet is its own +E part a_+ = `plus`, so both tracks sample
+    e^{-iEt} a_+: x-hat = moments / norm and X_P = (moments - shift) / norm.
+    The samples are independent, so they run on min(RDLAB_THREADS, LANES)
+    lanes, each taking every lanes-th sample through its own buffers (_Lane,
+    allocated here before any sample) with FFT pools of RDLAB_THREADS // lanes
+    workers. Each sample writes only its own track rows, so the tracks do not
+    depend on the thread count.
+    """
+    grid, samples = plus.grid, len(times)
+    e = grid.energies(plus.mass)
+    w = _measure(plus).astype(complex)  # a real factor would be cast through a buffer per call
+    x_track = np.empty((samples, 3))
+    b_track = np.empty((samples, 3))
+    threads = _workers()
+    count = min(threads, LANES)
+    lanes = [_Lane(grid.n, threads // count) for _ in range(count)]
+
+    def run_lane(k: int) -> None:
+        lane = lanes[k]
+        for i in range(k, samples, count):
+            lane.set_time(e, times[i])
+            moments, norm = position_expectation(grid, w, lane, lane.u, plus.values)
+            x_track[i] = moments / norm
+            b_track[i] = (moments - shift) / norm
+
+    with ThreadPoolExecutor(count) as pool:
+        list(pool.map(run_lane, range(count)))
+    return x_track, b_track
 
 
 def _linear_slopes(times: np.ndarray, track: np.ndarray) -> np.ndarray:
@@ -281,58 +414,28 @@ def zitterbewegung_experiment(
     """Track position expectations of a (possibly branch-mixed) Dirac packet.
 
     The packet f is split once, at t = 0, into a_+ = branch_projection(f)
-    and a_- = f - a_+. Free evolution is diagonal on the split, so
-    the sample at absolute time t_i is f(t_i) = e^{-iEt_i} a_+ + e^{+iEt_i} a_-
-    for the coordinate track and a_+(t_i) = e^{-iEt_i} a_+ for the branch
-    track, with no roundoff carried from sample to sample. <X_P> is the
-    coordinate moment minus the spin-orbit shift (_spin_orbit_shift), and the
-    shift is formed once, from a_+: S = f^dag Sigma f per node does not change
-    under the phase e^{-iEt}. So each sample costs one phase and, per track,
-    one position_expectation: per spinor component, two in-place inverse
-    FFTs (psi and gamma = ifftn(w f)) and a pairing; then the axis marginals.
+    and a_- = f - a_+. Free evolution is diagonal on the split: the sample at
+    time t_i is f(t_i) = e^{-iEt_i} a_+ + e^{+iEt_i} a_- for the coordinate
+    track and a_+(t_i) = e^{-iEt_i} a_+ for the branch track. <X_P> is the
+    coordinate moment minus the spin-orbit shift (_spin_orbit_shift), formed
+    once from a_+: S = f^dag Sigma f per node does not change under the phase
+    e^{-iEt}.
 
-    A particle packet is its own +E part (branch_projection raises, before
-    the buffers are allocated, if it is not), so both its tracks sample
-    e^{-iEt} a_+: one position_expectation per sample gives x-hat =
-    moments / norm and X_P = (moments - shift) / norm. A mixed packet makes
-    two.
-
-    The samples are independent, so they run on min(RDLAB_THREADS, LANES)
-    lanes, each taking every lanes-th sample through its own buffers
-    (_Lane, allocated here before any sample) with FFT pools of
-    RDLAB_THREADS // lanes workers. Each sample writes only its own track
-    rows, so the tracks do not depend on the thread count.
+    A branch-mixed packet's tracks are evaluated in closed form from a_+- and
+    their spectral derivatives at t = 0 (_closed_form_tracks). A particle
+    packet is its own +E part (branch_projection raises, before any sample,
+    if it is not), and its tracks are sampled on the lattice
+    (_sampled_tracks): their slopes are the lattice measurement of transport.
     Preconditions: tremble_moments.
     """
-    mean_energy, v_exp = tremble_moments(packet, duration, samples)
-    grid, f = packet.grid, packet.values
-    e = grid.energies(packet.mass)
-    w = _measure(packet).astype(complex)  # a real factor would be cast through a buffer per call
-
     plus = branch_projection(packet)
+    mean_energy, v_exp = tremble_moments(packet, duration, samples, plus)
     shift = _spin_orbit_shift(plus)
     times = np.linspace(0.0, duration, samples)
-    x_track = np.empty((samples, 3))
-    b_track = np.empty((samples, 3))
-    threads = _workers()
-    count = min(threads, LANES)
-    lanes = [_Lane(grid.n, threads // count) for _ in range(count)]
-
-    def run_lane(k: int) -> None:
-        lane = lanes[k]
-        for i in range(k, samples, count):
-            lane.set_time(e, times[i])
-            moments, norm = position_expectation(grid, w, lane, [(lane.u, plus.values)])
-            b_track[i] = (moments - shift) / norm
-            if packet.branch == "mixed":  # else f(t) = a_+(t), the sample just taken
-                # f(t) = e^{+iEt} f + (e^{-iEt} - e^{+iEt}) a_+: a_- = f - a_+ is never stored
-                np.conjugate(lane.u, out=lane.v)
-                lane.u -= lane.v
-                moments, norm = position_expectation(grid, w, lane, [(lane.v, f), (lane.u, plus.values)])
-            x_track[i] = moments / norm
-
-    with ThreadPoolExecutor(count) as pool:
-        list(pool.map(run_lane, range(count)))
+    if packet.branch == "mixed":
+        x_track, b_track = _closed_form_tracks(packet, plus, shift, times)
+    else:
+        x_track, b_track = _sampled_tracks(plus, shift, times)
 
     x_slopes = _linear_slopes(times, x_track)
     axis = int(np.argmax(np.var(x_track - times[:, None] * x_slopes, axis=0)))

@@ -443,6 +443,8 @@ CONFIG_ERRORS = [
     ("zitterbewegung", "pure.T = 0\n", "pure.T = 0: must be positive"),
     # the mixed track cannot resolve 2<E> above its Nyquist frequency
     ("zitterbewegung", "times.T = 1e300\n", "times.T, times.samples: the Nyquist frequency"),
+    # a mixed packet with an empty branch would normalise that branch's track from rounding
+    ("zitterbewegung", "packet.mix = 0, 1\n", "packet.mix, times.T, times.samples: the +E branch"),
     ("position", "grid.n = 16\n", "grid.n, grid.pmax, packet.sigma, packet.p0, packet.x0"),
     # a NaN or infinite number never reaches a check, where it could pass vacuously
     ("continuity", "packet.sigma = nan\n", "config key 'packet.sigma': expected a finite number"),
@@ -610,7 +612,8 @@ def _artifacts(out):
 
 def test_traced_benchmark_child_matches_an_untraced_one(tmp_path):
     # the benchmark's traced run rebinds every public positionops function while the
-    # trembling-motion lanes call position_expectation from worker threads
+    # trembling-motion lanes call position_expectation from worker threads; the mixed
+    # packet's tracks are in closed form and take no sample
     cfg = tmp_path / "exp.cfg"
     cfg.write_text(ZITTER_QUICK)
     env = _env(RDLAB_THREADS="2")
@@ -624,5 +627,5 @@ def test_traced_benchmark_child_matches_an_untraced_one(tmp_path):
         assert json.loads((tmp_path / f"{mode}.json").read_text())["rc"] == 0
         artifacts[mode] = _artifacts(out)
     names = [span[0] for span in json.loads(spans_path.read_text())]
-    assert names.count("positionops.position_expectation") == 16 * 2 + 16  # mixed, then pure
+    assert names.count("positionops.position_expectation") == 16  # the pure packet's samples
     assert artifacts["traced"] == artifacts["plain"] and len(artifacts["plain"]) == 3

@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import itertools
+import re
 import sys
 import tracemalloc
 from dataclasses import replace
@@ -286,13 +287,16 @@ def _chained_tracks(packet, duration, samples):
     return x_track, b_track
 
 
+# the mixed packet's tracks are in closed form, which drops the periodic wrap of the lattice
+# coordinate that the sampled loop carries: on Grid(32, 4.5) the two differ by 7e-2 of the
+# coordinate track, on Grid(40, 2.0), a box 2.8 times wider, by 1.8e-15
 @pytest.mark.parametrize(
-    "p0, weights, duration",
-    [((0.3, 0.0, 0.0), (1.0, 1.0), 10.0), ((0.4, 0.0, 0.2), (1.0, 0.0), 4.0)],
+    "grid, p0, weights, duration",
+    [(Grid(40, 2.0), (0.3, 0.0, 0.0), (1.0, 1.0), 10.0), (Grid(32, 4.5), (0.4, 0.0, 0.2), (1.0, 0.0), 4.0)],
     ids=["mixed", "pure"],
 )
-def test_zitterbewegung_tracks_match_chained_loop(p0, weights, duration):
-    packet = gaussian_packet(Grid(32, 4.5), M, p0, sigma=4.0, weights=weights)
+def test_zitterbewegung_tracks_match_chained_loop(grid, p0, weights, duration):
+    packet = gaussian_packet(grid, M, p0, sigma=4.0, weights=weights)
     result = zitterbewegung_experiment(packet, duration=duration, samples=16)
     x_track, b_track = _chained_tracks(packet, duration, 16)
     for got, want in ((result.coordinate_track, x_track), (result.branch_position_track, b_track)):
@@ -320,8 +324,11 @@ def test_zitterbewegung_needs_a_finite_resolving_duration(duration, message):
 
 def test_spin_orbit_shift_is_constant_along_the_branch_track():
     # X_P - x-hat on a_+(t) = e^{-iEt} a_+ is the shift of a_+ at t = 0 at every
-    # sample, from the operator fields; the loop subtracts that hoisted shift
-    packet = gaussian_packet(Grid(32, 4.5), M, (0.4, 0.0, 0.2), sigma=4.0, weights=(1.0, 1.0))
+    # sample, from the operator fields; the closed-form branch track subtracts that
+    # hoisted shift. Grid(48, 2.2) is a box wide enough that the sampled coordinate
+    # carries no wrap at this bound: the closed form is off by 5e-14 of the shift
+    # here, and by 2.7 times the shift on Grid(32, 4.5)
+    packet = gaussian_packet(Grid(48, 2.2), M, (0.4, 0.0, 0.2), sigma=4.0, weights=(1.0, 1.0))
     result = zitterbewegung_experiment(packet, duration=10.0, samples=16)
     plus = branch_projection(packet)
     shift = po._spin_orbit_shift(plus)
@@ -335,8 +342,9 @@ def test_spin_orbit_shift_is_constant_along_the_branch_track():
 
 
 def test_zitterbewegung_memory_does_not_grow_with_samples(monkeypatch):
-    # each lane's buffers serve every sample it takes: the peak is a few fields,
-    # whatever the count, and no lane allocates per sample (one lane, then two)
+    # each lane's buffers serve every sample it takes, and the closed form evaluates
+    # one sample at a time from per-shell sums: the peak is a few fields, whatever the
+    # count, and no sample allocates (one lane, then two)
     for threads, weights in itertools.product(("1", "2"), ((1.0, 1.0), (1.0, 0.0))):
         monkeypatch.setenv("RDLAB_THREADS", threads)
         packet = gaussian_packet(Grid(32, 4.0), M, (0.3, 0.0, 0.0), sigma=4.0, weights=weights)
@@ -387,15 +395,60 @@ def _two_call_tracks(packet, duration, samples):
     return x_track, b_track
 
 
+def _whole_field_tracks(packet, duration, samples):
+    """The closed form of a mixed packet's tracks from four-component fields:
+    D_+- = i d/dp_k a_+- from spectral_momentum_derivative, and the interference
+    term summed node by node as Re e^{2iEt} (a_+^dag D_- + conj(a_-^dag D_+))."""
+    grid, f = packet.grid, packet.values
+    e, w = grid.energies(packet.mass), _measure(packet)
+    plus = branch_projection(packet)
+    minus = replace(packet, values=f - plus.values)
+    shift = po._spin_orbit_shift(plus) * grid.n**3
+    times = np.linspace(0.0, duration, samples)
+    x_track, b_track = np.empty((samples, 3)), np.empty((samples, 3))
+    sq_plus, sq_minus = w * pair(plus.values, plus.values), w * pair(minus.values, minus.values)
+    derivatives = zip(po.spectral_momentum_derivative(plus), po.spectral_momentum_derivative(minus))
+    for k, (d_plus, d_minus) in enumerate(derivatives):
+        own_plus = np.sum(w * pair(plus.values, d_plus))
+        own = own_plus + np.sum(w * pair(minus.values, d_minus))
+        drift_plus = np.sum(lattice_p(grid)[..., k] / e * sq_plus)
+        drift = drift_plus - np.sum(lattice_p(grid)[..., k] / e * sq_minus)
+        cross = w * (np.einsum("xyzc,xyzc->xyz", plus.values.conj(), d_minus)
+                     + np.einsum("xyzc,xyzc->xyz", minus.values.conj(), d_plus).conj())
+        for i, t in enumerate(times):
+            x_track[i, k] = own + t * drift + np.sum((np.exp(2j * e * t) * cross).real)
+            b_track[i, k] = own_plus + t * drift_plus - shift[k]
+    return x_track / (np.sum(sq_plus) + np.sum(sq_minus)), b_track / np.sum(sq_plus)
+
+
 @pytest.mark.parametrize("weights", [(1.0, 0.0), (1.0, 1.0)], ids=["particle", "mixed"])
 def test_zitterbewegung_tracks_match_two_call_loop(weights):
     # a particle packet's coordinate track is its branch track's transforms, equal to
-    # the second sample up to rounding; per-component sums move only the last bits
+    # the second sample up to rounding; per-component sums move only the last bits.
+    # A mixed packet's tracks are the closed form, which leaves out the lattice
+    # coordinate's periodic wrap that the sampled loop carries (8.5e-3 of the track on
+    # this lattice): its oracle is the same identity on four-component fields, summed
+    # node by node
     packet = gaussian_packet(Grid(32, 4.5), M, (0.4, 0.0, 0.2), sigma=4.0, weights=weights)
     result = zitterbewegung_experiment(packet, duration=4.0, samples=16)
-    x_track, b_track = _two_call_tracks(packet, 4.0, 16)
+    oracle = _two_call_tracks if packet.branch == "particle" else _whole_field_tracks
+    x_track, b_track = oracle(packet, 4.0, 16)
     for got, want in ((result.coordinate_track, x_track), (result.branch_position_track, b_track)):
         assert np.abs(got - want).max() <= 1e-15 * np.abs(want).max()
+
+
+def test_closed_form_gap_to_the_sampled_tracks_is_lattice_wrap():
+    # doubling n at fixed pmax doubles the box: the saw-tooth coordinate's wrap, which
+    # the sampled loop carries and the closed form does not, falls from 8.5e-3 of the
+    # track to 1.6e-10
+    gaps = []
+    for n in (32, 64):
+        packet = gaussian_packet(Grid(n, 4.5), M, (0.4, 0.0, 0.2), sigma=4.0, weights=(1.0, 1.0))
+        result = zitterbewegung_experiment(packet, duration=4.0, samples=16)
+        x_track, b_track = _two_call_tracks(packet, 4.0, 16)
+        gaps.append(max(np.abs(result.coordinate_track - x_track).max() / np.abs(x_track).max(),
+                        np.abs(result.branch_position_track - b_track).max() / np.abs(b_track).max()))
+    assert gaps[1] <= gaps[0] / 100.0
 
 
 def test_zitterbewegung_tracks_do_not_depend_on_the_thread_count(monkeypatch):
@@ -425,27 +478,58 @@ def test_zitterbewegung_tracks_do_not_depend_on_the_thread_count(monkeypatch):
         sys.setswitchinterval(interval)
 
 
-@pytest.mark.parametrize("weights, per_sample", [((1.0, 0.0), 1), ((1.0, 1.0), 2)], ids=["particle", "mixed"])
-def test_zitterbewegung_expectations_per_sample(monkeypatch, weights, per_sample):
-    # one expectation per sample serves both tracks of a particle packet; each is
-    # two inverse transforms per spinor component, of one (n, n, n) component each
-    calls, transforms = [], []
-    expectation, ifftn = po.position_expectation, po.sfft.ifftn
-
-    def counted(*args):
-        calls.append(args)
-        return expectation(*args)
-
-    def counted_ifftn(x, *args, **kwargs):
-        transforms.append(x.shape)
-        return ifftn(x, *args, **kwargs)
-
+@pytest.mark.parametrize("weights", [(1.0, 0.0), (1.0, 1.0)], ids=["particle", "mixed"])
+def test_zitterbewegung_expectations_per_sample(monkeypatch, weights):
+    # a particle packet: one expectation per sample serves both tracks, two inverse
+    # transforms per spinor component, of one (n, n, n) component each. A mixed packet:
+    # no expectation and no sample transformed; per spinor component, one inverse
+    # transform of each branch amplitude and one forward transform per axis and branch,
+    # 32 in all at any sample count
     packet = gaussian_packet(Grid(16, 4.0), M, (0.3, 0.0, 0.0), sigma=2.0, weights=weights)
-    monkeypatch.setattr(po, "position_expectation", counted)
-    monkeypatch.setattr(po.sfft, "ifftn", counted_ifftn)
-    zitterbewegung_experiment(packet, duration=4.0, samples=16)
-    assert len(calls) == per_sample * 16
-    assert transforms == [(16, 16, 16)] * (8 * len(calls))
+    expectation, ifftn, fftn = po.position_expectation, po.sfft.ifftn, po.sfft.fftn
+    for samples in (16, 48):
+        calls, transforms = [], []
+
+        def counted(*args):
+            calls.append(args)
+            return expectation(*args)
+
+        def counting(transform):
+            def counted_transform(x, *args, **kwargs):
+                transforms.append((transform.__name__, x.shape))
+                return transform(x, *args, **kwargs)
+            return counted_transform
+
+        monkeypatch.setattr(po, "position_expectation", counted)
+        monkeypatch.setattr(po.sfft, "ifftn", counting(ifftn))
+        monkeypatch.setattr(po.sfft, "fftn", counting(fftn))
+        zitterbewegung_experiment(packet, duration=4.0, samples=samples)
+        if packet.branch == "particle":
+            assert len(calls) == samples
+            assert transforms == [("ifftn", (16, 16, 16))] * (8 * samples)
+        else:
+            assert calls == []
+            assert transforms == [("ifftn", (16, 16, 16)), *[("fftn", (16, 16, 16))] * 3] * 8
+
+
+def test_closed_form_stage_peak_memory():
+    # five (n, n, n) buffers and a few real node arrays: D_+- is reduced one spinor
+    # component and axis at a time, so no four-component D field is ever held.
+    # Measured 1.90 fields; holding the D fields of one axis as four-component
+    # arrays (spectral_momentum_derivative of a_+ and a_-) peaks at 7.3
+    packet = gaussian_packet(Grid(32, 4.0), M, (0.3, 0.0, 0.0), sigma=4.0, weights=(1.0, 1.0))
+    plus = branch_projection(packet)
+    shift = po._spin_orbit_shift(plus)
+    times = np.linspace(0.0, 10.0, 48)
+    assert peak_bytes(lambda: po._closed_form_tracks(packet, plus, shift, times)) <= 2.1 * packet.values.nbytes
+
+
+@pytest.mark.parametrize("weights, branch", [((0.0, 1.0), "+E"), ((1.0, 0.0), "-E")])
+def test_zitterbewegung_rejects_a_mixed_packet_with_an_empty_branch(weights, branch):
+    # that branch's track would be normalised from rounding noise (|a_+|^2 ~ 1e-33)
+    packet = replace(gaussian_packet(Grid(16, 4.0), M, (0.3, 0.0, 0.0), sigma=2.0, weights=weights), branch="mixed")
+    with pytest.raises(ValueError, match=re.escape(f"the {branch} branch of the mixed packet")):
+        zitterbewegung_experiment(packet, duration=4.0, samples=16)
 
 
 def test_zitterbewegung_rejects_a_mislabelled_mixed_packet():

@@ -240,7 +240,7 @@ def role_expectation(field, role):
     shift = po._spin_orbit_shift(field) if role == "branch" and field.rep == "dirac" else 0.0
     sign = -1.0 if field.branch == "antiparticle" else 1.0
     w = _measure(field).astype(complex)
-    moments, norm = po.position_expectation(field.grid, w, po._Lane(field.grid.n, 1), [(1.0, field.values)])
+    moments, norm = po.position_expectation(field.grid, w, po._Lane(field.grid.n, 1), 1.0, field.values)
     return sign * (moments - shift) / norm
 
 
