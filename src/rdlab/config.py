@@ -81,6 +81,15 @@ def get_int(cfg: dict[str, str], key: str, default: int | None = None) -> int:
     return _convert(cfg, key, int, default)
 
 
+def get_count(cfg: dict[str, str], key: str, default: int, high: int) -> int:
+    """An integer of at most `high`: a sample or refinement count, which sizes a loop and
+    the arrays it fills, so a huge one would run for days or exhaust memory."""
+    value = get_int(cfg, key, default)
+    if value > high:
+        raise ConfigError(f"{key} = {value}: must be at most {high}")
+    return value
+
+
 def _finite(text: str) -> float:
     value = float(text)
     if not math.isfinite(value):
@@ -97,18 +106,6 @@ def get_positive(cfg: dict[str, str], key: str, default: float | None = None) ->
     if not value > 0.0:
         raise ConfigError(f"{key} = {value:g}: must be positive")
     return value
-
-
-def get_bool(cfg: dict[str, str], key: str, default: bool | None = None) -> bool:
-    def conv(value: str) -> bool:
-        low = value.lower()
-        if low in ("true", "1", "yes", "on"):
-            return True
-        if low in ("false", "0", "no", "off"):
-            return False
-        raise ValueError(f"expected a boolean, got {value!r}")
-
-    return _convert(cfg, key, conv, default)
 
 
 def get_floats(cfg: dict[str, str], key: str, default: tuple[float, ...] | None = None) -> tuple[float, ...]:

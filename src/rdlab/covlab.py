@@ -18,8 +18,8 @@ raises if the -E part is not negligible; every plane comes from that one
 transform plus one transverse inverse FFT, and only the nonlocal FW current
 still needs a 3D density rate per plane. In the FW picture the +E part is the
 upper component pair: the slice reads it as one contiguous component-first
-copy, and each plane's rate is formed one spinor component at a time from one
-batched inverse FFT of (psi_c, psi_dot_c).
+copy, and each plane's rate is formed one spinor component at a time by the
+density-rate kernel of fields (_rate_planes) on the pair (psi_c, psi_dot_c).
 
 covariance_sweep runs the whole boost sweep of one packet and returns one
 BoostExperimentReport per rapidity; BoostExperimentReport.as_dict is the
@@ -37,6 +37,7 @@ from .clifford import AXES, pair, sigma_dot
 from .fields import (
     MomentumField,
     _flux,
+    _rate_planes,
     _workers,
     branch_projection,
     coordinate_density,
@@ -103,8 +104,9 @@ def check_boost_reach(field: MomentumField, rapidity: float, axis: int) -> None:
     support = amp > SUPPORT_CUT * amp.max()
     q_ax = grid.p_axes[axis]
     e_q = grid.energies(field.mass)
-    reach = float(np.abs(np.cosh(rapidity) * q_ax + np.sinh(rapidity) * e_q)[support].max())
-    if reach > grid.pmax - grid.dp:
+    with np.errstate(over="ignore", invalid="ignore"):  # an infinite or NaN reach fails below
+        reach = float(np.abs(np.cosh(rapidity) * q_ax + np.sinh(rapidity) * e_q)[support].max())
+    if not reach <= grid.pmax - grid.dp:
         raise ValueError(
             f"boosted momentum support reaches |p| ~ {reach:.2f}, beyond the "
             f"lattice band pmax = {grid.pmax:g}; rebuild with pmax >~ {reach + 3 * grid.dp:.1f}"
@@ -239,8 +241,8 @@ def _fw_flux_planes(field: MomentumField, amp: np.ndarray, rapidity: float, axis
     populated pair amp = sqrt(m/E) a_+ of _particle_amplitude, shape (2, n, n, n).
     The current is nonlocal: each plane needs the density rate
     2 Re psi^dag psi_dot, psi_dot = -iE psi, on the whole lattice at
-    t = -sinh(chi) x', formed one spinor component c at a time from one batched
-    inverse FFT of (psi_c, psi_dot_c) in one (2, n, n, n) buffer. Its spectrum
+    t = -sinh(chi) x', formed one spinor component c at a time by _rate_planes
+    on the pair (psi_c, psi_dot_c) in one (2, n, n, n) buffer. Its spectrum
     times i p_ax / p^2 is the current's, summed along the axis at cosh(chi) x'
     and inverted over the transverse axes."""
     grid, n = field.grid, field.grid.n
@@ -259,9 +261,7 @@ def _fw_flux_planes(field: MomentumField, amp: np.ndarray, rapidity: float, axis
         for c, dest in enumerate((rate, scratch)):
             np.multiply(amp[c], phase, out=buf[0])
             np.multiply(buf[0], rate_factor, out=buf[1])
-            v = sfft.ifftn(buf, axes=(1, 2, 3), workers=_workers(), overwrite_x=True)
-            v = v.view(float).reshape(2, n, n, n, 2)
-            np.einsum("xyzk,xyzk->xyz", v[0], v[1], out=dest)
+            _rate_planes(buf, out=dest)
         rate += scratch
         spectrum = sfft.rfftn(rate, workers=_workers()) * flux
         out[i] = sfft.irfftn(np.einsum("p,pab->ab", weights[i], spectrum), s=(n, n), workers=_workers())

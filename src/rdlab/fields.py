@@ -168,9 +168,8 @@ def _evolved_spectrum(
     field: MomentumField, c: int, t: float, out: np.ndarray, odd: np.ndarray | None = None
 ) -> np.ndarray:
     """_spectrum of evolve(field, t).values[..., c] bit for bit, with no evolved field and no
-    field-sized H phi: per lattice plane, (H phi)_c is formed in `out` ((sigma.p l + m u,
-    sigma.p u - m l) in the Dirac picture, beta E phi in FW), turned in place into
-    -i sin(Et) / E (H phi)_c, then into cos(Et) phi_c plus that, and scaled by
+    field-sized H phi: per lattice plane, (H phi)_c is formed in `out` (_h_row), turned in
+    place into -i sin(Et) / E (H phi)_c, then into cos(Et) phi_c plus that, and scaled by
     sqrt(m / E) / dx^3. The mirrored planes i and n - i have the same energies, so each pair
     shares one cos(Et), sin(Et) / E and scale.
 
@@ -193,14 +192,7 @@ def _evolved_spectrum(
         cos = np.cos(et, out=et)
         scale = np.sqrt(m / e) / cell
         for k in {i, -i % grid.n}:
-            v, h = field.values[k], (out if odd is None else odd)[k]
-            if field.rep == "dirac":
-                sigma_row((grid.q[k], grid.p1d), v[..., 2:] if c < 2 else v[..., :2], c % 2, h)
-                (np.add if c < 2 else np.subtract)(h, m * v[..., c], out=h)
-            else:
-                np.multiply(v[..., c], e, out=h)
-                if c >= 2:
-                    h *= -1.0
+            v, h = field.values[k], _h_row(field, k, c, (out if odd is None else odd)[k])
             h *= sin_e
             h *= -1j
             if odd is None:
@@ -257,21 +249,28 @@ def coordinate_current(field: MomentumField) -> np.ndarray:
     return np.multiply(j, 2.0, out=j)
 
 
+def _h_row(field: MomentumField, k: int, c: int, out: np.ndarray) -> np.ndarray:
+    """(H phi)_c on lattice plane k, written into `out` (n, n): (sigma.p l + m u,
+    sigma.p u - m l)_c in the Dirac picture, (beta E phi)_c in FW."""
+    v = field.values[k]
+    if field.rep == "dirac":
+        sigma_row((field.grid.q[k], field.grid.p1d), v[..., 2:] if c < 2 else v[..., :2], c % 2, out)
+        return (np.add if c < 2 else np.subtract)(out, field.mass * v[..., c], out=out)
+    np.multiply(v[..., c], field.grid.energies(field.mass)[k], out=out)
+    if c >= 2:
+        out *= -1.0
+    return out
+
+
 def hamiltonian_apply(field: MomentumField) -> np.ndarray:
-    """H phi per node: (alpha.p + beta m) phi in the Dirac picture, beta E_p phi in FW."""
+    """H phi per node: (alpha.p + beta m) phi in the Dirac picture, beta E_p phi in FW, one
+    lattice plane and component at a time (_h_row)."""
     if field.branch == "antiparticle":
         raise ValueError("antiparticle-labeled fields are momentum-space-only")
-    if field.rep == "dirac":
-        # (sigma.p l + m u, sigma.p u - m l), one lattice plane at a time
-        grid, out = field.grid, np.empty_like(field.values)
-        for k, (v, h) in enumerate(zip(field.values, out)):
-            alpha_dot((grid.q[k], grid.p1d), v, out=h)
-            for c, acc in enumerate((np.add, np.add, np.subtract, np.subtract)):
-                acc(h[..., c], field.mass * v[..., c], out=h[..., c])
-        return out
-    e = field.grid.energies(field.mass)[..., None]
-    out = field.values * e
-    out[..., 2:] *= -1.0
+    out = np.empty_like(field.values)
+    for k, h in enumerate(out):
+        for c in range(h.shape[-1]):
+            _h_row(field, k, c, h[..., c])
     return out
 
 
@@ -339,13 +338,15 @@ def current_density(field: CoordinateField) -> np.ndarray:
     return 2.0 * sigma_pair(field.values[..., :2], field.values[..., 2:])
 
 
-def _rate_planes(planes: np.ndarray) -> np.ndarray:
-    """Re sum_c a_c^* o_c from planes = (a_0..a_k-1, o_0..o_k-1), the spectra (2k, n, n, n) of
-    a field's components and of their rates (or of its even and odd parts, _evolved_spectrum):
-    one batched inverse FFT in place, one contraction."""
-    v = sfft.ifftn(planes, axes=(1, 2, 3), workers=_workers(), overwrite_x=True)
-    v = v.view(float).reshape(2, planes.shape[0] // 2, *planes.shape[1:], 2)
-    return np.einsum("cxyzk,cxyzk->xyz", v[0], v[1])
+def _rate_planes(planes: np.ndarray, out: np.ndarray | None = None, workers: int | None = None) -> np.ndarray:
+    """Re conj(F^-1 a) F^-1 b per node from the stacked spectrum pair planes = (a, b), shape
+    (2, n, n, n): one batched inverse FFT in place on `workers` threads (RDLAB_THREADS when
+    None), the float views' products written over F^-1 a, and their (re, im) sum, into `out`
+    when given; a is a component and b its rate or its measure-weighted copy."""
+    v = sfft.ifftn(planes, axes=(1, 2, 3), workers=workers or _workers(), overwrite_x=True)
+    v = v.view(float).reshape(*planes.shape, 2)
+    np.multiply(v[0], v[1], out=v[0])
+    return np.add(v[0, ..., 0], v[0, ..., 1], out=out)
 
 
 def _derivative(grid: Grid, axis: int) -> np.ndarray:
@@ -370,8 +371,8 @@ def density_rate(field: MomentumField, t: float = 0.0) -> np.ndarray:
     2 Re psi^dag psi_dot, psi_dot = -i H psi; at t > 0 the centred difference
     (rho(t) - rho(-t)) / 2t, formed as 2 Re a^dag o from the even part a and the odd part
     over t, o, of psi(+-t) = a +- t o (_evolved_spectrum): no two densities are subtracted,
-    so its rounding does not grow as the step shrinks. One batched inverse FFT of (a_c, o_c)
-    per stored component."""
+    so its rounding does not grow as the step shrinks. One _rate_planes of (a_c, o_c) per
+    stored component."""
     planes = np.empty((2, *field.values.shape[:3]), dtype=complex)
     rate = np.zeros(planes.shape[1:])
     for c in range(field.values.shape[-1]):

@@ -25,8 +25,8 @@ unchanged by the free phase e^{-iEt}, so a track forms the shift once.
   - A particle packet's tracks are sampled on the lattice (_sampled_tracks):
     the spectral part of each expectation is one Parseval pairing,
     sum_p w f^dag F[x_k F^{-1} f] = N sum_x x_k gamma^dag psi with
-    psi = ifftn(f), gamma = ifftn(w f) (position_expectation), two in-place
-    inverse FFTs per spinor component in the (n, n, n) buffers of a lane.
+    psi = ifftn(f), gamma = ifftn(w f) (position_expectation): per spinor
+    component, one _rate_planes of the pair (f_c, w f_c) in a lane's buffers.
     Samples are independent and run on up to LANES threads. The packet has
     no -E part, so its two tracks share one set of transforms and differ
     only by the shift.
@@ -38,13 +38,12 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
-import scipy.fft as sfft
 from scipy.special import erfc
 
 from .clifford import AXES, alpha_dot, pair
 from .fields import (
-    CoordinateField, MomentumField, _fft3, _ifft3, _l2, _measure, _workers, branch_projection, momentum_norm,
-    to_dirac_picture, to_fw_picture,
+    CoordinateField, MomentumField, _fft3, _ifft3, _l2, _measure, _rate_planes, _workers, branch_projection,
+    momentum_norm, to_dirac_picture, to_fw_picture,
 )
 from .grids import Grid
 from .spinors import rest_spinor
@@ -143,27 +142,9 @@ def apply_xfw(field: MomentumField) -> Iterator[MomentumField]:
     return _position_axes(field, fw_term)
 
 
-class _Lane:
-    """Buffers of one sampling lane, allocated up front and reused by every
-    sample it takes: the complex (n, n, n) sample component `a`, its weighted
-    copy `b` and the phase factor `u`, and the real density `d` (0.875 fields
-    in all). `workers` is its FFT pool size."""
-
-    def __init__(self, n: int, workers: int):
-        self.a, self.b, self.u = (np.empty((n, n, n), dtype=complex) for _ in range(3))
-        self.d = np.empty((n, n, n))
-        self.workers = workers
-
-    def set_time(self, e: np.ndarray, t: float) -> None:
-        """u = e^{-iEt}, formed as cos(Et) - i sin(Et), with Et in d."""
-        np.multiply(e, t, out=self.d)
-        np.cos(self.d, out=self.u.real)
-        np.sin(self.d, out=self.u.imag)
-        np.negative(self.u.imag, out=self.u.imag)
-
-
 def position_expectation(
-    grid: Grid, w: np.ndarray, lane: _Lane, factor: np.ndarray, field: np.ndarray
+    grid: Grid, w: np.ndarray, factor: np.ndarray, field: np.ndarray, planes: np.ndarray, d: np.ndarray,
+    workers: int,
 ) -> tuple[np.ndarray, float]:
     """(moments, norm) of the sample s = factor * field, with
     Re <s, X s> / <s, s> = (moments - shift) / norm per axis, without applying
@@ -171,29 +152,22 @@ def position_expectation(
     part, on the scale of the Parseval moments, is -shift (0 for the
     coordinate operator, _spin_orbit_shift(s) for apply_xp). `factor` is
     (n, n, n) or a scalar and `field` (n, n, n, 4); `w` is the invariant
-    measure as a complex array. Nothing but the lane's buffers a, b and d is
-    written.
+    measure as a complex array. Nothing but the buffers `planes`, complex
+    (2, n, n, n), and `d`, real (n, n, n), is written; `workers` is the FFT
+    pool size.
 
     Parseval: with psi = ifftn(s) and gamma = ifftn(w s),
     sum_p w s^dag F[x_k F^{-1} s] = N sum_x x_k gamma^dag psi and
     <s, s> = N sum_x gamma^dag psi, so the one density d(x) = Re gamma^dag psi
     gives the norm sum_x d and the three moments, each moment from the axis-k
-    marginal of d. d is summed one spinor component at a time: the component
-    is formed in the lane's buffer `a`, weighted into `b`, and both are
-    transformed in place.
+    marginal of d. d is summed one spinor component at a time: the pair
+    (s_c, w s_c) is formed in `planes` and _rate_planes adds Re psi_c^* gamma_c.
     """
-    a, b, d = lane.a, lane.b, lane.d
+    d.fill(0.0)
     for c in range(4):
-        np.multiply(factor, field[..., c], out=a)
-        np.multiply(w, a, out=b)
-        psi = sfft.ifftn(a, workers=lane.workers, overwrite_x=True)
-        gamma = sfft.ifftn(b, workers=lane.workers, overwrite_x=True)
-        np.conjugate(gamma, out=gamma)
-        gamma *= psi  # its real part is Re gamma^dag psi
-        if c == 0:
-            np.copyto(d, gamma.real)
-        else:
-            d += gamma.real
+        np.multiply(factor, field[..., c], out=planes[0])
+        np.multiply(w, planes[0], out=planes[1])
+        d += _rate_planes(planes, workers=workers)
     moments = np.array([np.sum(grid.x1d * d.sum(axis=axes)) for axes in _MARGINALS])
     return moments, np.sum(d)
 
@@ -343,10 +317,11 @@ def _sampled_tracks(
     The packet is its own +E part a_+ = `plus`, so both tracks sample
     e^{-iEt} a_+: x-hat = moments / norm and X_P = (moments - shift) / norm.
     The samples are independent, so they run on min(RDLAB_THREADS, LANES)
-    lanes, each taking every lanes-th sample through its own buffers (_Lane,
-    allocated here before any sample) with FFT pools of RDLAB_THREADS // lanes
-    workers. Each sample writes only its own track rows, so the tracks do not
-    depend on the thread count.
+    lanes, each taking every lanes-th sample through its own buffers, all
+    allocated here before any sample: the complex pair (2, n, n, n) and phase
+    u = e^{-iEt} (n, n, n) and the real density d (0.875 fields per lane),
+    with FFT pools of RDLAB_THREADS // lanes workers. Each sample writes only
+    its own track rows, so the tracks do not depend on the thread count.
     """
     grid, samples = plus.grid, len(times)
     e = grid.energies(plus.mass)
@@ -355,13 +330,17 @@ def _sampled_tracks(
     b_track = np.empty((samples, 3))
     threads = _workers()
     count = min(threads, LANES)
-    lanes = [_Lane(grid.n, threads // count) for _ in range(count)]
+    lanes = [(np.empty((2, *e.shape), dtype=complex), np.empty(e.shape, dtype=complex), np.empty(e.shape))
+             for _ in range(count)]
 
     def run_lane(k: int) -> None:
-        lane = lanes[k]
+        planes, u, d = lanes[k]
         for i in range(k, samples, count):
-            lane.set_time(e, times[i])
-            moments, norm = position_expectation(grid, w, lane, lane.u, plus.values)
+            np.multiply(e, times[i], out=d)  # u = cos(Et) - i sin(Et), with Et in d
+            np.cos(d, out=u.real)
+            np.sin(d, out=u.imag)
+            np.negative(u.imag, out=u.imag)
+            moments, norm = position_expectation(grid, w, u, plus.values, planes, d, threads // count)
             x_track[i] = moments / norm
             b_track[i] = (moments - shift) / norm
 

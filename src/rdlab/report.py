@@ -73,7 +73,10 @@ class ReportRecord:
             if tolerance is None or value is None:
                 raise ValueError("exact or value-less checks must state passed explicitly")
             passed = bool(value <= tolerance)
-        entry = Check(name, None if value is None else float(value), tolerance, bool(passed), note)
+        if value is not None:  # a value that is not finite fails, whatever its test reads
+            value = float(value)
+            passed = passed and math.isfinite(value)
+        entry = Check(name, value, tolerance, bool(passed), note)
         self.checks.append(entry)
         return entry
 

@@ -15,8 +15,8 @@ from conftest import peak_bytes
 
 from rdlab import cli, covlab, fields
 from rdlab.cli import main
-from rdlab.config import ConfigError, get_bool, get_floats, get_int, load_config, parse_config
-from rdlab.report import format_value, write_json
+from rdlab.config import ConfigError, get_floats, get_int, load_config, parse_config
+from rdlab.report import ReportRecord, format_value, write_json
 
 
 def run(tmp_path, command, config_text=None, seed=None):
@@ -51,7 +51,6 @@ def test_parse_config_roundtrip_and_errors():
     assert list(cfg) == ["grid.n", "packet.p0", "flag"]
     assert get_int(cfg, "grid.n") == 32
     assert get_floats(cfg, "packet.p0") == (0.1, 0.2, -0.3)
-    assert get_bool(cfg, "flag") is True
     assert get_int(cfg, "absent", 7) == 7
     with pytest.raises(ConfigError, match="duplicate"):
         parse_config("a = 1\na = 2\n")
@@ -126,17 +125,20 @@ def test_algebra_check_report_contract(tmp_path):
     assert by_name["spinor_eigen_residual"]["tolerance"] == 1e-12
 
 
-def test_algebra_negative_control_names_the_failure(tmp_path):
-    code, report = run(
-        tmp_path, "algebra-check",
-        "algebra.negative_control = true\nspinors.samples = 20\nboosts.samples = 5\n",
-    )
+def test_algebra_negative_control_names_the_failure(tmp_path, monkeypatch):
+    # gamma^1 corrupted: every check that reads it fails, and no other
+    gamma = cli.GAMMA.copy()
+    gamma[1, 0, 0] += 1e-3
+    monkeypatch.setattr(cli, "GAMMA", gamma)
+    code, report = run(tmp_path, "algebra-check", "spinors.samples = 20\nboosts.samples = 5\n")
     assert code == 1
     assert report["passed"] is False
     failed = {c["name"] for c in report["checks"] if not c["passed"]}
     assert "anticommutator[1][1]" in failed
-    assert all(name.startswith("anticommutator[") for name in failed)
-    assert any("corrupted" in w for w in report["warnings"])
+    anticommutators = {name for name in failed if name.startswith("anticommutator[")}
+    pairs = [(mu, nu) for mu in range(4) for nu in range(4) if 1 in (mu, nu)]
+    assert anticommutators == {f"anticommutator[{mu}][{nu}]" for mu, nu in pairs}
+    assert failed - anticommutators == {"gamma5_identities", "vector_conjugation"}
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -149,6 +151,15 @@ def test_non_finite_check_value_fails_its_check(tmp_path):
     failed = {c["name"]: c["value"] for c in report["checks"] if not c["passed"]}
     assert "spinor_eigen_residual" in failed and "wigner_transport" in failed
     assert all(value == "NaN" for value in failed.values())
+
+
+def test_check_with_a_non_finite_value_fails_whatever_its_test_reads():
+    # a test such as gap > 0 or value <= tolerance passes on +inf or -inf
+    record = ReportRecord(command="covariance", config={}, seed=0)
+    for value in (np.inf, -np.inf, np.nan):
+        assert not record.check("gap", value, None, passed=value > 0.0).passed
+        assert not record.check("residual", value, 1e-3).passed
+    assert record.check("gap", 2.0, None, passed=True).passed
 
 
 def test_json_artifacts_write_non_finite_floats_as_strings(tmp_path):
@@ -456,6 +467,13 @@ CONFIG_ERRORS = [
     ("zitterbewegung", "packet.p0 = 1e300, 0, 0\n", "packet.p0, packet.mix: packet normalisation 0 "),
     ("position", "mass = 1e-8\n", "packet.p0, packet.x0: packet normalisation 0 "),
     ("continuity", "packet.sigma = 1e200\n", "packet.sigma, packet.p0: packet normalisation 0 "),
+    # a count past its bound would loop for days, exhaust memory or overflow 2^levels
+    ("algebra-check", f"boosts.samples = {2**63}\n", f"boosts.samples = {2**63}: must be at most 100000"),
+    ("zitterbewegung", f"times.samples = {2**31}\n", f"times.samples = {2**31}: must be at most 100000"),
+    ("continuity", f"continuity.levels = {2**31}\n", f"continuity.levels = {2**31}: must be at most 20"),
+    # cosh(1e300) = inf, and inf * 0 = NaN: a NaN reach leaves the band
+    ("covariance", "boost.rapidity = 1e300\n",
+     "boost.rapidity = 1e+300: boosted momentum support reaches |p| ~ nan"),
 ]
 
 

@@ -9,6 +9,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+import scipy.fft as sfft
 from conftest import centred_rate, density, lattice_p, lattice_x, peak_bytes, total_probability
 
 from rdlab.clifford import ALPHA, pair
@@ -480,13 +481,14 @@ def test_zitterbewegung_tracks_do_not_depend_on_the_thread_count(monkeypatch):
 
 @pytest.mark.parametrize("weights", [(1.0, 0.0), (1.0, 1.0)], ids=["particle", "mixed"])
 def test_zitterbewegung_expectations_per_sample(monkeypatch, weights):
-    # a particle packet: one expectation per sample serves both tracks, two inverse
-    # transforms per spinor component, of one (n, n, n) component each. A mixed packet:
+    # a particle packet: one expectation per sample serves both tracks, one batched inverse
+    # transform per spinor component, of the (2, n, n, n) pair of the component and its
+    # weighted copy: the work of two (n, n, n) transforms. A mixed packet:
     # no expectation and no sample transformed; per spinor component, one inverse
     # transform of each branch amplitude and one forward transform per axis and branch,
     # 32 in all at any sample count
     packet = gaussian_packet(Grid(16, 4.0), M, (0.3, 0.0, 0.0), sigma=2.0, weights=weights)
-    expectation, ifftn, fftn = po.position_expectation, po.sfft.ifftn, po.sfft.fftn
+    expectation, ifftn, fftn = po.position_expectation, sfft.ifftn, sfft.fftn
     for samples in (16, 48):
         calls, transforms = [], []
 
@@ -501,12 +503,12 @@ def test_zitterbewegung_expectations_per_sample(monkeypatch, weights):
             return counted_transform
 
         monkeypatch.setattr(po, "position_expectation", counted)
-        monkeypatch.setattr(po.sfft, "ifftn", counting(ifftn))
-        monkeypatch.setattr(po.sfft, "fftn", counting(fftn))
+        monkeypatch.setattr(sfft, "ifftn", counting(ifftn))
+        monkeypatch.setattr(sfft, "fftn", counting(fftn))
         zitterbewegung_experiment(packet, duration=4.0, samples=samples)
         if packet.branch == "particle":
             assert len(calls) == samples
-            assert transforms == [("ifftn", (16, 16, 16))] * (8 * samples)
+            assert transforms == [("ifftn", (2, 16, 16, 16))] * (4 * samples)
         else:
             assert calls == []
             assert transforms == [("ifftn", (16, 16, 16)), *[("fftn", (16, 16, 16))] * 3] * 8
