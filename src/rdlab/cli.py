@@ -504,8 +504,9 @@ def cmd_continuity(cfg: dict[str, str], record: ReportRecord, rng: np.random.Gen
         raise ConfigError("continuity.ratio_window must be two increasing numbers: low, high")
 
     # both packets pass the lattice hygiene checks before any work starts. The pure packet
-    # becomes its FW particle pair before the mixed packet is built, and the FW stage runs
-    # and is freed before the mixed one: one four-component field and the pair at a time
+    # becomes its FW particle field (one stored upper component for spin +1/2 along z)
+    # before the mixed packet is built, and the FW stage runs and is freed before the mixed
+    # one: one four-component field and the upper components at a time
     pure_fw = branch_projection(to_fw_picture(_precondition(keys, gaussian_packet, grid, mass, p0, sigma=sigma)))
     mixed = _precondition(f"{keys}, packet.mix", gaussian_packet, grid, mass, p0, sigma=sigma, weights=mix)
     fw_rep = continuity_residuals(pure_fw, [fw_dt])[0]
@@ -645,7 +646,10 @@ def cmd_covariance(cfg: dict[str, str], record: ReportRecord, rng: np.random.Gen
         tol_rot,
         note="density of the rotated field vs the permuted rest density",
     )
-    rho_fw_rot = coordinate_density(rotate_field(branch_projection(to_fw_picture(packet)), rot_axis, quarter_turns))
+    # a packet with spin +1/2 along z projects to one stored component, which cannot turn:
+    # the four-component FW field is rotated, then projected
+    rho_fw_rot = coordinate_density(
+        branch_projection(rotate_field(to_fw_picture(packet), rot_axis, quarter_turns)))
     perm_fw = rotate_scalar_lattice(rho_fw, rot_axis, quarter_turns)
     record.check(
         "rotation_consistency_fw",

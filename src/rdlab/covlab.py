@@ -17,14 +17,17 @@ only the +E part of the rest (particle) field, whose evolution is a phase, and
 raises if the -E part is not negligible; every plane comes from that one
 transform plus one transverse inverse FFT, and only the nonlocal FW current
 still needs a 3D density rate per plane. In the FW picture the +E part is the
-upper component pair: the slice reads it as one contiguous component-first
-copy, and each plane's rate is formed one spinor component at a time by the
-density-rate kernel of fields (_rate_planes) on the pair (psi_c, psi_dot_c).
+upper components that branch_projection stores (one for a packet with spin
++1/2 along z, else the pair): the slice reads them as one contiguous
+component-first copy, and each plane's rate is formed one stored component at
+a time by the density-rate kernel of fields (_rate_planes) on the pair
+(psi_c, psi_dot_c).
 
 covariance_sweep runs the whole boost sweep of one packet and returns one
 BoostExperimentReport per rapidity; BoostExperimentReport.as_dict is the
-serialized record. Its FW slices and the FW rotation check run on the FW
-particle pair, so no four-component FW field is alive while they work.
+serialized record. Its FW rest density and FW slices run on the FW particle
+field's stored upper components, so no four-component FW field is alive while
+the slices work.
 """
 from __future__ import annotations
 
@@ -173,12 +176,16 @@ def rotate_field(field: MomentumField, axis: int, quarter_turns: int) -> Momentu
     operation besides reindexing is the spinor rotation (identical block
     structure in both pictures; period eight quarter turns, with a sign after
     four). The rotation is block diagonal, so an FW particle pair turns by its
-    upper 2x2 block.
+    upper 2x2 block. A field stored as one upper component raises ValueError:
+    the rotation mixes in the spin component it does not store.
     """
     if axis not in (0, 1, 2):
         raise ValueError(f"axis must be 0, 1 or 2, got {axis!r}")
     if field.branch == "antiparticle":
         raise ValueError("antiparticle-labeled fields are momentum-space-only")
+    if field.values.shape[-1] == 1:
+        raise ValueError("a field stored as one upper component has no spin to turn; "
+                         "rotate the four-component field, then project it")
     k = int(quarter_turns) % 8
     if k == 0:
         return field
@@ -218,33 +225,34 @@ def _slice_departures(grid: Grid, rho_boosted: np.ndarray, predicted: np.ndarray
 def _particle_amplitude(field: MomentumField, axis: int) -> np.ndarray:
     """sqrt(m/E) a_+, a_+ = branch_projection(field) the +E part that evolves as
     exp(-iEt) a_+. In the Dirac picture, (phi + H phi / E) / 2 with the boost
-    axis first, shape (n, n, n, 4). In the FW picture, the upper component pair
-    (stored, or projected from four components) as one contiguous
-    component-first array with the boost axis next, shape (2, n, n, n):
-    _fw_flux_planes reads its components as contiguous slabs. branch_projection
-    raises ValueError when |a_-| > 1e-12 |a_+|: a mislabelled field fails, it is
-    never truncated."""
+    axis first, shape (n, n, n, 4). In the FW picture, the s upper components
+    that branch_projection stores (s = 1 for spin +1/2 along z, else 2; stored,
+    or projected from four components) as one contiguous component-first array
+    with the boost axis next, shape (s, n, n, n): _fw_flux_planes reads its
+    components as contiguous slabs. branch_projection raises ValueError when
+    |a_-| > 1e-12 |a_+|: a mislabelled field fails, it is never truncated."""
     plus = branch_projection(field).values
     scale = np.moveaxis(np.sqrt(field.mass / field.grid.energies(field.mass)), axis, 0)
     if field.rep == "dirac":
         plus = np.moveaxis(plus, axis, 0)
         plus *= scale[..., None]
         return plus
-    amp = np.empty((2, *scale.shape), dtype=complex)
-    for c in range(2):
+    amp = np.empty((plus.shape[-1], *scale.shape), dtype=complex)
+    for c in range(plus.shape[-1]):
         np.multiply(np.moveaxis(plus[..., c], axis, 0), scale, out=amp[c])
     return amp
 
 
 def _fw_flux_planes(field: MomentumField, amp: np.ndarray, rapidity: float, axis: int) -> np.ndarray:
     """Boost-axis FW current on every tilted plane, boost axis first, from the
-    populated pair amp = sqrt(m/E) a_+ of _particle_amplitude, shape (2, n, n, n).
-    The current is nonlocal: each plane needs the density rate
+    stored upper components amp = sqrt(m/E) a_+ of _particle_amplitude, shape
+    (s, n, n, n). The current is nonlocal: each plane needs the density rate
     2 Re psi^dag psi_dot, psi_dot = -iE psi, on the whole lattice at
-    t = -sinh(chi) x', formed one spinor component c at a time by _rate_planes
-    on the pair (psi_c, psi_dot_c) in one (2, n, n, n) buffer. Its spectrum
-    times i p_ax / p^2 is the current's, summed along the axis at cosh(chi) x'
-    and inverted over the transverse axes."""
+    t = -sinh(chi) x', formed one stored component c at a time by _rate_planes
+    on the pair (psi_c, psi_dot_c) in one (2, n, n, n) buffer: one _rate_planes
+    per plane when s = 1, with no scratch rate. Its spectrum times
+    i p_ax / p^2 is the current's, summed along the axis at cosh(chi) x' and
+    inverted over the transverse axes."""
     grid, n = field.grid, field.grid.n
     ch, sh = np.cosh(rapidity), np.sinh(rapidity)
     e = np.moveaxis(grid.energies(field.mass), axis, 0)
@@ -253,16 +261,18 @@ def _fw_flux_planes(field: MomentumField, amp: np.ndarray, rapidity: float, axis
     step, rate_factor = np.exp(1j * sh * grid.dx * e), -1j * e
     phase = np.ones_like(step)  # exp(-iEt)
     buf = np.empty((2, n, n, n), dtype=complex)
-    rate, scratch = np.empty((n, n, n)), np.empty((n, n, n))
+    rate = np.empty((n, n, n))
+    scratch = np.empty((n, n, n)) if len(amp) > 1 else None
     out = np.empty((n, n, n))
     for i in range(n):
         if i == n // 2:
             np.conjugate(phase, out=phase)  # x' = k dx jumps from k = n/2 - 1 to k = -n/2
-        for c, dest in enumerate((rate, scratch)):
-            np.multiply(amp[c], phase, out=buf[0])
+        for c, component in enumerate(amp):
+            np.multiply(component, phase, out=buf[0])
             np.multiply(buf[0], rate_factor, out=buf[1])
-            _rate_planes(buf, out=dest)
-        rate += scratch
+            _rate_planes(buf, out=rate if c == 0 else scratch)
+            if c:
+                rate += scratch
         spectrum = sfft.rfftn(rate, workers=_workers()) * flux
         out[i] = sfft.irfftn(np.einsum("p,pab->ab", weights[i], spectrum), s=(n, n), workers=_workers())
         phase *= step
@@ -275,8 +285,8 @@ def slice_prediction(field: MomentumField, rapidity: float, axis: int = 0) -> np
     The plane x'_ax is the rest state at t = -sinh(chi) x'_ax read at
     x_ax = cosh(chi) x'_ax, predicting rho' = cosh(chi) rho + sinh(chi) j_ax.
     A particle field is its +E part a_+ alone (ValueError if the -E part
-    exceeds 1e-12 of it; an FW field may be given as that part, its upper
-    pair), so the state on all planes is
+    exceeds 1e-12 of it; an FW field may be given as that part, its stored
+    upper components), so the state on all planes is
 
         sum_{p_ax} exp(i x' (cosh(chi) p_ax + sinh(chi) E_p)) a_+(p):
 
@@ -351,7 +361,7 @@ def covariance_sweep(
     """
     grid = field.grid
     rho_rest = coordinate_density(field)
-    rho_fw = coordinate_density(to_fw_picture(field))
+    rho_fw = coordinate_density(branch_projection(to_fw_picture(field)))
     reports = []
     for chi in rapidities:
         if chi == 0.0:

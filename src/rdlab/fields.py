@@ -14,8 +14,10 @@ of alpha.p + beta m); "antiparticle" fields use the antiparticle's own
 momentum labeling and are momentum-space-only (no coordinate realization,
 no evolution) — they exist for the mirrored position-operator checks.
 
-An FW particle field may store its upper pair alone (the branch_projection of
-an FW field): the continuity kernels read the components that are stored, and
+An FW particle field may store its leading upper components alone (the
+branch_projection of an FW field): components 0..s-1 of four, s = 1 when the
+second upper component is empty (a packet with spin +1/2 along z) and s = 2
+otherwise. The continuity kernels read the components that are stored, and
 functions that need all four raise ValueError on it.
 """
 from __future__ import annotations
@@ -65,7 +67,7 @@ def _ifft3(a: np.ndarray, overwrite_x: bool = False) -> np.ndarray:
 @dataclass
 class MomentumField:
     """Spinor amplitudes phi(p), shape (n, n, n, 4), invariant-measure convention; an FW
-    particle field may hold its upper pair alone, shape (n, n, n, 2)."""
+    particle field may hold its leading upper components alone, shape (n, n, n, s), s = 1, 2."""
 
     grid: Grid
     values: np.ndarray
@@ -76,10 +78,11 @@ class MomentumField:
     def __post_init__(self):
         self.values = np.asarray(self.values, dtype=complex)
         n = self.grid.n
-        pair_ok = self.rep == "fw" and self.branch == "particle"
-        if self.values.shape != (n, n, n, 4) and not (pair_ok and self.values.shape == (n, n, n, 2)):
-            raise ValueError(f"values must have shape {(n, n, n, 4)}, or {(n, n, n, 2)} for an "
-                             f"FW particle field, got {self.values.shape}")
+        upper_ok = self.rep == "fw" and self.branch == "particle"
+        if self.values.shape != (n, n, n, 4) and not (
+                upper_ok and self.values.shape in ((n, n, n, 1), (n, n, n, 2))):
+            raise ValueError(f"values must have shape {(n, n, n, 4)}, or {(n, n, n, 2)} or "
+                             f"{(n, n, n, 1)} for an FW particle field, got {self.values.shape}")
         if self.rep not in REPS:
             raise ValueError(f"rep must be one of {REPS}, got {self.rep!r}")
         if self.branch not in BRANCHES:
@@ -106,9 +109,11 @@ class CoordinateField:
 
 
 def _four_components(field: MomentumField) -> None:
-    """ValueError for an FW particle pair, where an operation needs both component pairs."""
+    """ValueError for an FW particle field stored as its upper components, where an operation
+    needs both component pairs."""
     if field.values.shape[-1] != 4:
-        raise ValueError("this operation needs all four spinor components, not the FW particle pair")
+        raise ValueError("this operation needs all four spinor components, not the FW particle "
+                         "field's upper components")
 
 
 def _measure(field: MomentumField) -> np.ndarray:
@@ -554,28 +559,40 @@ def branch_projection(field: MomentumField) -> MomentumField:
 
     The projector is (1 + H/E) / 2 (H^2 = E^2 per node). In the Dirac picture
     the result has four components, and the -E part is f - branch_projection(f).
-    In the FW picture the +E part is the upper component pair, returned alone,
-    shape (n, n, n, 2); the -E part is the lower pair. A particle-labelled field
-    must be its own +E part: ValueError when |a_-|^2 > 1e-24 |a_+|^2, summed one
+    In the FW picture the +E part is the upper component pair and the -E part
+    the lower pair; only the upper components that carry the field are stored:
+    component 1 is dropped when its weight sum |a_1|^2 is at most 1e-24 of the
+    pair's (and the pair's is nonzero), so a packet with spin +1/2 along z gives
+    shape (n, n, n, 1) and any other spin the pair, shape (n, n, n, 2). A NaN
+    weight keeps its component. A particle-labelled field must be its own +E
+    part: ValueError when |a_-|^2 > 1e-24 |a_+|^2. All weights are summed one
     lattice plane at a time, so a mislabelled field fails and is never truncated.
     """
     if field.branch == "antiparticle":
         raise ValueError("antiparticle-labeled fields are already single-branch")
     if field.rep == "fw":
-        vals = field.values[..., :2].copy()
+        sq = np.zeros(field.values.shape[-1])  # sum |phi_c|^2 of each stored component
+        for v in field.values:
+            x = v.view(float).reshape(*v.shape, 2)
+            sq += np.einsum("abcr,abcr->c", x, x)
+        minus_sq, plus_sq = np.sum(sq[2:]), np.sum(sq[:2])
+        s = min(len(sq), 2)
+        if s == 2 and plus_sq > 0.0 and sq[1] <= 1e-24 * plus_sq:
+            s = 1  # the second upper component holds rounding noise alone
+        vals = field.values[..., :s].copy()
     else:
         vals = hamiltonian_apply(field)
         vals *= (1.0 / field.grid.energies(field.mass))[..., None]
         vals += field.values
         vals *= 0.5
-    if field.branch == "particle":
         minus_sq = plus_sq = 0.0
-        for v, a in zip(field.values, vals):
-            d = v[..., 2:] if field.rep == "fw" else v - a
-            minus_sq += np.sum(pair(d, d))
-            plus_sq += np.sum(pair(a, a))
-        if minus_sq > 1e-24 * plus_sq:
-            raise ValueError("the -E branch of a particle-labelled field is populated")
+        if field.branch == "particle":
+            for v, a in zip(field.values, vals):
+                d = v - a
+                minus_sq += np.sum(pair(d, d))
+                plus_sq += np.sum(pair(a, a))
+    if field.branch == "particle" and minus_sq > 1e-24 * plus_sq:
+        raise ValueError("the -E branch of a particle-labelled field is populated")
     return replace(field, values=vals, branch="particle")
 
 

@@ -195,18 +195,24 @@ def tremble_moments(
 ) -> tuple[float, np.ndarray]:
     """<E> and <p/E> of a packet under the invariant measure, after the
     preconditions of its trembling-motion tracks over `samples` points in
-    `duration`: at least 16 samples, a finite positive duration, a
-    Dirac-picture packet and, for a branch-mixed one, a Nyquist frequency
-    pi (samples - 1) / duration of at least the trembling frequency 2<E>,
-    and each branch holding at least 1e-24 of sum w |f|^2 (the
-    branch_projection threshold): an empty branch's track would be
-    normalised from rounding noise. `plus` is branch_projection(packet) when
-    the caller holds it. A single-branch track has no trembling frequency to
-    resolve."""
+    `duration`: at least 16 samples, a finite positive duration whose
+    squared sample spacing (duration / (samples - 1))^2 is a normal float
+    (the slope fits square the sample times; below that they underflow and
+    the least-squares solve fails), a Dirac-picture packet and, for a
+    branch-mixed one, a Nyquist frequency pi (samples - 1) / duration of at
+    least the trembling frequency 2<E>, and each branch holding at least
+    1e-24 of sum w |f|^2 (the branch_projection threshold): an empty
+    branch's track would be normalised from rounding noise. `plus` is
+    branch_projection(packet) when the caller holds it. A single-branch track
+    has no trembling frequency to resolve."""
     if samples < 16:
         raise ValueError("need at least 16 samples to resolve a trembling frequency")
     if not 0.0 < duration < np.inf:
         raise ValueError(f"duration must be finite and positive, got {duration!r}")
+    spacing = duration / (samples - 1)
+    if not spacing * spacing >= np.finfo(float).tiny:
+        raise ValueError(f"the sample spacing duration / (samples - 1) = {spacing:g} squares below the "
+                         "smallest normal float: the slope fits would underflow")
     if packet.rep != "dirac":
         raise ValueError("the trembling-motion tracks are taken in the Dirac picture")
     grid, w = packet.grid, _measure(packet)

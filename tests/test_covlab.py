@@ -18,6 +18,7 @@ from rdlab.covlab import (
     slice_prediction,
 )
 from rdlab.fields import (
+    MomentumField,
     branch_projection,
     coordinate_density,
     evolve,
@@ -268,11 +269,34 @@ def test_slice_prediction_matches_per_plane_oracle(rep, axis, chi):
 
 @pytest.mark.parametrize("axis", [0, 1, 2])
 def test_slice_prediction_on_the_fw_pair_matches_four_components(axis):
-    # the slice reads only the +E part, the upper pair: dropping the lower pair moves no bit
+    # the slice reads only the +E part, the upper components: a spin +1/2 packet keeps one,
+    # and dropping the lower pair and the empty spin component moves no bit
     fw = to_fw_picture(covariance_packet(Grid(24, 4.5)))
     upper = branch_projection(fw)
-    assert upper.values.shape == (24, 24, 24, 2)
+    assert upper.values.shape == (24, 24, 24, 1)
     assert np.array_equal(slice_prediction(upper, CHI, axis), slice_prediction(fw, CHI, axis))
+    pair = MomentumField(fw.grid, fw.values[..., :2], M, rep="fw")
+    assert np.array_equal(slice_prediction(pair, CHI, axis), slice_prediction(fw, CHI, axis))
+
+
+@pytest.mark.parametrize("spin, stored", [(0.5, 1), ((1.0, 1.0), 2)], ids=["spin-up", "spin-vector"])
+def test_slice_prediction_pairs_each_stored_component_once(monkeypatch, spin, stored):
+    # one density-rate transform per plane and stored component: n for a spin +1/2
+    # packet, whose FW field stores one upper component, 2n for the pair
+    grid = Grid(24, 4.5)
+    fw = to_fw_picture(gaussian_packet(grid, M, p0=(0.5, 0.0, 0.0), sigma=2.5, spin=spin))
+    calls = []
+
+    def counted(planes, *args, **kwargs):
+        calls.append(planes.shape)
+        return rate_planes(planes, *args, **kwargs)
+
+    rate_planes = covlab._rate_planes
+    monkeypatch.setattr(covlab, "_rate_planes", counted)
+    upper = branch_projection(fw)
+    assert upper.values.shape[-1] == stored
+    slice_prediction(upper, CHI, AXIS)
+    assert len(calls) == stored * grid.n
 
 
 @pytest.mark.parametrize("rep", ["dirac", "fw"])
@@ -296,11 +320,11 @@ def test_slice_prediction_peak_memory(rep):
 
 
 def test_covariance_sweep_peak_memory():
-    # the FW slice runs on the pair with one (2, n, n, n) FFT buffer, so the sweep holds
-    # about 3.8 fields at its peak (5.2 when it sliced the four-component FW field); the
-    # bound is that value with an 11% margin
+    # the FW rest density and slice run on the one upper component a spin +1/2 packet
+    # stores, with one (2, n, n, n) FFT buffer, so the Dirac slice sets the sweep's peak at
+    # 3.38 fields; the bound is that value with a 5% margin
     f = covariance_packet(Grid(32, 4.5))
-    assert peak_bytes(lambda: covariance_sweep(f, (CHI,), axis=AXIS)) <= 4.2 * f.values.nbytes
+    assert peak_bytes(lambda: covariance_sweep(f, (CHI,), axis=AXIS)) <= 3.55 * f.values.nbytes
 
 
 def test_dirac_covariance_residual_small_and_refining():
@@ -345,7 +369,7 @@ def test_rotate_field_turns_the_fw_pair_by_the_upper_block(k):
     # the spinor rotation is block diagonal: the rotated pair is the upper pair of the
     # rotated four-component field, and its density co-rotates
     fw = to_fw_picture(covariance_packet(Grid(24, 4.5)))
-    upper = branch_projection(fw)
+    upper = MomentumField(fw.grid, fw.values[..., :2], M, rep="fw")
     turned = rotate_field(upper, 2, k)
     assert turned.values.shape == upper.values.shape and turned.rep == "fw"
     np.testing.assert_allclose(turned.values, rotate_field(fw, 2, k).values[..., :2], rtol=0,
@@ -353,6 +377,16 @@ def test_rotate_field_turns_the_fw_pair_by_the_upper_block(k):
     rho = coordinate_density(upper)
     expected = rotate_scalar_lattice(rho, 2, k)
     assert np.abs(coordinate_density(turned) - expected).max() <= 1e-13 * rho.max()
+
+
+def test_rotate_field_rejects_one_stored_component():
+    # a spin +1/2 FW particle field stores one upper component; a turn about x or y
+    # would mix in the component it does not store, so no turn is taken, about any axis
+    one = branch_projection(to_fw_picture(covariance_packet(Grid(24, 4.5))))
+    assert one.values.shape[-1] == 1
+    for axis in (0, 1, 2):
+        with pytest.raises(ValueError, match="one upper component"):
+            rotate_field(one, axis, 1)
 
 
 def test_fw_density_rotation_consistent():

@@ -31,7 +31,7 @@ from rdlab.fields import (
 )
 from rdlab.grids import Grid
 from rdlab import positionops as po
-from rdlab.positionops import apply_dirac_coordinate, apply_xp, zitterbewegung_experiment
+from rdlab.positionops import apply_dirac_coordinate, apply_xp, tremble_moments, zitterbewegung_experiment
 
 GRID = Grid(48, 6.0)
 M = 1.0
@@ -73,13 +73,13 @@ def test_branch_projection_decomposition():
     assert abs(momentum_inner(plus, minus)) <= 1e-13
     assert np.abs(branch_projection(minus).values).max() <= 1e-13
 
-    # in the FW picture the +E part is the upper pair alone, that of the rotated +E part,
-    # whose lower pair is zero to rounding
+    # in the FW picture the +E part is the upper pair, that of the rotated +E part, whose
+    # lower pair is zero to rounding; a spin +1/2 packet stores its component 0 alone
     fw_plus = branch_projection(to_fw_picture(mix))
-    assert fw_plus.values.shape == (*mix.values.shape[:3], 2) and fw_plus.branch == "particle"
+    assert fw_plus.values.shape == (*mix.values.shape[:3], 1) and fw_plus.branch == "particle"
     plus_fw = to_fw_picture(plus).values
-    assert np.abs(plus_fw[..., 2:]).max() <= 1e-13
-    np.testing.assert_allclose(fw_plus.values, plus_fw[..., :2], rtol=0, atol=1e-13)
+    assert np.abs(plus_fw[..., 1:]).max() <= 1e-13
+    np.testing.assert_allclose(fw_plus.values, plus_fw[..., :1], rtol=0, atol=1e-13)
 
 
 def test_branch_projection_preconditions():
@@ -314,13 +314,25 @@ def test_zitterbewegung_needs_enough_samples():
 @pytest.mark.parametrize(
     "duration, message",
     [(0.0, "finite and positive"), (-1.0, "finite and positive"), (np.nan, "finite and positive"),
-     (np.inf, "finite and positive"), (1e300, "Nyquist frequency")],
+     (np.inf, "finite and positive"), (1e300, "Nyquist frequency"), (1e-300, "sample spacing")],
 )
 def test_zitterbewegung_needs_a_finite_resolving_duration(duration, message):
     # a mixed track sampled below its trembling frequency 2<E> is rejected too
     packet = gaussian_packet(Grid(16, 4.0), M, (0.3, 0.0, 0.0), sigma=2.0, weights=(1.0, 1.0))
     with pytest.raises(ValueError, match=message):
         zitterbewegung_experiment(packet, duration=duration, samples=16)
+
+
+def test_tremble_moments_reject_a_spacing_whose_square_underflows():
+    # the slope fits square the sample times: a spacing whose square is a normal float
+    # passes, and the next one down fails
+    packet = gaussian_packet(Grid(16, 4.0), M, (0.3, 0.0, 0.0), sigma=2.0)
+    tiny = np.finfo(float).tiny
+    edge = 15.0 * np.sqrt(tiny) * (1.0 + 1e-15)
+    assert (edge / 15.0) ** 2 >= tiny
+    tremble_moments(packet, edge, 16)
+    with pytest.raises(ValueError, match="sample spacing"):
+        tremble_moments(packet, 15.0 * np.sqrt(tiny) * (1.0 - 1e-15), 16)
 
 
 def test_spin_orbit_shift_is_constant_along_the_branch_track():

@@ -427,27 +427,71 @@ def test_transport_peak_memory():
 
 
 def test_fw_particle_pair_shape():
-    # an FW particle field may store its upper pair alone; no other labeling may
-    upper = np.zeros((32, 32, 32, 2))
-    assert MomentumField(GRID, upper, M, rep="fw").values.shape == (32, 32, 32, 2)
-    for labels in (dict(rep="dirac"), dict(rep="fw", branch="mixed"), dict(rep="fw", branch="antiparticle")):
-        with pytest.raises(ValueError, match="FW particle field"):
-            MomentumField(GRID, upper, M, **labels)
+    # an FW particle field may store its leading upper components alone, the pair or
+    # component 0; no other labeling may
+    for s in (1, 2):
+        upper = np.zeros((32, 32, 32, s))
+        assert MomentumField(GRID, upper, M, rep="fw").values.shape == (32, 32, 32, s)
+        for labels in (dict(rep="dirac"), dict(rep="fw", branch="mixed"), dict(rep="fw", branch="antiparticle")):
+            with pytest.raises(ValueError, match="FW particle field"):
+                MomentumField(GRID, upper, M, **labels)
+    with pytest.raises(ValueError, match="FW particle field"):
+        MomentumField(GRID, np.zeros((32, 32, 32, 3)), M, rep="fw")
 
 
 @pytest.mark.parametrize("fn", [
     to_dirac_picture, to_coordinate, lambda f: evolve(f, 0.3),
 ], ids=["to_dirac_picture", "to_coordinate", "evolve"])
 def test_four_component_functions_reject_the_fw_pair(fn):
-    upper = branch_projection(packet("fw"))
-    with pytest.raises(ValueError, match="all four spinor components"):
-        fn(upper)
+    # a spin +1/2 packet projects to one stored component, any other spin to the pair
+    for spin, stored in ((0.5, 1), ((1.0, 1.0), 2)):
+        upper = branch_projection(packet("fw", spin=spin))
+        assert upper.values.shape[-1] == stored
+        with pytest.raises(ValueError, match="all four spinor components"):
+            fn(upper)
+
+
+def test_fw_projection_stores_the_upper_components_that_carry_the_field():
+    # spin +1/2 along z fills component 0 alone: its FW projection is that component, bit
+    # for bit; a spin vector or spin -1/2 fills component 1, and keeps the pair
+    fw = packet("fw")
+    assert pair(fw.values[..., 1:2], fw.values[..., 1:2]).sum() <= 1e-30 * pair(fw.values, fw.values).sum()
+    one = branch_projection(fw)
+    assert one.values.shape == (32, 32, 32, 1) and one.rep == "fw" and one.branch == "particle"
+    assert np.array_equal(one.values, fw.values[..., :1]) and one.values.flags.c_contiguous
+    for spin in ((1.0, 1.0), -0.5):
+        both = packet("fw", spin=spin)
+        assert np.array_equal(branch_projection(both).values, both.values[..., :2])
+    # a zero field has no weight to compare: it keeps its pair
+    zero = MomentumField(GRID, np.zeros((32, 32, 32, 4)), M, rep="fw")
+    assert branch_projection(zero).values.shape == (32, 32, 32, 2)
+
+
+def test_fw_projection_is_idempotent_bit_for_bit():
+    for spin in (0.5, (1.0, 1.0)):
+        upper = branch_projection(packet("fw", spin=spin))
+        again = branch_projection(upper)
+        assert again.values.shape == upper.values.shape
+        assert np.array_equal(again.values, upper.values)
+
+
+@pytest.mark.parametrize("c", [0, 1])
+def test_fw_projection_keeps_a_nan_weight(c):
+    # a NaN in either upper component makes its weight NaN, which is never "at most
+    # 1e-24 of the pair's": the pair is kept, and the NaN reaches every observable,
+    # where a check such as `residual <= tol` fails
+    fw = packet("fw")
+    fw.values[16, 16, 16, c] = np.nan
+    upper = branch_projection(fw)
+    assert upper.values.shape == (32, 32, 32, 2)
+    assert np.isnan(coordinate_density(upper)).any()
+    assert not continuity_residuals(upper, [1e-5])[0].residual_l2 <= 1e-10
 
 
 def test_continuity_on_the_fw_pair_matches_four_components():
-    # the lower pair of an FW particle packet is zero to rounding: dropping it moves no
-    # field of any report
+    # the lower pair of an FW particle packet is zero to rounding, and so is the second
+    # upper component of a spin +1/2 packet: dropping all three moves no field of any report
     fw = to_fw_picture(gaussian_packet(Grid(64, 8.0), M, P0, sigma=2.5))
     upper = branch_projection(fw)
-    assert upper.values.shape == (64, 64, 64, 2)
+    assert upper.values.shape == (64, 64, 64, 1)
     assert continuity_residuals(upper, [1e-5, 2e-3]) == continuity_residuals(fw, [1e-5, 2e-3])
